@@ -7,12 +7,13 @@ state to the product over arcs of the two-term lowering operators
 
 applied to the all-up spin state.  The factors for different arcs
 commute, so the order is irrelevant.  The module also provides exact
-determinants (fraction-free elimination with a cofactor oracle), the
-closed-form determinant products, and the numeric criticality scan.
+determinants (fraction-free elimination), the closed-form determinant
+products, and the numeric criticality scan.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, pi, sin
 
 import numpy as np
@@ -176,33 +177,6 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
     return -det if sign < 0 else det
 
 
-def det_cofactor(m: RingMatrix) -> LaurentPoly:
-    """Cofactor-expansion determinant; independent oracle for small sizes."""
-    n = m.rows
-    ent = m.entries
-
-    def rec(rows, cols):
-        if len(rows) == 1:
-            return ent[rows[0]][cols[0]]
-        total = None
-        r = rows[0]
-        rest = rows[1:]
-        for t, c in enumerate(cols):
-            e = ent[r][c]
-            if not e:
-                continue
-            sub = rec(rest, cols[:t] + cols[t + 1 :])
-            term = e * sub
-            if t % 2:
-                term = -term
-            total = term if total is None else total + term
-        return ZERO if total is None else total
-
-    if n == 0:
-        return ONE
-    return rec(list(range(n)), list(range(n)))
-
-
 def det_fraction(m: RingMatrix) -> RingFraction:
     """Determinant of a matrix with RingFraction entries.
 
@@ -230,9 +204,6 @@ def det_fraction(m: RingMatrix) -> RingFraction:
         rows.append(cleared)
     poly_det = det_exact(RingMatrix(rows))
     return RingFraction(poly_det, den_total)
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
@@ -385,7 +356,8 @@ def critical_scan(
     """Grid scan comparing the bracket predictor against the numeric rank.
 
     Yields one row per grid point: (lam, mu, predicted, min_singular,
-    which_k) with which_k the 1-based index of the smallest bracket (0
+    observed, which_k) with observed true when min_singular is below
+    singular_tol and which_k the 1-based index of the smallest bracket (0
     when the k-range is empty).
     """
     import cmath

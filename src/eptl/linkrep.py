@@ -155,14 +155,19 @@ def _label_str(x) -> str:
 # the representation on link states
 # ---------------------------------------------------------------------
 
-def act_weight(res, n: int) -> LaurentPoly:
-    """Exact weight beta^nb * alpha^na * v^twist of an action outcome."""
-    p = LaurentPoly.v_pow(res.twist)
-    if res.nbeta:
-        p = p * beta_poly() ** res.nbeta
-    if res.nalpha:
-        p = p * alpha_poly(n) ** res.nalpha
+def loop_weight(nbeta: int, nalpha: int, twist: int, n: int) -> LaurentPoly:
+    """Exact weight beta^nbeta * alpha^nalpha * v^twist on n sites."""
+    p = LaurentPoly.v_pow(twist)
+    if nbeta:
+        p = p * beta_poly() ** nbeta
+    if nalpha:
+        p = p * alpha_poly(n) ** nalpha
     return p
+
+
+def act_weight(res, n: int) -> LaurentPoly:
+    """Exact weight of an action outcome."""
+    return loop_weight(res.nbeta, res.nalpha, res.twist, n)
 
 
 def omega_matrix(word, n: int, d: int) -> RingMatrix:
@@ -295,22 +300,15 @@ def gram_pair(w1: LinkState, w2: LinkState, twists=None) -> LaurentPoly:
         return ZERO
     nbeta, nalpha, travels = closed
     n = w1.n_sites
-    out = LaurentPoly.one()
-    if nbeta:
-        out = out * beta_poly() ** nbeta
-    if nalpha:
-        out = out * alpha_poly(n) ** nalpha
     if twists is None:
-        total = sum(p - q + n * s for _, p, q, s in travels)
-        if total:
-            out = out * LaurentPoly.v_pow(total)
-    else:
-        if len(twists) != w1.n_defects:
-            raise ValueError("one twist per defect required")
-        for idx, p, q, s in travels:
-            delta = p - q + n * s
-            if delta:
-                out = out * twists[idx] ** delta
+        return loop_weight(nbeta, nalpha, sum(p - q + n * s for _, p, q, s in travels), n)
+    if len(twists) != w1.n_defects:
+        raise ValueError("one twist per defect required")
+    out = loop_weight(nbeta, nalpha, 0, n)
+    for idx, p, q, s in travels:
+        delta = p - q + n * s
+        if delta:
+            out = out * twists[idx] ** delta
     return out
 
 

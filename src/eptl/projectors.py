@@ -21,10 +21,9 @@ reinserted.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
 
 from .diagrams import AffineDiagram, act_on_link
-from .linkrep import RingMatrix, gram_matrix, gram_pair
+from .linkrep import RingMatrix, act_weight, gram_matrix, gram_pair, loop_weight
 from .ring import (
     ONE,
     ZERO,
@@ -32,6 +31,8 @@ from .ring import (
     RingFraction,
     alpha_poly,
     beta_poly,
+    clear_denominators,
+    sum_fractions_cleared,
     trig_cos,
     trig_sin,
 )
@@ -93,10 +94,8 @@ def _open_compose(lower, upper, p: int):
         for layer, node in (("L", i), ("U", p + i)):
             if (layer, node) in visited:
                 continue
-            end_layer, end_node = walk(layer, node)
-            a = node if layer == "L" else node
-            b = end_node
-            chords.append(tuple(sorted((a, b))))
+            _, end_node = walk(layer, node)
+            chords.append(tuple(sorted((node, end_node))))
     for i in range(p):
         for layer, node in (("L", p + i), ("U", i)):
             if (layer, node) in visited:
@@ -176,10 +175,6 @@ def _sine(k: int) -> LaurentPoly:
     return trig_sin(2 * k)
 
 
-def _tidy(frac: RingFraction, p: int) -> RingFraction:
-    return frac.reduced_u()
-
-
 def _frac_key(f: RingFraction):
     return (
         tuple(sorted(f.num.terms.items())),
@@ -195,8 +190,7 @@ class _FracCache:
     the quadratic recursion loop.
     """
 
-    def __init__(self, p: int):
-        self.p = p
+    def __init__(self):
         self.mul: dict = {}
         self.add: dict = {}
 
@@ -207,7 +201,7 @@ class _FracCache:
             out = a * b
             if loops:
                 out = out * (beta_poly() ** loops)
-            hit = _tidy(out, self.p)
+            hit = out.reduced_u()
             self.mul[key] = hit
         return hit
 
@@ -215,7 +209,7 @@ class _FracCache:
         key = (ka, kb)
         hit = self.add.get(key)
         if hit is None:
-            hit = _tidy(a + b, self.p)
+            hit = (a + b).reduced_u()
             self.add[key] = hit
         return hit
 
@@ -247,8 +241,7 @@ def _wenzl_diagrams(p: int):
     if p == 1:
         return {_open_identity(1): (RingFraction.one(), ())}
     base = _embed_strand(_wenzl_diagrams(p - 1), p)
-    beta = beta_poly()
-    cache = _FracCache(p)
+    cache = _FracCache()
     out = {m: (c, w) for m, (c, w) in base.items()}
 
     # descending words e_{p-1} e_{p-2} ... e_k as open diagrams
@@ -270,40 +263,6 @@ def _wenzl_diagrams(p: int):
                     cache.total(c0, _frac_key(c0), cc, _frac_key(cc)),
                     w0 if len(w0) <= len(word) else word,
                 )
-            else:
-                out[mm] = (cc, word)
-    return {m: (c, w) for m, (c, w) in out.items() if not c.is_zero()}
-
-
-def _wenzl_diagrams_reference(p: int):
-    """The two-sided idempotent recursion; oracle for the fast builder."""
-    if p == 1:
-        return {_open_identity(1): (RingFraction.one(), ())}
-    prev = _wenzl_diagrams_reference(p - 1)
-    base = _embed_strand(prev, p)
-    gen = _open_generator(p, p - 1)
-    ratio = RingFraction(_sine(p - 1), _sine(p))
-    beta = beta_poly()
-    out = {m: (c, w) for m, (c, w) in base.items()}
-    left = {}
-    for m, (c, w) in base.items():
-        mm, loops = _open_compose(gen, m, p)
-        cc = _tidy(c * (beta ** loops), p) if loops else c
-        word = (p - 1,) + w
-        if mm in left:
-            c0, w0 = left[mm]
-            left[mm] = (_tidy(c0 + cc, p), w0)
-        else:
-            left[mm] = (cc, word)
-    for m1, (c1, w1) in left.items():
-        c1r = _tidy(c1 * ratio, p)
-        for m2, (c2, w2) in base.items():
-            mm, loops = _open_compose(m2, m1, p)
-            cc = _tidy(c1r * c2 * (beta ** loops), p)
-            word = w2 + w1
-            if mm in out:
-                c0, w0 = out[mm]
-                out[mm] = (_tidy(c0 + cc, p), w0)
             else:
                 out[mm] = (cc, word)
     return {m: (c, w) for m, (c, w) in out.items() if not c.is_zero()}
@@ -359,8 +318,6 @@ def apply_tlword(word: TLWord, state: LinkState):
     Returns a dict mapping result states to Laurent-fraction
     coefficients (single-twist weights included).
     """
-    from .ring import sum_fractions_cleared
-
     n = state.n_sites
     window = word.window
     if any(window[i + 1] - window[i] != 1 for i in range(len(window) - 1)):
@@ -371,11 +328,7 @@ def apply_tlword(word: TLWord, state: LinkState):
         res = act_on_link(diag, state)
         if res is None:
             continue
-        weight = LaurentPoly.v_pow(res.twist)
-        if res.nbeta:
-            weight = weight * beta_poly() ** res.nbeta
-        if res.nalpha:
-            weight = weight * alpha_poly(n) ** res.nalpha
+        weight = act_weight(res, n)
         buckets.setdefault(res.state, []).append(coeff * weight)
     out: dict = {}
     for target, parts in buckets.items():
@@ -411,8 +364,6 @@ def u_transform_state(w: LinkState):
     r = w.boundary_arcs
     if r == 0:
         return {w: RingFraction.one()}
-    from .ring import sum_fractions_cleared
-
     window, reduced, interior = _reduced_state(w)
     m = len(window)
     proj = wenzl_jones(m)
@@ -427,11 +378,7 @@ def u_transform_state(w: LinkState):
         delta = sum(
             window[p - 1] - window[q - 1] + n * s for p, q, s in res.travel
         )
-        weight = LaurentPoly.v_pow(delta)
-        if res.nbeta:
-            weight = weight * beta_poly() ** res.nbeta
-        if res.nalpha:
-            weight = weight * alpha_poly(n) ** res.nalpha
+        weight = loop_weight(res.nbeta, res.nalpha, delta, n)
         pairs = list(interior)
         for a, b in res.state.pairs:
             if b <= m:
@@ -471,33 +418,11 @@ def gamma_matrix(n: int, d: int) -> RingMatrix:
     the triple product runs over plain polynomials; the denominators are
     divided back out entrywise at the end.
     """
-    from .ring import lcm_u
-
     u = u_transform(n, d)
     size = u.rows
-    dens = []
-    cleared = [[ZERO] * size for _ in range(size)]
-    for j in range(size):
-        parts = []
-        den = ONE
-        for i in range(size):
-            f = u[i, j]
-            if f.is_zero():
-                parts.append(None)
-                continue
-            # shift any pure v-monomial factor out of the denominator
-            evs = {e[1] for e in f.den.terms}
-            if len(evs) != 1:
-                raise AssertionError("denominator mixes v powers")
-            dv = evs.pop()
-            num, dpoly = f.num.shift(0, -dv), f.den.shift(0, -dv)
-            parts.append((num, dpoly))
-            den = lcm_u(den, dpoly)
-        dens.append(den)
-        for i in range(size):
-            if parts[i] is not None:
-                num, dpoly = parts[i]
-                cleared[i][j] = num * den.exact_div(dpoly)
+    columns = [clear_denominators([u[i, j] for i in range(size)]) for j in range(size)]
+    dens = [den for _, den in columns]
+    cleared = [[columns[j][0][i] for j in range(size)] for i in range(size)]
     upoly = RingMatrix(cleared, u.row_labels, u.col_labels)
     g = gram_matrix(n, d)
     p = upoly.map(LaurentPoly.flip_v).transpose() @ g @ upoly
@@ -552,8 +477,6 @@ def k_factor(d: int, r: int, n_ambient: int | None = None, mode: str = "closed_f
         )
         return prev * step
     if mode == "gram_pairing":
-        from .ring import sum_fractions_cleared
-
         if n_ambient != d + 2 * r:
             raise ValueError("the defining pairing lives on d + 2r sites")
         w_ref = reference_state(d, r)
@@ -599,8 +522,8 @@ def gamma_block_report(n: int, d: int):
     for r, idx in strata.items():
         kf = k_factor(d, r, n_ambient=n)
         twists = [ONE] * r + [v] * d + [ONE] * r
-        for a, i in enumerate(idx):
-            for b, j in enumerate(idx):
+        for i in idx:
+            for j in idx:
                 wi, wj = basis[i], basis[j]
                 expect = kf * gram_pair(bijection_C(wj), bijection_C(wi), twists)
                 if gamma[i, j] != expect:
@@ -645,28 +568,19 @@ def wj_matrix(p: int, n: int, d: int, flip_twist: bool = False):
     operator matrix is P/den; clearing keeps all downstream identity
     checks inside the polynomial ring.
     """
-    from .ring import lcm_u
-
     proj = wenzl_jones(p)
     basis = enumerate_states(n, d)
     index = {w: k for k, w in enumerate(basis)}
     size = len(basis)
-    collected = []
-    den = ONE
+    positions, coeffs = [], []
     for j, w in enumerate(basis):
         for target, coeff in apply_tlword(proj, w).items():
-            coeff = coeff.reduced_u() if not any(
-                e[1] for e in coeff.num.terms
-            ) else coeff
-            evs = {e[1] for e in coeff.den.terms}
-            dv = evs.pop()
-            num, dpoly = coeff.num.shift(0, -dv), coeff.den.shift(0, -dv)
-            collected.append((index[target], j, num, dpoly))
-            den = lcm_u(den, dpoly)
+            if not any(e[1] for e in coeff.num.terms):
+                coeff = coeff.reduced_u()
+            positions.append((index[target], j))
+            coeffs.append(coeff)
+    nums, den = clear_denominators(coeffs)
     ent = [[ZERO] * size for _ in range(size)]
-    for i, j, num, dpoly in collected:
-        cleared = num * den.exact_div(dpoly)
-        if flip_twist:
-            cleared = cleared.flip_v()
-        ent[i][j] = ent[i][j] + cleared
+    for (i, j), num in zip(positions, nums):
+        ent[i][j] = ent[i][j] + (num.flip_v() if flip_twist else num)
     return RingMatrix(ent, list(basis), list(basis)), den

@@ -88,9 +88,6 @@ class GaussianRational:
         a, b = self.re, self.im
         return GaussianRational._fast((a * c + b * d) / n, (b * c - a * d) / n)
 
-    def conj(self) -> "GaussianRational":
-        return GaussianRational._fast(self.re, -self.im)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, GaussianRational):
             return NotImplemented
@@ -272,9 +269,6 @@ class LaurentPoly:
         """Terms in ascending lexicographic (eu, ev) order."""
         return sorted(self.terms.items())
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def min_exponents(self) -> tuple:
         us = [e[0] for e in self.terms]
         vs = [e[1] for e in self.terms]
@@ -285,11 +279,6 @@ class LaurentPoly:
         vs = [e[1] for e in self.terms]
         return (max(us), max(vs))
 
-    def leading(self):
-        """Lexicographically largest term ((eu, ev), coeff)."""
-        e = max(self.terms)
-        return e, self.terms[e]
-
     def extreme_term_uv(self):
         """The term dominating as u,v -> infinity: max eu, then max ev."""
         e = max(self.terms, key=lambda t: (t[0], t[1]))
@@ -298,10 +287,6 @@ class LaurentPoly:
     def flip_v(self) -> "LaurentPoly":
         """Substitute v -> v^-1."""
         return LaurentPoly({(x, -y): c for (x, y), c in self.terms.items()})
-
-    def flip_u(self) -> "LaurentPoly":
-        """Substitute u -> u^-1."""
-        return LaurentPoly({(-x, y): c for (x, y), c in self.terms.items()})
 
     def substitute(self, pu: "LaurentPoly", pv: "LaurentPoly") -> "LaurentPoly":
         """Evaluate self at u=pu, v=pv (exact composition).
@@ -367,13 +352,6 @@ class LaurentPoly:
                 else:
                     rem.pop(e, None)
         return LaurentPoly(quot)
-
-    def divides(self, other: "LaurentPoly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except (ValueError, ZeroDivisionError):
-            return False
 
     # -- numerics and serialization ----------------------------------
 
@@ -609,13 +587,6 @@ class RingFraction:
             LaurentPoly.from_univariate_u(cb, lb),
         )
 
-    def eval_numeric(self, u: complex, v: complex) -> complex:
-        return self.num.eval_numeric(u, v) / self.den.eval_numeric(u, v)
-
-    def as_poly(self) -> LaurentPoly:
-        """Return the exact polynomial value; raises if den does not divide num."""
-        return self.num.exact_div(self.den)
-
     def __repr__(self) -> str:
         if self.den == ONE:
             return repr(self.num)
@@ -683,13 +654,19 @@ def _gcd_dense(a: list, b: list) -> list:
     return a
 
 
-def sum_fractions_cleared(fractions) -> RingFraction:
-    """Sum fractions whose denominators involve u alone (up to a pure
-    v-monomial), over one common denominator instead of pairwise adds."""
+def clear_denominators(fractions) -> tuple:
+    """Bring fractions whose denominators involve u alone (up to a pure
+    v-monomial) over one common u-only denominator.
+
+    Returns ``(nums, den)`` with ``nums[k] / den == fractions[k]``; ``den``
+    is the :func:`lcm_u` of the denominators and zero fractions get a zero
+    numerator.  Raises ValueError when a denominator mixes v powers.
+    """
     parts = []
     den = ONE
     for f in fractions:
         if f.is_zero():
+            parts.append(None)
             continue
         evs = {e[1] for e in f.den.terms}
         if len(evs) != 1:
@@ -698,10 +675,15 @@ def sum_fractions_cleared(fractions) -> RingFraction:
         num, dpoly = f.num.shift(0, -dv), f.den.shift(0, -dv)
         parts.append((num, dpoly))
         den = lcm_u(den, dpoly)
-    total = ZERO
-    for num, dpoly in parts:
-        total = total + num * den.exact_div(dpoly)
-    return RingFraction(total, den)
+    nums = [ZERO if part is None else part[0] * den.exact_div(part[1]) for part in parts]
+    return nums, den
+
+
+def sum_fractions_cleared(fractions) -> RingFraction:
+    """Sum fractions whose denominators involve u alone (up to a pure
+    v-monomial), over one common denominator instead of pairwise adds."""
+    nums, den = clear_denominators(fractions)
+    return RingFraction(sum(nums, ZERO), den)
 
 
 def lcm_u(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -718,7 +700,7 @@ def lcm_u(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     g = _gcd_dense(ca, cb)
     q = _div_dense(ca, g) if len(g) > 1 else list(ca)
     prod = LaurentPoly.from_univariate_u(q, 0) * LaurentPoly.from_univariate_u(cb, 0)
-    coeffs, lo = prod.univariate_u()
+    coeffs, _ = prod.univariate_u()
     inv = GR_ONE / coeffs[-1]
     return LaurentPoly.from_univariate_u([c * inv for c in coeffs], 0)
 
@@ -767,7 +749,3 @@ def bracket(two_x: int, n_sites: int) -> LaurentPoly:
     b = i_power(-two_x)
     return LaurentPoly({(two_x, n_sites): a}) + LaurentPoly({(-two_x, -n_sites): -b})
 
-
-def eval_numeric(p: LaurentPoly, u: complex, v: complex) -> complex:
-    """Module-level alias for LaurentPoly.eval_numeric."""
-    return p.eval_numeric(u, v)

@@ -149,9 +149,6 @@ class LinkState:
                 chars[j - self.n_sites - 1] = ">"
         return "".join(chars)
 
-    def compact(self) -> str:
-        return self.ascii()
-
 
 def _state_from_steps(n: int, steps) -> LinkState:
     """Reconstruct the unique valid link state with the given +-1 site word."""

@@ -25,6 +25,14 @@ from .diagrams import AffineDiagram, act_on_link
 from .linkrep import omega_matrix_numeric
 from .states import LinkState, enumerate_states
 
+# relative size below which each property defect counts as vanishing
+DEFECT_TOL = {
+    "commute_defect": 1e-9,
+    "translate_defect": 1e-9,
+    "crossing_defect": 1e-9,
+    "expansion_defect": 1e-5,
+}
+
 
 @lru_cache(maxsize=None)
 def tile_diagram(n: int, config: int) -> AffineDiagram:
@@ -57,48 +65,11 @@ def tile_diagram(n: int, config: int) -> AffineDiagram:
     return AffineDiagram(n, conn)
 
 
-def _tile_diagram_sequential(n: int, config: int) -> AffineDiagram:
-    """Independent construction: sweep tiles left to right, resolving each
-    interior edge as soon as both sides are attached, then glue the outer
-    edge with its boundary crossing."""
-    conn: dict = {}
-    left_pending = None
-    open_right = None
-    for i in range(1, n + 1):
-        if config >> (i - 1) & 1:
-            to_prev, to_right = ("b", i), ("t", i)
-        else:
-            to_prev, to_right = ("t", i), ("b", i)
-        if i == 1:
-            left_pending = to_prev
-        else:
-            conn[open_right] = (to_prev, 0)
-            conn[to_prev] = (open_right, 0)
-        open_right = to_right
-    # glue the outer edge: from the tile-n side to the tile-1 side is
-    # rightward through the boundary
-    if n == 1:
-        conn[open_right] = (left_pending, -1) if open_right != left_pending else (left_pending, 0)
-        conn[left_pending] = (open_right, 1) if open_right != left_pending else (open_right, 0)
-    else:
-        conn[open_right] = (left_pending, -1)
-        conn[left_pending] = (open_right, 1)
-    return AffineDiagram(n, conn)
-
-
-def transfer_matrix(
-    n: int,
-    d: int,
-    lam: float,
-    nu: complex,
-    mu: float,
-    sequential: bool = False,
-) -> np.ndarray:
+def transfer_matrix(n: int, d: int, lam: float, nu: complex, mu: float) -> np.ndarray:
     """Numeric transfer matrix on the d-defect module.
 
     Loop weights are beta = 2 cos(lam) and alpha = 2 cos(mu n); the
-    twist is exp(i mu).  ``sequential`` switches to the independent
-    tile-gluing construction (an internal consistency oracle).
+    twist is exp(i mu).
     """
     basis = enumerate_states(n, d)
     index = {w: k for k, w in enumerate(basis)}
@@ -110,9 +81,8 @@ def transfer_matrix(
     alpha = v ** n + v ** (-n)
     w_id = sin(lam - nu)
     w_e = sin(nu)
-    build = _tile_diagram_sequential if sequential else tile_diagram
     for config in range(1 << n):
-        diag = build(n, config)
+        diag = tile_diagram(n, config)
         ones = bin(config).count("1")
         weight = (w_id ** (n - ones)) * (w_e ** ones)
         if weight == 0:

@@ -9,7 +9,6 @@ from eptl.diagrams import act_on_link, generator_diagram
 from eptl.intertwiner import (
     SpinVector,
     bracket_values,
-    det_cofactor,
     det_exact,
     det_formula_log,
     det_formulas,
@@ -30,6 +29,7 @@ from eptl.linkrep import RingMatrix, act_weight, gram_matrix
 from eptl.ring import ONE, ZERO, LaurentPoly, RingFraction, beta_poly, trig_sin
 from eptl.spinrep import tau_matrix
 from eptl.states import LinkState, enumerate_states
+from oracles import det_cofactor
 
 
 def mono(eu, ev):

@@ -50,7 +50,8 @@ class TestProjectorCombination:
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_one_sided_matches_idempotent_recursion(self, p):
-        from eptl.projectors import _wenzl_diagrams, _wenzl_diagrams_reference
+        from eptl.projectors import _wenzl_diagrams
+        from oracles import _wenzl_diagrams_reference
 
         fast = _wenzl_diagrams(p)
         ref = _wenzl_diagrams_reference(p)

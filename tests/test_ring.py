@@ -12,6 +12,8 @@ from eptl.ring import (
     alpha_poly,
     beta_poly,
     bracket,
+    clear_denominators,
+    sum_fractions_cleared,
     trig_cos,
     trig_sin,
 )
@@ -196,3 +198,25 @@ class TestFraction:
         assert f == RingFraction(b * b + a * a, a * b)
         assert (f - f).is_zero()
         assert RingFraction(b, a) * RingFraction(a, b) == RingFraction.one()
+
+    def test_clear_denominators(self):
+        s1, s2, s3 = trig_sin(2), trig_sin(4), trig_sin(6)
+        fracs = [
+            RingFraction(beta_poly() * LaurentPoly.v_pow(2), s2),
+            RingFraction.zero(),
+            # a pure v-monomial in the denominator is shifted out
+            RingFraction(alpha_poly(3), (s2 * s3).shift(0, -1)),
+            RingFraction(LaurentPoly.monomial(1, -1), s1),
+        ]
+        nums, den = clear_denominators(fracs)
+        assert den.univariate_u() is not None
+        assert len(nums) == len(fracs) and nums[1].is_zero()
+        for num, f in zip(nums, fracs):
+            assert RingFraction(num, den) == f
+        total = fracs[0] + fracs[2] + fracs[3]
+        assert sum_fractions_cleared(fracs) == total
+
+    def test_clear_denominators_rejects_mixed_v_powers(self):
+        mixed = LaurentPoly.u_pow(1) + LaurentPoly.v_pow(1)
+        with pytest.raises(ValueError):
+            clear_denominators([RingFraction.one(), RingFraction(beta_poly(), mixed)])

@@ -9,7 +9,6 @@ from eptl.diagrams import generator_diagram
 from eptl.linkrep import omega_matrix_numeric
 from eptl.states import LinkState, enumerate_states
 from eptl.transfer import (
-    _tile_diagram_sequential,
     commuting_family_defect,
     crossing_defect,
     expansion_defect,
@@ -18,6 +17,7 @@ from eptl.transfer import (
     transfer_matrix,
     translation_invariance_defect,
 )
+from oracles import _tile_diagram_sequential
 
 
 class TestTiles:
@@ -49,12 +49,6 @@ class TestTransferProperties:
             [("omega", 1)], 4, 2, cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
         )
         assert np.max(np.abs(t - math.sin(lam) ** 4 * om)) < 1e-13
-
-    def test_sequential_oracle(self):
-        lam, nu, mu = 1.1, 0.37 + 0.05j, 0.52
-        a = transfer_matrix(6, 2, lam, nu, mu)
-        b = transfer_matrix(6, 2, lam, nu, mu, sequential=True)
-        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
     @pytest.mark.parametrize("n,d", [(4, 0), (5, 1), (6, 0), (6, 2), (7, 1), (8, 2)])
     def test_commuting_family(self, n, d):
