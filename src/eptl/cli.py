@@ -10,7 +10,6 @@ with 17 significant digits; the randomized verify suites take --seed.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import sys
 
@@ -20,9 +19,9 @@ from . import intertwiner as itw
 from . import projectors as prj
 from . import transfer as trf
 from . import verify as vfy
-from .linkrep import gram_matrix, hamiltonian_link_numeric
+from .linkrep import gram_matrix
 from .ring import LaurentPoly
-from .spinrep import ebar_matrix, hamiltonian, hamiltonian_numeric, omegabar_matrix
+from .spinrep import ebar_matrix, hamiltonian, omegabar_matrix
 from .states import enumerate_states
 
 # the largest --n / --n-max accepted: the desk budget of the transfer sum,
@@ -260,11 +259,9 @@ def cmd_scan_critical(args, out) -> int:
 
 def cmd_spectrum(args, out) -> int:
     n, d, lam, mu = args.n, args.d, args.lam, args.mu
-    u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
     vals = itw.bracket_values(n, d, lam, mu)
     critical = bool(vals) and min(abs(x) for x in vals) < args.tol
-    e1 = np.sort_complex(np.linalg.eigvals(hamiltonian_link_numeric(n, d, u, v)))
-    e2 = np.sort_complex(np.linalg.eigvals(hamiltonian_numeric(n, d, u, v)))
+    e1, e2 = vfy.sorted_spectra(n, d, lam, mu)
     dev = float(np.max(np.abs(e1 - e2))) if len(e1) else 0.0
     if args.format == "json":
         payload = {

@@ -87,9 +87,11 @@ def intertwine_state(w: LinkState) -> SpinVector:
     return vec
 
 
+@lru_cache(maxsize=None)
 def i_matrix(n: int, d: int) -> RingMatrix:
     """Matrix of the intertwining map: columns over the link basis,
-    rows over the ascending-mask spin sector basis."""
+    rows over the ascending-mask spin sector basis.  Cached: treat the
+    result as read-only."""
     basis = enumerate_states(n, d)
     sec = spin_sector(n, d)
     cols = [intertwine_state(w).coords for w in basis]
@@ -98,26 +100,7 @@ def i_matrix(n: int, d: int) -> RingMatrix:
 
 
 def i_matrix_numeric(n: int, d: int, u: complex, v: complex) -> np.ndarray:
-    """Numeric intertwiner matrix (entries are monomials, evaluated directly)."""
-    basis = enumerate_states(n, d)
-    sec = spin_sector(n, d)
-    out = np.zeros((len(sec), len(basis)), dtype=complex)
-    for col, w in enumerate(basis):
-        amps = {(1 << n) - 1: 1.0 + 0j}
-        for i, j in w.pairs:
-            jm = (j - 1) % n + 1
-            wj = u * v ** (j - i)
-            wi = (v ** (i - j)) / u
-            nxt: dict = {}
-            for mask, a in amps.items():
-                for site, wgt in ((jm, wj), (i, wi)):
-                    if mask >> (site - 1) & 1:
-                        m2 = mask ^ (1 << (site - 1))
-                        nxt[m2] = nxt.get(m2, 0j) + a * wgt
-            amps = nxt
-        for mask, a in amps.items():
-            out[sec.index[mask], col] = a
-    return out
+    return i_matrix(n, d).to_numeric(u, v)
 
 
 def factorization_check(n: int, d: int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diagrams import act_on_link, word_diagram
+from .diagrams import act_on_link, generator_diagram, word_diagram
 from .ring import ZERO, LaurentPoly, alpha_poly, beta_poly
 from .states import LinkState, enumerate_states, standard_states
 
@@ -25,7 +25,7 @@ class RingMatrix:
     identity for lazy accumulation.
     """
 
-    __slots__ = ("rows", "cols", "entries", "row_labels", "col_labels", "zero")
+    __slots__ = ("rows", "cols", "entries", "row_labels", "col_labels", "zero", "_terms")
 
     def __init__(self, entries, row_labels=None, col_labels=None, zero=ZERO):
         self.entries = entries
@@ -36,6 +36,7 @@ class RingMatrix:
         if len(self.row_labels) != self.rows or len(self.col_labels) != self.cols:
             raise ValueError("label count does not match matrix shape")
         self.zero = zero
+        self._terms = None
 
     @staticmethod
     def identity(n, labels=None, zero=ZERO, one=None):
@@ -125,11 +126,26 @@ class RingMatrix:
         return self.submatrix(row_perm, col_perm)
 
     def to_numeric(self, u: complex, v: complex) -> np.ndarray:
+        """Evaluate every entry at (u, v); u and v must be nonzero.
+
+        The entries' terms are collected into flat arrays on the first
+        call, so the matrix must not be changed after it is evaluated.
+        """
+        if self._terms is None:
+            terms = [
+                (i, j, c.to_complex(), eu, ev)
+                for i, row in enumerate(self.entries)
+                for j, e in enumerate(row)
+                if e
+                for (eu, ev), c in e.terms.items()
+            ]
+            self._terms = tuple(np.array(col) for col in zip(*terms)) if terms else ()
         out = np.zeros((self.rows, self.cols), dtype=complex)
-        for i in range(self.rows):
-            for j, e in enumerate(self.entries[i]):
-                if e:
-                    out[i, j] = e.eval_numeric(u, v)
+        if self._terms:
+            if u == 0 or v == 0:
+                raise ValueError("cannot evaluate a Laurent polynomial at zero")
+            rows, cols, coeffs, eu, ev = self._terms
+            np.add.at(out, (rows, cols), coeffs * complex(u) ** eu * complex(v) ** ev)
         return out
 
     def to_json_dict(self) -> dict:
@@ -170,50 +186,32 @@ def act_weight(res, n: int) -> LaurentPoly:
     return loop_weight(res.nbeta, res.nalpha, res.twist, n)
 
 
-def omega_matrix(word, n: int, d: int) -> RingMatrix:
-    """Exact matrix of a generator word acting on the d-defect module.
+def link_matrix(diagrams, n: int, d: int) -> RingMatrix:
+    """Exact matrix of a sum of diagrams acting on the d-defect module.
 
-    ``word`` uses the tokens of :func:`eptl.diagrams.word_diagram`; the
-    basis is :func:`eptl.states.enumerate_states` order.
+    The basis is :func:`eptl.states.enumerate_states` order.
     """
     basis = enumerate_states(n, d)
     index = {w: k for k, w in enumerate(basis)}
-    diag = word_diagram(word, n)
-    cols = []
-    for w in basis:
-        col = [ZERO] * len(basis)
-        res = act_on_link(diag, w)
-        if res is not None:
-            col[index[res.state]] = act_weight(res, n)
-        cols.append(col)
-    ent = [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
+    ent = [[ZERO] * len(basis) for _ in basis]
+    for diag in diagrams:
+        for j, w in enumerate(basis):
+            res = act_on_link(diag, w)
+            if res is not None:
+                weight, row = act_weight(res, n), ent[index[res.state]]
+                row[j] = row[j] + weight if row[j] else weight
     return RingMatrix(ent, list(basis), list(basis))
 
 
-def omega_matrix_numeric(word, n: int, d: int, u: complex, v: complex) -> np.ndarray:
-    """Numeric matrix of a generator word on the d-defect module."""
-    basis = enumerate_states(n, d)
-    index = {w: k for k, w in enumerate(basis)}
-    diag = word_diagram(word, n)
-    out = np.zeros((len(basis), len(basis)), dtype=complex)
-    alpha = v ** n + v ** (-n)
-    beta = u * u + 1.0 / (u * u)
-    for j, w in enumerate(basis):
-        res = act_on_link(diag, w)
-        if res is None:
-            continue
-        out[index[res.state], j] = (
-            (beta ** res.nbeta) * (alpha ** res.nalpha) * v ** res.twist
-        )
-    return out
+def omega_matrix(word, n: int, d: int) -> RingMatrix:
+    """Exact matrix of a generator word acting on the d-defect module;
+    ``word`` uses the tokens of :func:`eptl.diagrams.word_diagram`."""
+    return link_matrix([word_diagram(word, n)], n, d)
 
 
-def hamiltonian_link_numeric(n: int, d: int, u: complex, v: complex) -> np.ndarray:
-    """Numeric matrix of the generator sum e_1 + ... + e_n."""
-    total = np.zeros((len(enumerate_states(n, d)),) * 2, dtype=complex)
-    for i in range(1, n + 1):
-        total += omega_matrix_numeric([("e", i)], n, d, u, v)
-    return total
+def hamiltonian_link(n: int, d: int) -> RingMatrix:
+    """Exact matrix of the generator sum e_1 + ... + e_n."""
+    return link_matrix((generator_diagram("e", n, i) for i in range(1, n + 1)), n, d)
 
 
 # ---------------------------------------------------------------------

@@ -614,40 +614,33 @@ def _unstride(c: list, stride: int) -> list:
     return out
 
 
-def _rem_dense(a: list, b: list) -> list:
-    """Remainder of dense univariate division over Q(i)."""
+def _divmod_dense(a: list, b: list) -> tuple:
+    """Quotient and remainder of dense univariate division over Q(i)."""
     a = list(a)
+    q = [GR_ZERO] * (len(a) - len(b) + 1)
     inv = GR_ONE / b[-1]
     while len(a) >= len(b) and a:
-        q = a[-1] * inv
+        c = a[-1] * inv
         off = len(a) - len(b)
+        q[off] = c
         for k in range(len(b)):
-            a[off + k] = a[off + k] - q * b[k]
+            a[off + k] = a[off + k] - c * b[k]
         _trim(a)
-    return a
+    return q, a
 
 
 def _div_dense(a: list, b: list) -> list:
     """Exact dense univariate quotient."""
-    a = list(a)
-    out = [GR_ZERO] * (len(a) - len(b) + 1)
-    inv = GR_ONE / b[-1]
-    while len(a) >= len(b) and a:
-        q = a[-1] * inv
-        off = len(a) - len(b)
-        out[off] = q
-        for k in range(len(b)):
-            a[off + k] = a[off + k] - q * b[k]
-        _trim(a)
-    if a:
+    q, r = _divmod_dense(a, b)
+    if r:
         raise ValueError("dense division is not exact")
-    return out
+    return q
 
 
 def _gcd_dense(a: list, b: list) -> list:
     a, b = _trim(list(a)), _trim(list(b))
     while b:
-        a, b = b, _rem_dense(a, b)
+        a, b = b, _divmod_dense(a, b)[1]
     if a:
         inv = GR_ONE / a[-1]
         a = [c * inv for c in a]

@@ -85,19 +85,25 @@ def ebar_columns(i: int, n: int):
     return apply
 
 
+def _generator_sum(sites, n: int, d: int) -> RingMatrix:
+    """Exact sector matrix of the sum of the local generators at ``sites``."""
+    sec = spin_sector(n, d)
+    size = len(sec)
+    ent = [[ZERO] * size for _ in range(size)]
+    for i in sites:
+        apply = ebar_columns(i, n)
+        for col, mask in enumerate(sec.configs):
+            for mask2, (eu, ev) in apply(mask):
+                row = sec.index[mask2]
+                ent[row][col] = ent[row][col] + LaurentPoly.monomial(eu, ev)
+    return RingMatrix(ent, sec.labels(), sec.labels())
+
+
 def ebar_matrix(i: int, n: int, d: int) -> RingMatrix:
     """Exact sector matrix of the i-th local generator."""
     if not 1 <= i <= n:
         raise ValueError(f"site index {i} out of range for {n} sites")
-    sec = spin_sector(n, d)
-    apply = ebar_columns(i, n)
-    size = len(sec)
-    ent = [[ZERO] * size for _ in range(size)]
-    for col, mask in enumerate(sec.configs):
-        for mask2, (eu, ev) in apply(mask):
-            row = sec.index[mask2]
-            ent[row][col] = ent[row][col] + LaurentPoly.monomial(eu, ev)
-    return RingMatrix(ent, sec.labels(), sec.labels())
+    return _generator_sum([i], n, d)
 
 
 def omegabar_matrix(sign: int, n: int, d: int) -> RingMatrix:
@@ -134,21 +140,8 @@ def tau_matrix(word, n: int, d: int) -> RingMatrix:
 
 def hamiltonian(n: int, d: int) -> RingMatrix:
     """Exact sector matrix of the sum of all n local generators."""
-    out = None
-    for i in range(1, n + 1):
-        m = ebar_matrix(i, n, d)
-        out = m if out is None else out + m
-    return out
+    return _generator_sum(range(1, n + 1), n, d)
 
 
 def hamiltonian_numeric(n: int, d: int, u: complex, v: complex) -> np.ndarray:
-    sec = spin_sector(n, d)
-    size = len(sec)
-    out = np.zeros((size, size), dtype=complex)
-    u2, v2 = u * u, v * v
-    for i in range(1, n + 1):
-        apply = ebar_columns(i, n)
-        for col, mask in enumerate(sec.configs):
-            for mask2, (eu, ev) in apply(mask):
-                out[sec.index[mask2], col] += (u2 ** (eu // 2)) * (v2 ** (ev // 2))
-    return out
+    return hamiltonian(n, d).to_numeric(u, v)

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diagrams import AffineDiagram, act_on_link
-from .linkrep import omega_matrix_numeric
+from .linkrep import hamiltonian_link, omega_matrix
 from .states import LinkState, enumerate_states
 
 # relative size below which each property defect counts as vanishing
@@ -112,7 +112,7 @@ def commuting_family_defect(n: int, d: int, lam: float, nu1: complex, nu2: compl
 def translation_invariance_defect(n: int, d: int, lam: float, nu: complex, mu: float) -> float:
     t = transfer_matrix(n, d, lam, nu, mu)
     u, v = exp(1j * lam / 2), exp(1j * mu)
-    om = omega_matrix_numeric([("omega", 1)], n, d, u, v)
+    om = omega_matrix([("omega", 1)], n, d).to_numeric(u, v)
     comm = t @ om - om @ t
     scale = np.linalg.norm(t) * np.linalg.norm(om)
     return float(np.linalg.norm(comm) / scale) if scale else 0.0
@@ -163,14 +163,12 @@ def expansion_defect(n: int, d: int, lam: float, mu: float, h: float = 1e-4) -> 
     at zero anisotropy against sin(lam)^n * Omega (H/sin(lam)
     - n cot(lam)), with H the generator-sum matrix.
     """
-    from .linkrep import hamiltonian_link_numeric
-
     u, v = exp(1j * lam / 2), exp(1j * mu)
     d1 = (transfer_matrix(n, d, lam, h, mu) - transfer_matrix(n, d, lam, -h, mu)) / (2 * h)
     d2 = (transfer_matrix(n, d, lam, 2 * h, mu) - transfer_matrix(n, d, lam, -2 * h, mu)) / (4 * h)
     deriv = (4 * d1 - d2) / 3
-    om = omega_matrix_numeric([("omega", 1)], n, d, u, v)
-    hmat = hamiltonian_link_numeric(n, d, u, v)
+    om = omega_matrix([("omega", 1)], n, d).to_numeric(u, v)
+    hmat = hamiltonian_link(n, d).to_numeric(u, v)
     s, c = np.sin(lam), np.cos(lam)
     expect = (s ** n) * om @ (hmat / s - n * (c / s) * np.eye(len(hmat)))
     scale = max(np.linalg.norm(deriv), np.linalg.norm(expect), 1e-30)

@@ -22,14 +22,7 @@ from . import intertwiner as itw
 from . import projectors as prj
 from . import transfer as trf
 from .diagrams import act_on_link, generator_diagram
-from .linkrep import (
-    RingMatrix,
-    act_weight,
-    gram_matrix,
-    hamiltonian_link_numeric,
-    omega_matrix,
-    omega_matrix_numeric,
-)
+from .linkrep import RingMatrix, act_weight, gram_matrix, hamiltonian_link, omega_matrix
 from .ring import ONE, ZERO, LaurentPoly, alpha_poly, beta_poly
 from .spinrep import hamiltonian_numeric, tau_matrix
 from .states import enumerate_states, module_dim
@@ -243,7 +236,8 @@ def gram_cases(n_max: int, d_filter=None, seed: int = 0):
         return None
 
     # yielded at every n_max: the benchmark's smoke list pins this name at n_max 3
-    yield "gram/twist-vector-independence/n5d1", twist_vector_independence
+    if d_filter is None or 1 in d_filter:
+        yield "gram/twist-vector-independence/n5d1", twist_vector_independence
 
 
 def determinant_cases(n_max: int, d_filter=None, seed: int = 0):
@@ -272,6 +266,7 @@ def determinant_cases(n_max: int, d_filter=None, seed: int = 0):
         def make_numeric(n=n, d=d, seeds=rng.randrange(1 << 30)):
             def run():
                 local = random.Random(seeds)
+                gram = gram_matrix(n, d)
                 for _ in range(5):
                     lam = local.uniform(0.2, 2.9)
                     mu = local.uniform(0.05, 1.3)
@@ -280,7 +275,7 @@ def determinant_cases(n_max: int, d_filter=None, seed: int = 0):
                     flog, fphase = itw.det_formula_log(n, d, "intertwiner", u, v)
                     if not itw.logdet_matches(sign, logdet, flog, fphase):
                         return f"intertwiner det at lam={lam:.6f} mu={mu:.6f}"
-                    gs, gl = np.linalg.slogdet(gram_matrix(n, d).to_numeric(u, v))
+                    gs, gl = np.linalg.slogdet(gram.to_numeric(u, v))
                     glog, gphase = itw.det_formula_log(n, d, "gram_tilde", u, v)
                     if not itw.logdet_matches(gs, gl, glog, gphase):
                         return f"gram det at lam={lam:.6f} mu={mu:.6f}"
@@ -294,7 +289,7 @@ def determinant_cases(n_max: int, d_filter=None, seed: int = 0):
 def projector_cases(n_max: int, d_filter=None, seed: int = 0):
     def wj_properties():
         n = min(n_max, 6)
-        for d in range(n % 2, n + 1, 2):
+        for _, d in _sectors(n, n, d_filter):
             h = gram_matrix(n, d, row_first=True)
             for p in range(2, min(5, n) + 1):
                 m, den = prj.wj_matrix(p, n, d)
@@ -330,8 +325,10 @@ def projector_cases(n_max: int, d_filter=None, seed: int = 0):
 
         yield f"projectors/gamma-blocks/n{n}d{d}", make_blocks()
 
+    k_defects = [d for d in range(0, 5) if d_filter is None or d in d_filter]
+
     def k_recursions():
-        for d in range(0, 5):
+        for d in k_defects:
             for r in range(1, 4):
                 if prj.k_factor(d, r, d + 2 * r + 2, "recursion") != prj.k_factor(
                     d, r, d + 2 * r + 2, "closed_form"
@@ -344,11 +341,11 @@ def projector_cases(n_max: int, d_filter=None, seed: int = 0):
                     return f"pairing vs closed form at d={d} r={r}"
         return None
 
-    if n_max >= 6:
+    if n_max >= 6 and k_defects:
         yield "projectors/k-factors", k_recursions
 
-    for n in range(2, min(n_max, 7) + 1):
-        for d in range(2 - (n % 2), n + 1, 2):
+    for n, d in _sectors(min(n_max, 7), 2, d_filter):
+        if d:
 
             def make_rec(n=n, d=d):
                 def run():
@@ -382,7 +379,7 @@ def transfer_cases(n_max: int, d_filter=None, seed: int = 0):
                 if abs(math.sin(lam)) > 1e-6:
                     t0 = trf.transfer_matrix(n, d, lam, 0.0, mu)
                     u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
-                    om = omega_matrix_numeric([("omega", 1)], n, d, u, v)
+                    om = omega_matrix([("omega", 1)], n, d).to_numeric(u, v)
                     if np.max(np.abs(t0 - math.sin(lam) ** n * om)) > 1e-12 * max(
                         1.0, np.max(np.abs(t0))
                     ):
@@ -414,16 +411,21 @@ def spectrum_cases(n_max: int, d_filter=None, seed: int = 0):
         yield f"spectrum/n{n}d{d}", make()
 
 
+def sorted_spectra(n: int, d: int, lam: float, mu: float):
+    """Sorted eigenvalues of the link and the spin Hamiltonian at
+    u = exp(i lam/2), v = exp(i mu)."""
+    u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
+    e1 = np.sort_complex(np.linalg.eigvals(hamiltonian_link(n, d).to_numeric(u, v)))
+    e2 = np.sort_complex(np.linalg.eigvals(hamiltonian_numeric(n, d, u, v)))
+    return e1, e2
+
+
 def spectrum_deviation(n: int, d: int, lam: float, mu: float):
     """Max sorted-eigenvalue deviation between the two module Hamiltonians,
     plus the bracket-criticality flag."""
-    u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
     vals = itw.bracket_values(n, d, lam, mu)
     critical = bool(vals) and min(abs(x) for x in vals) < 1e-9
-    h_link = hamiltonian_link_numeric(n, d, u, v)
-    h_spin = hamiltonian_numeric(n, d, u, v)
-    e1 = np.sort_complex(np.linalg.eigvals(h_link))
-    e2 = np.sort_complex(np.linalg.eigvals(h_spin))
+    e1, e2 = sorted_spectra(n, d, lam, mu)
     dev = float(np.max(np.abs(e1 - e2))) if len(e1) else 0.0
     return dev, critical
 

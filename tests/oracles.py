@@ -7,8 +7,12 @@ route, and is kept only as a reference for the tests:
 * ``_wenzl_diagrams_reference``: the two-sided idempotent recursion,
   against the one-sided product in ``projectors._wenzl_diagrams``;
 * ``_tile_diagram_sequential``: a left-to-right tile sweep, against
-  ``transfer.tile_diagram``.
+  ``transfer.tile_diagram``;
+* ``to_numeric_entrywise``: ``LaurentPoly.eval_numeric`` entry by entry,
+  against the vectorized ``RingMatrix.to_numeric``.
 """
+
+import numpy as np
 
 from eptl.diagrams import AffineDiagram
 from eptl.linkrep import RingMatrix
@@ -104,3 +108,13 @@ def _tile_diagram_sequential(n: int, config: int) -> AffineDiagram:
         conn[open_right] = (left_pending, -1)
         conn[left_pending] = (open_right, 1)
     return AffineDiagram(n, conn)
+
+
+def to_numeric_entrywise(m: RingMatrix, u: complex, v: complex) -> np.ndarray:
+    """Scalar evaluation of every nonzero entry; oracle for ``to_numeric``."""
+    out = np.zeros((m.rows, m.cols), dtype=complex)
+    for i in range(m.rows):
+        for j, e in enumerate(m.entries[i]):
+            if e:
+                out[i, j] = e.eval_numeric(u, v)
+    return out

@@ -1,0 +1,57 @@
+"""The benchmark's layer tracer (``perfbench/tracer.py``) binds eptl
+functions and methods by name.  Installing it here makes a removed or
+renamed traced function fail this suite, not only the benchmark's own
+self-tests."""
+
+import cmath
+import fractions
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy.linalg
+
+import eptl.cli  # noqa: F401  (loads every module the tracer patches)
+from eptl import verify as vfy
+from eptl.linkrep import RingMatrix
+from eptl.ring import LaurentPoly
+from eptl.spinrep import hamiltonian_numeric
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer_class():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+def bindings():
+    owners = [m for name, m in sys.modules.items() if name == "eptl" or name.startswith("eptl.")]
+    owners += [LaurentPoly, RingMatrix, fractions.Fraction, numpy.linalg]
+    return {(id(owner), attr): value for owner in owners for attr, value in vars(owner).items()}
+
+
+def test_tracer_installs_counts_and_uninstalls():
+    before = bindings()
+    tracer = load_tracer_class()()
+    tracer.install()
+    try:
+        assert vfy.hamiltonian_numeric is not hamiltonian_numeric
+        u, v = cmath.exp(0.4j), cmath.exp(0.3j)
+        vfy.itw.i_matrix_numeric(4, 0, u, v)
+        vfy.spectrum_deviation(4, 0, 0.8, 0.3)
+    finally:
+        tracer.uninstall()
+    assert bindings() == before
+    assert vfy.hamiltonian_numeric is hamiltonian_numeric
+    calls = {key: n for key, (n, _) in tracer.stats.items()}
+    for key in (
+        "intertwiner.i_matrix_numeric",
+        "intertwiner.i_matrix",
+        "spinrep.hamiltonian_numeric",
+        "linkrep.to_numeric",
+        "linalg",
+    ):
+        assert calls.get(key, 0) >= 1, key

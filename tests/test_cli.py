@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -194,6 +195,34 @@ class TestVerify:
         ):
             assert case not in names(size - 1)
             assert case in names(size)
+
+    @pytest.mark.parametrize("d_filter", [[0], [1], [2], [0, 2], [3, 5]])
+    def test_d_filter_is_honoured(self, d_filter):
+        for suite in vfy.SUITES.values():
+            for case, _ in suite(7, d_filter):
+                sector = re.search(r"/n\d+d(\d+)", case)
+                assert sector is None or int(sector.group(1)) in d_filter, case
+
+    def test_d_filter_reaches_cases_without_d_in_their_name(self, monkeypatch):
+        seen = {"gram": set(), "k": set()}
+        gram_matrix = vfy.gram_matrix
+
+        def record_gram(n, d, **kwargs):
+            seen["gram"].add(d)
+            return gram_matrix(n, d, **kwargs)
+
+        def record_k(d, *args, **kwargs):
+            seen["k"].add(d)
+            return 1
+
+        monkeypatch.setattr(vfy, "gram_matrix", record_gram)
+        monkeypatch.setattr(vfy.prj, "k_factor", record_k)
+        cases = dict(vfy.projector_cases(6, [4]))
+        assert cases["projectors/wenzl-properties"]() is None
+        assert cases["projectors/k-factors"]() is None
+        assert seen == {"gram": {4}, "k": {4}}
+        # no K-factor is checked for d = 6, so the case is not reported as passed
+        assert "projectors/k-factors" not in dict(vfy.projector_cases(6, [6]))
 
     def test_n_max_below_two_rejected(self, capsys):
         code, _ = run_cli(capsys, "verify", "--n-max", "1")

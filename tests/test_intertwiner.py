@@ -29,7 +29,7 @@ from eptl.linkrep import RingMatrix, act_weight, gram_matrix
 from eptl.ring import ONE, ZERO, LaurentPoly, RingFraction, beta_poly, trig_sin
 from eptl.spinrep import tau_matrix
 from eptl.states import LinkState, enumerate_states
-from oracles import det_cofactor
+from oracles import det_cofactor, to_numeric_entrywise
 
 
 def mono(eu, ev):
@@ -121,7 +121,7 @@ class TestMatrix:
         u, v = cmath.exp(0.31j), cmath.exp(0.87j)
         m = i_matrix(6, 0)
         num = i_matrix_numeric(6, 0, u, v)
-        assert np.max(np.abs(m.to_numeric(u, v) - num)) < 1e-12
+        assert np.max(np.abs(to_numeric_entrywise(m, u, v) - num)) < 1e-12
 
 
 class TestIntertwining:

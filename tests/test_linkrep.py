@@ -1,14 +1,22 @@
+import cmath
+import random
+
+import numpy as np
 import pytest
 
+from eptl.intertwiner import i_matrix
 from eptl.linkrep import (
     RingMatrix,
     gram_matrix,
     gram_pair,
+    hamiltonian_link,
     loop_variables_to_uv,
     omega_matrix,
 )
 from eptl.ring import ZERO, LaurentPoly, alpha_poly, beta_poly
+from eptl.spinrep import hamiltonian
 from eptl.states import LinkState, enumerate_states
+from oracles import to_numeric_entrywise
 
 B = beta_poly()
 
@@ -188,3 +196,49 @@ class TestGramInvariants:
             det_exact(gram_matrix(n, d, mode="open", twists=tw)) for tw in vectors
         ]
         assert dets[1] == dets[0] and dets[2] == dets[0]
+
+
+class TestNumericEvaluation:
+    MATRICES = {
+        "gram n6d0": lambda: gram_matrix(6, 0),
+        "gram n5d1": lambda: gram_matrix(5, 1),
+        "intertwiner n6d2": lambda: i_matrix(6, 2),
+        "spin hamiltonian n6d0": lambda: hamiltonian(6, 0),
+        "link hamiltonian n5d1": lambda: hamiltonian_link(5, 1),
+    }
+
+    @pytest.mark.parametrize("name", list(MATRICES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_entrywise_evaluation(self, name, seed):
+        rng = random.Random(seed)
+        u = rng.uniform(0.7, 1.4) * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
+        v = rng.uniform(0.7, 1.4) * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
+        m = self.MATRICES[name]()
+        expect = to_numeric_entrywise(m, u, v)
+        got = m.to_numeric(u, v)
+        assert got.shape == expect.shape
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_repeated_evaluation_uses_the_new_point(self):
+        m = gram_matrix(4, 0)
+        for u, v in ((0.9 + 0.2j, 1.1j), (1.3, 0.8 - 0.1j)):
+            assert np.allclose(m.to_numeric(u, v), to_numeric_entrywise(m, u, v), rtol=1e-12, atol=0)
+
+    def test_all_zero_matrix(self):
+        m = RingMatrix([[ZERO] * 3 for _ in range(2)])
+        assert np.array_equal(m.to_numeric(0.5 + 0.5j, 2.0), np.zeros((2, 3)))
+        assert np.array_equal(m.to_numeric(0, 0), np.zeros((2, 3)))
+
+    def test_zero_point_raises(self):
+        m = omega_matrix([("e", 1)], 4, 0)
+        with pytest.raises(ValueError):
+            m.to_numeric(0, 1.0)
+        with pytest.raises(ValueError):
+            m.to_numeric(1.0, 0)
+
+    @pytest.mark.parametrize("n,d", sector_pairs(6))
+    def test_link_hamiltonian_is_the_generator_sum(self, n, d):
+        total = omega_matrix([("e", 1)], n, d)
+        for i in range(2, n + 1):
+            total = total + omega_matrix([("e", i)], n, d)
+        assert hamiltonian_link(n, d) == total

@@ -14,6 +14,7 @@ from eptl.spinrep import (
     tau_matrix,
 )
 from eptl.states import module_dim
+from oracles import to_numeric_entrywise
 
 B = beta_poly()
 
@@ -101,6 +102,15 @@ class TestHamiltonian:
             total = m if total is None else total + m
         assert h == total
 
+    @pytest.mark.parametrize("n,d", sectors(6))
+    def test_matches_generator_sum_in_every_sector(self, n, d):
+        # hamiltonian accumulates monomials itself rather than adding the
+        # ebar_matrix results, so the two routes are compared everywhere
+        total = ebar_matrix(1, n, d)
+        for i in range(2, n + 1):
+            total = total + ebar_matrix(i, n, d)
+        assert hamiltonian(n, d) == total
+
     @pytest.mark.parametrize("n,d", sectors(7))
     def test_numeric_hermitian_on_circle(self, n, d):
         u = cmath.exp(0.37j)
@@ -119,7 +129,7 @@ class TestHamiltonian:
         v = cmath.exp(0.9j)
         h = hamiltonian(5, 1)
         hn = hamiltonian_numeric(5, 1, u, v)
-        assert np.max(np.abs(h.to_numeric(u, v) - hn)) < 1e-12
+        assert np.max(np.abs(to_numeric_entrywise(h, u, v) - hn)) < 1e-12
 
     def test_generators_preserve_total_spin(self):
         from eptl.spinrep import ebar_columns

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eptl.diagrams import generator_diagram
-from eptl.linkrep import omega_matrix_numeric
+from eptl.linkrep import omega_matrix
 from eptl.states import LinkState, enumerate_states
 from eptl.transfer import (
     commuting_family_defect,
@@ -45,9 +45,7 @@ class TestTransferProperties:
     def test_zero_anisotropy(self):
         lam, mu = math.pi / 3, 0.3
         t = transfer_matrix(4, 2, lam, 0.0, mu)
-        om = omega_matrix_numeric(
-            [("omega", 1)], 4, 2, cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
-        )
+        om = omega_matrix([("omega", 1)], 4, 2).to_numeric(cmath.exp(1j * lam / 2), cmath.exp(1j * mu))
         assert np.max(np.abs(t - math.sin(lam) ** 4 * om)) < 1e-13
 
     @pytest.mark.parametrize("n,d", [(4, 0), (5, 1), (6, 0), (6, 2), (7, 1), (8, 2)])
