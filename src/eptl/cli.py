@@ -3,8 +3,10 @@
 Subcommands: enumerate, gram, spin, intertwiner, projector, transfer,
 scan-critical, spectrum, verify, export.  Exit codes: 0 all checks pass,
 1 verification failure, 2 usage or domain error (including a size above
-MAX_SITES and an unwritable --out).  All floating numbers are emitted
-with 17 significant digits; the randomized verify suites take --seed.
+MAX_SITES, a --d that is no defect count on --n sites, a verify run that
+selects no case, and an unwritable --out).  All floating numbers are
+emitted with 17 significant digits; the randomized verify suites take
+--seed.
 """
 
 from __future__ import annotations
@@ -191,8 +193,8 @@ def cmd_projector(args, out) -> int:
         out.write(json.dumps(rows) + "\n")
         return 0 if ok else 1
     if args.check == "recursion":
-        ok = prj.gram_recursion_check(n, max(d, 1))
-        out.write(json.dumps({"n": n, "d": max(d, 1), "recursion_holds": ok}) + "\n")
+        ok = prj.gram_recursion_check(n, d)
+        out.write(json.dumps({"n": n, "d": d, "recursion_holds": ok}) + "\n")
         return 0 if ok else 1
     raise ValueError(f"unknown check {args.check!r}")
 
@@ -425,10 +427,17 @@ def _check_size(args):
             raise ValueError(f"--{flag.replace('_', '-')} {size} exceeds MAX_SITES = {MAX_SITES}")
 
 
+def _check_sector(args):
+    n = getattr(args, "n", None)
+    if n is not None and not (0 <= args.d <= n and (n - args.d) % 2 == 0):
+        raise ValueError(f"defect count {args.d} incompatible with {n} sites")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_size(args)
+        _check_sector(args)
         if args.out is None:
             return args.fn(args, sys.stdout)
         with open(args.out, "w") as out:

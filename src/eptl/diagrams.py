@@ -250,16 +250,12 @@ class ActResult:
         return sum(p - q + n * s for p, q, s in self.travel)
 
 
-def act_on_link(diag: AffineDiagram, w: LinkState, zero_on_defect_join: bool = True):
+def act_on_link(diag: AffineDiagram, w: LinkState):
     """Apply a diagram to a link state attached above it.
 
     Returns None when two defects get connected, otherwise an ActResult
     whose exponents count the loops closed (on top of the exponents the
     diagram had already accumulated).
-
-    With ``zero_on_defect_join=False`` a pair of joined defects silently
-    annihilates instead (no twist contribution); that variant is only
-    well defined generator by generator, not on composed diagrams.
     """
     if diag.n != w.n_sites:
         raise ValueError("site-count mismatch")
@@ -290,17 +286,11 @@ def act_on_link(diag: AffineDiagram, w: LinkState, zero_on_defect_join: bool = T
     # defect chains
     travel = []
     new_defects = []
-    consumed = set()
     for p in sorted(defects):
-        if p in consumed:
-            continue
         visited_tops.add(p)
         q, s, hit_defect = run(("t", p))
         if hit_defect:
-            if zero_on_defect_join:
-                return None
-            consumed.add(q)
-            continue
+            return None
         travel.append((p, q, s))
         new_defects.append(q)
 

@@ -3,17 +3,20 @@
 The d-defect module carries the algebra action with a twist: a defect
 displaced k steps to the left picks up ``v^k``, a closed contractible
 loop the weight ``u^2 + u^-2``, a non-contractible one ``v^n + v^-n``.
-The Gram form closes a pair of link states top-against-bottom and reads
-the loop and displacement weights off the closure; it admits a single
+The Gram form closes a pair of link states top-against-bottom, as the
+action of one state's :func:`state_diagram` on the other, and reads the
+loop and displacement weights off the closure; it admits a single
 twist (the module form) or one twist per defect (used on the boundary
 free sector).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .diagrams import act_on_link, generator_diagram, word_diagram
+from .diagrams import AffineDiagram, act_on_link, generator_diagram, word_diagram
 from .ring import ZERO, LaurentPoly, alpha_poly, beta_poly
 from .states import LinkState, enumerate_states, standard_states
 
@@ -171,8 +174,12 @@ def _label_str(x) -> str:
 # the representation on link states
 # ---------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def loop_weight(nbeta: int, nalpha: int, twist: int, n: int) -> LaurentPoly:
-    """Exact weight beta^nbeta * alpha^nalpha * v^twist on n sites."""
+    """Exact weight beta^nbeta * alpha^nalpha * v^twist on n sites.
+
+    Cached, so callers share the returned polynomial and must not change it.
+    """
     p = LaurentPoly.v_pow(twist)
     if nbeta:
         p = p * beta_poly() ** nbeta
@@ -218,72 +225,41 @@ def hamiltonian_link(n: int, d: int) -> RingMatrix:
 # the Gram form
 # ---------------------------------------------------------------------
 
-def gram_closure(w1: LinkState, w2: LinkState):
-    """Trace the closure of w1 (above) against w2 (below).
+def state_diagram(w: LinkState) -> AffineDiagram:
+    """The arcs of ``w`` on both rows, with a through line at each defect.
 
-    Returns None when two defects of the same state get connected, else
-    ``(nbeta, nalpha, travels)`` with one ``(defect index of w1, start,
-    end, crossings)`` tuple per defect of w1, indexed left to right.
+    Acting with it on a link state closes that state (above) against
+    ``w`` (below): the result carries the closed loops and, per defect of
+    the upper state, its travel to a defect of ``w``.
     """
-    if w1.n_sites != w2.n_sites:
-        raise ValueError("site-count mismatch")
-    n = w1.n_sites
-    top_arcs = w1.arc_partner()
-    bot_arcs = w2.arc_partner()
-    top_defects = set(w1.defects)
-    bot_defects = set(w2.defects)
-    visited = set()
-    travels = []
+    conn = {}
+    for i, (j, s) in w.arc_partner().items():
+        conn[("t", i)] = (("t", j), s)
+        conn[("b", i)] = (("b", j), s)
+    for p in w.defects:
+        conn[("t", p)] = (("b", p), 0)
+        conn[("b", p)] = (("t", p), 0)
+    return AffineDiagram(w.n_sites, conn)
 
-    for idx, p in enumerate(w1.defects):
-        visited.add(p)
-        x, s = p, 0
-        while True:
-            if x in bot_defects:
-                visited.add(x)
-                travels.append((idx, p, x, s))
-                break
-            x2, ds = bot_arcs[x]
-            s += ds
-            visited.add(x2)
-            if x2 in top_defects:
-                return None  # two defects of w1 connected
-            x3, ds2 = top_arcs[x2]
-            s += ds2
-            visited.add(x3)
-            x = x3
 
-    # chains from unvisited bottom defects would tie w2 defects together
-    for q in bot_defects:
-        if q not in visited:
-            return None
-
-    nbeta = nalpha = 0
-    for site in range(1, n + 1):
-        if site in visited:
-            continue
-        start, x, s = site, site, 0
-        while True:
-            visited.add(x)
-            x2, ds = top_arcs[x]
-            s += ds
-            visited.add(x2)
-            x3, ds2 = bot_arcs[x2]
-            s += ds2
-            if x3 == start:
-                break
-            x = x3
-        if s == 0:
-            nbeta += 1
-        else:
-            if abs(s) != 1:
-                raise AssertionError("closure loop winding out of range")
-            nalpha += 1
-    return nbeta, nalpha, tuple(travels)
+def _pair_weight(res, n: int, twists) -> LaurentPoly:
+    """Weight of the closure ``res``; see :func:`gram_pair`."""
+    if res is None:
+        return ZERO
+    if twists is None:
+        return act_weight(res, n)
+    if len(twists) != len(res.travel):
+        raise ValueError("one twist per defect required")
+    out = loop_weight(res.nbeta, res.nalpha, 0, n)
+    for twist, (p, q, s) in zip(twists, res.travel):
+        delta = p - q + n * s
+        if delta:
+            out = out * twist ** delta
+    return out
 
 
 def gram_pair(w1: LinkState, w2: LinkState, twists=None) -> LaurentPoly:
-    """The Gram pairing of two link states.
+    """The Gram pairing of two link states: w1 closed against w2.
 
     With ``twists=None`` the single-twist form: loops weigh beta/alpha
     and the net leftward defect displacement weighs ``v``.  With a list
@@ -293,21 +269,7 @@ def gram_pair(w1: LinkState, w2: LinkState, twists=None) -> LaurentPoly:
     """
     if w1.n_defects != w2.n_defects:
         return ZERO
-    closed = gram_closure(w1, w2)
-    if closed is None:
-        return ZERO
-    nbeta, nalpha, travels = closed
-    n = w1.n_sites
-    if twists is None:
-        return loop_weight(nbeta, nalpha, sum(p - q + n * s for _, p, q, s in travels), n)
-    if len(twists) != w1.n_defects:
-        raise ValueError("one twist per defect required")
-    out = loop_weight(nbeta, nalpha, 0, n)
-    for idx, p, q, s in travels:
-        delta = p - q + n * s
-        if delta:
-            out = out * twists[idx] ** delta
-    return out
+    return _pair_weight(act_on_link(state_diagram(w2), w1), w1.n_sites, twists)
 
 
 def gram_matrix(
@@ -340,23 +302,19 @@ def gram_matrix(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    closings = {w: state_diagram(w) for w in basis}
     ent = []
     for wr in basis:
         row = []
         for wc in basis:
             w1, w2 = (wr, wc) if row_first else (wc, wr)
-            if loop_variables:
-                closed = gram_closure(w1, w2)
-                if closed is None:
-                    row.append(ZERO)
-                else:
-                    nb, na, travels = closed
-                    other = na if d == 0 else sum(
-                        p - q + n * s for _, p, q, s in travels
-                    )
-                    row.append(LaurentPoly.monomial(nb, other))
+            res = act_on_link(closings[w2], w1)
+            if not loop_variables:
+                row.append(_pair_weight(res, n, twists))
+            elif res is None:
+                row.append(ZERO)
             else:
-                row.append(gram_pair(w1, w2, twists))
+                row.append(LaurentPoly.monomial(res.nbeta, res.nalpha if d == 0 else res.twist))
         ent.append(row)
     return RingMatrix(ent, list(basis), list(basis))
 

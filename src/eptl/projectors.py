@@ -5,10 +5,10 @@ The projector on p strands is built by the idempotent recursion
     wj_1 = id,    wj_p = wj_{p-1} + (S_{p-1}/S_p) wj_{p-1} e_{p-1} wj_{p-1},
 
 which by uniqueness agrees with the usual box-product construction.  It
-is stored as a linear combination of *open* Temperley-Lieb diagrams on
-the window (so the term count stays at the Catalan number); one
-representative generator word per diagram is kept so the combination
-can also be read as a formal word sum.
+is stored as a linear combination of window diagrams, AffineDiagrams
+on p sites that never cross the seam (so the term count stays at the
+Catalan number); one representative generator word per diagram is kept
+so the combination can also be read as a formal word sum.
 
 Applying the projector inside the cylinder follows the change-of-basis
 recipe: interior arcs of the state are removed, the projector acts on
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagrams import AffineDiagram, act_on_link
+from .diagrams import AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
 from .linkrep import RingMatrix, act_weight, gram_matrix, gram_pair, loop_weight
 from .ring import (
     ONE,
@@ -40,87 +40,34 @@ from .states import LinkState, bijection_C, enumerate_states, standard_dim
 
 
 # ---------------------------------------------------------------------
-# open Temperley-Lieb diagrams on a window of p slots
+# window diagrams: AffineDiagrams on p sites that never cross the seam
 # ---------------------------------------------------------------------
-# points 0..p-1 are the bottom row, p..2p-1 the top row; a diagram is a
-# canonical tuple of sorted chord pairs.
 
-def _open_identity(p: int):
-    return tuple((i, p + i) for i in range(p))
+def _relabel(diag: AffineDiagram, n: int, node, through=()) -> AffineDiagram:
+    """The diagram on n sites with each chord a-b of ``diag`` drawn as
+    node(a)-node(b), plus a through line at each site in ``through``.
 
-
-def _open_generator(p: int, k: int):
-    """The k-th cup/cap diagram, 1 <= k <= p-1."""
-    chords = [(k - 1, k), (p + k - 1, p + k)]
-    for i in range(p):
-        if i not in (k - 1, k):
-            chords.append((i, p + i))
-    return tuple(sorted(chords))
-
-
-def _open_compose(lower, upper, p: int):
-    """Glue ``upper`` above ``lower``; returns (diagram, closed loops).
-
-    In the product the upper factor acts first on anything attached
-    above the stack.
+    Seam crossings are kept as they are, so ``node`` must not move a
+    chord across the seam; window diagrams have none.
     """
-    lmap, umap = {}, {}
-    for a, b in lower:
-        lmap[a] = b
-        lmap[b] = a
-    for a, b in upper:
-        umap[a] = b
-        umap[b] = a
-    # node encoding during the walk: ('L', x) / ('U', x)
-    visited = set()
-    chords = []
-    loops = 0
+    conn = {node(a): (node(b), s) for a, (b, s) in diag.conn.items()}
+    for site in through:
+        conn[("b", site)] = (("t", site), 0)
+        conn[("t", site)] = (("b", site), 0)
+    return AffineDiagram(n, conn)
 
-    def walk(layer, node):
-        while True:
-            partner = (lmap if layer == "L" else umap)[node]
-            visited.add((layer, node))
-            visited.add((layer, partner))
-            if layer == "L":
-                if partner < p:
-                    return ("L", partner)
-                layer, node = "U", partner - p  # lower top i = upper bottom i
-            else:
-                if partner >= p:
-                    return ("U", partner)
-                layer, node = "L", partner + p
 
-    for i in range(p):
-        for layer, node in (("L", i), ("U", p + i)):
-            if (layer, node) in visited:
-                continue
-            _, end_node = walk(layer, node)
-            chords.append(tuple(sorted((node, end_node))))
-    for i in range(p):
-        for layer, node in (("L", p + i), ("U", i)):
-            if (layer, node) in visited:
-                continue
-            # a loop through the interface
-            start = (layer, node)
-            cur = start
-            while True:
-                layer_, node_ = cur
-                partner = (lmap if layer_ == "L" else umap)[node_]
-                visited.add((layer_, node_))
-                visited.add((layer_, partner))
-                cur = ("U", partner - p) if layer_ == "L" else ("L", partner + p)
-                if cur == start:
-                    break
-            loops += 1
-    return tuple(sorted(chords)), loops
+def _chords(diag: AffineDiagram):
+    """Sorted chord list; orders the terms of a :class:`TLWord`."""
+    return tuple(sorted((a, b) for a, (b, _) in diag.conn.items() if a < b))
 
 
 class TLWord:
-    """Linear combination of open-window diagrams with fraction coefficients.
+    """Linear combination of window diagrams with fraction coefficients.
 
-    ``terms`` lists (coefficient, generator word) pairs, one
-    representative word per diagram; ``diagrams`` maps each canonical
-    diagram to its coefficient.
+    ``diagrams`` maps each window diagram (an :class:`AffineDiagram` on
+    ``size`` sites with no loop weight) to its coefficient; ``words``
+    maps it to one representative generator word.
     """
 
     __slots__ = ("window", "diagrams", "words")
@@ -136,39 +83,29 @@ class TLWord:
 
     @property
     def terms(self):
-        return [(self.diagrams[m], self.words[m]) for m in sorted(self.diagrams)]
+        """(coefficient, word) pairs, ordered by chord list."""
+        return [(self.diagrams[m], self.words[m]) for m in sorted(self.diagrams, key=_chords)]
+
+    def _mapped(self, node, word_of) -> "TLWord":
+        p = self.size
+        diagrams, words = {}, {}
+        for m, c in self.diagrams.items():
+            mm = _relabel(m, p, node)
+            diagrams[mm] = c
+            words[mm] = word_of(self.words[m])
+        return TLWord(self.window, diagrams, words)
 
     def reflected(self) -> "TLWord":
         """Vertical-mirror image: window slot i -> p+1-i."""
         p = self.size
-        diagrams = {}
-        words = {}
-        for m, c in self.diagrams.items():
-            chords = []
-            for a, b in m:
-                na = (p - 1 - a) if a < p else (3 * p - 1 - a)
-                nb = (p - 1 - b) if b < p else (3 * p - 1 - b)
-                chords.append(tuple(sorted((na, nb))))
-            mm = tuple(sorted(chords))
-            diagrams[mm] = c
-            words[mm] = tuple(p - k for k in reversed(self.words[m]))
-        return TLWord(self.window, diagrams, words)
+        return self._mapped(
+            lambda x: (x[0], p + 1 - x[1]), lambda w: tuple(p - k for k in reversed(w))
+        )
 
     def word_reversed(self) -> "TLWord":
         """Horizontal-mirror image: every representative word reversed."""
-        diagrams = {}
-        words = {}
-        p = self.size
-        for m, c in self.diagrams.items():
-            chords = []
-            for a, b in m:
-                na = (a + p) if a < p else (a - p)
-                nb = (b + p) if b < p else (b - p)
-                chords.append(tuple(sorted((na, nb))))
-            mm = tuple(sorted(chords))
-            diagrams[mm] = c
-            words[mm] = tuple(reversed(self.words[m]))
-        return TLWord(self.window, diagrams, words)
+        flip = {"b": "t", "t": "b"}
+        return self._mapped(lambda x: (flip[x[0]], x[1]), lambda w: tuple(reversed(w)))
 
 
 def _sine(k: int) -> LaurentPoly:
@@ -214,23 +151,9 @@ class _FracCache:
         return hit
 
 
-def _embed_strand(data: dict, p: int) -> dict:
-    """Embed (p-1)-strand diagram terms into p strands (extra through line)."""
-    out = {}
-    for m, (c, w) in data.items():
-        chords = []
-        for a, b in m:
-            na = a if a < p - 1 else a + 1
-            nb = b if b < p - 1 else b + 1
-            chords.append(tuple(sorted((na, nb))))
-        chords.append((p - 1, 2 * p - 1))
-        out[tuple(sorted(chords))] = (c, w)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _wenzl_diagrams(p: int):
-    """dict diagram -> (coefficient, word) for the projector on p strands.
+    """dict window diagram -> (coefficient, word) for the projector on p strands.
 
     Built by the one-sided product wj_p = wj_{p-1} (id + sum_k
     (S_k/S_p) e_{p-1} e_{p-2} ... e_k), equivalent to the idempotent
@@ -239,23 +162,27 @@ def _wenzl_diagrams(p: int):
     if p < 1:
         raise ValueError("projector needs at least one strand")
     if p == 1:
-        return {_open_identity(1): (RingFraction.one(), ())}
-    base = _embed_strand(_wenzl_diagrams(p - 1), p)
+        return {identity_diagram(1): (RingFraction.one(), ())}
+    # wj_{p-1} with a through line added at site p
+    base = {
+        _relabel(m, p, lambda x: x, through=[p]): cw for m, cw in _wenzl_diagrams(p - 1).items()
+    }
     cache = _FracCache()
-    out = {m: (c, w) for m, (c, w) in base.items()}
+    out = dict(base)
 
-    # descending words e_{p-1} e_{p-2} ... e_k as open diagrams
-    tail = _open_identity(p)
+    # descending words e_{p-1} e_{p-2} ... e_k as window diagrams
+    tail = identity_diagram(p)
     tail_word: tuple = ()
     for k in range(p - 1, 0, -1):
-        tail, loops = _open_compose(tail, _open_generator(p, k), p)
-        assert loops == 0
+        tail = compose(top=generator_diagram("e", p, k), bottom=tail)
+        assert tail.nbeta == 0
         tail_word = tail_word + (k,)
         coeff = RingFraction(_sine(k), _sine(p))
         ck = _frac_key(coeff)
         for m2, (c2, w2) in base.items():
-            mm, loops = _open_compose(m2, tail, p)  # product wj * (e-word)
-            cc = cache.product(coeff, ck, c2, _frac_key(c2), loops)
+            prod = compose(top=tail, bottom=m2)  # product wj * (e-word)
+            mm = AffineDiagram(p, prod.conn)
+            cc = cache.product(coeff, ck, c2, _frac_key(c2), prod.nbeta)
             word = w2 + tail_word
             if mm in out:
                 c0, w0 = out[mm]
@@ -287,31 +214,6 @@ def wenzl_jones(p: int, window=None) -> TLWord:
 # applying window diagrams inside the cylinder
 # ---------------------------------------------------------------------
 
-def _embed_contiguous(matching, window, n: int) -> AffineDiagram:
-    """Embed a window diagram with vertical strands elsewhere.
-
-    Valid when the window is a contiguous run of sites, so no chord has
-    to jump over a non-window position.
-    """
-    p = len(window)
-    conn = {}
-
-    def node(x):
-        if x < p:
-            return ("b", window[x])
-        return ("t", window[x - p])
-
-    for a, b in matching:
-        na, nb = node(a), node(b)
-        conn[na] = (nb, 0)
-        conn[nb] = (na, 0)
-    for site in range(1, n + 1):
-        if site not in window:
-            conn[("b", site)] = (("t", site), 0)
-            conn[("t", site)] = (("b", site), 0)
-    return AffineDiagram(n, conn)
-
-
 def apply_tlword(word: TLWord, state: LinkState):
     """Act with a window combination on a link state (contiguous window).
 
@@ -322,9 +224,10 @@ def apply_tlword(word: TLWord, state: LinkState):
     window = word.window
     if any(window[i + 1] - window[i] != 1 for i in range(len(window) - 1)):
         raise ValueError("direct application needs a contiguous window")
+    outside = [site for site in range(1, n + 1) if site not in window]
     buckets: dict = {}
-    for matching, coeff in word.diagrams.items():
-        diag = _embed_contiguous(matching, window, n)
+    for m, coeff in word.diagrams.items():
+        diag = _relabel(m, n, lambda x: (x[0], window[x[1] - 1]), outside)
         res = act_on_link(diag, state)
         if res is None:
             continue
@@ -368,8 +271,7 @@ def u_transform_state(w: LinkState):
     m = len(window)
     proj = wenzl_jones(m)
     buckets: dict = {}
-    for matching, coeff in proj.diagrams.items():
-        diag = _embed_contiguous(matching, tuple(range(1, m + 1)), m)
+    for diag, coeff in proj.diagrams.items():
         res = act_on_link(diag, reduced)
         if res is None:
             continue

@@ -21,11 +21,10 @@ import numpy as np
 from . import intertwiner as itw
 from . import projectors as prj
 from . import transfer as trf
-from .diagrams import act_on_link, generator_diagram
-from .linkrep import RingMatrix, act_weight, gram_matrix, hamiltonian_link, omega_matrix
-from .ring import ONE, ZERO, LaurentPoly, alpha_poly, beta_poly
+from .linkrep import RingMatrix, gram_matrix, hamiltonian_link, omega_matrix
+from .ring import ONE, LaurentPoly, alpha_poly, beta_poly
 from .spinrep import hamiltonian_numeric, tau_matrix
-from .states import enumerate_states, module_dim
+from .states import module_dim
 
 
 class Skipped(str):
@@ -158,35 +157,18 @@ def algebra_cases(n_max: int, d_filter=None, seed: int = 0):
 
 
 def intertwine_cases(n_max: int, d_filter=None, seed: int = 0):
+    """tau(g) I = I omega(g) for every generator g: e_1..e_n, Omega, Omega^-1."""
     for n, d in _sectors(n_max, 2, d_filter):
 
         def make(n=n, d=d):
             def run():
-                basis = enumerate_states(n, d)
+                i_mat = itw.i_matrix(n, d)
                 toks = [("e", i) for i in range(1, n + 1)] + [("omega", 1), ("omega", -1)]
                 for tok in toks:
-                    mat = tau_matrix([tok], n, d)
-                    diag = (
-                        generator_diagram("e", n, tok[1])
-                        if tok[0] == "e"
-                        else generator_diagram("omega" if tok[1] > 0 else "omega_inv", n)
-                    )
-                    for w in basis:
-                        vec = itw.intertwine_state(w)
-                        lhs = [
-                            sum(
-                                (mat[r, c] * vec.coords[c] for c in range(len(vec.coords))),
-                                ZERO,
-                            )
-                            for r in range(len(vec.coords))
-                        ]
-                        res = act_on_link(diag, w)
-                        if res is None:
-                            rhs = [ZERO] * len(lhs)
-                        else:
-                            weight = act_weight(res, n)
-                            rhs = [weight * c for c in itw.intertwine_state(res.state).coords]
-                        if lhs != rhs:
+                    lhs = tau_matrix([tok], n, d) @ i_mat
+                    rhs = i_mat @ omega_matrix([tok], n, d)
+                    for j, w in enumerate(i_mat.col_labels):
+                        if any(lhs[i, j] != rhs[i, j] for i in range(lhs.rows)):
                             return f"generator {tok} on {w.ascii()}"
                 return None
 
@@ -455,6 +437,8 @@ def run_suite(suite: str, n_max: int, d_filter=None, seed: int = 0) -> Verificat
     cases = []
     for name in names:
         cases.extend(SUITES[name](n_max, d_filter, seed))
+    if not cases:
+        raise ValueError(f"suite {suite!r} selects no case at n_max {n_max}, defect filter {d_filter}")
     report.cases = len(cases)
     results = []
     for cname, fn in cases:

@@ -14,9 +14,9 @@ route, and is kept only as a reference for the tests:
 
 import numpy as np
 
-from eptl.diagrams import AffineDiagram
+from eptl.diagrams import AffineDiagram, compose, generator_diagram, identity_diagram
 from eptl.linkrep import RingMatrix
-from eptl.projectors import _embed_strand, _open_compose, _open_generator, _open_identity, _sine
+from eptl.projectors import _sine
 from eptl.ring import ONE, ZERO, LaurentPoly, RingFraction, beta_poly
 
 
@@ -48,37 +48,41 @@ def det_cofactor(m: RingMatrix) -> LaurentPoly:
 
 
 def _wenzl_diagrams_reference(p: int):
-    """The two-sided idempotent recursion; oracle for the fast builder."""
-    if p == 1:
-        return {_open_identity(1): (RingFraction.one(), ())}
-    prev = _wenzl_diagrams_reference(p - 1)
-    base = _embed_strand(prev, p)
-    gen = _open_generator(p, p - 1)
-    ratio = RingFraction(_sine(p - 1), _sine(p))
+    """The two-sided idempotent recursion; oracle for the fast builder.
+
+    Runs wj_q = wj_{q-1} + (S_{q-1}/S_q) wj_{q-1} e_{q-1} wj_{q-1} for
+    q = 2..p with every diagram on p sites from wj_1 = id, so no
+    embedding between strand counts is needed.
+    """
     beta = beta_poly()
-    out = {m: (c, w) for m, (c, w) in base.items()}
-    left = {}
-    for m, (c, w) in base.items():
-        mm, loops = _open_compose(gen, m, p)
-        cc = (c * (beta ** loops)).reduced_u() if loops else c
-        word = (p - 1,) + w
-        if mm in left:
-            c0, w0 = left[mm]
-            left[mm] = ((c0 + cc).reduced_u(), w0)
-        else:
-            left[mm] = (cc, word)
-    for m1, (c1, w1) in left.items():
-        c1r = (c1 * ratio).reduced_u()
-        for m2, (c2, w2) in base.items():
-            mm, loops = _open_compose(m2, m1, p)
-            cc = (c1r * c2 * (beta ** loops)).reduced_u()
-            word = w2 + w1
-            if mm in out:
-                c0, w0 = out[mm]
-                out[mm] = ((c0 + cc).reduced_u(), w0)
+
+    def product(xs, ys):
+        # the algebra product xs * ys: ys is stacked on top of xs
+        out = {}
+        for mx, (cx, wx) in xs.items():
+            for my, (cy, wy) in ys.items():
+                prod = compose(top=my, bottom=mx)
+                key = AffineDiagram(p, prod.conn)
+                c = (cx * cy * beta ** prod.nbeta).reduced_u()
+                if key in out:
+                    c0, w0 = out[key]
+                    out[key] = ((c0 + c).reduced_u(), w0)
+                else:
+                    out[key] = (c, wx + wy)
+        return out
+
+    wj = {identity_diagram(p): (RingFraction.one(), ())}
+    for q in range(2, p + 1):
+        gen = {generator_diagram("e", p, q - 1): (RingFraction(_sine(q - 1), _sine(q)), (q - 1,))}
+        out = dict(wj)
+        for m, (c, w) in product(product(wj, gen), wj).items():
+            if m in out:
+                c0, w0 = out[m]
+                out[m] = ((c0 + c).reduced_u(), w0)
             else:
-                out[mm] = (cc, word)
-    return {m: (c, w) for m, (c, w) in out.items() if not c.is_zero()}
+                out[m] = (c, w)
+        wj = {m: (c, w) for m, (c, w) in out.items() if not c.is_zero()}
+    return wj
 
 
 def _tile_diagram_sequential(n: int, config: int) -> AffineDiagram:

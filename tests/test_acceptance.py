@@ -61,6 +61,14 @@ def all_sectors(n_lo, n_hi):
     return [(n, d) for n in range(n_lo, n_hi + 1) for d in range(n % 2, n + 1, 2)]
 
 
+def failed_cases(cases, prefix=""):
+    """Run the verify cases whose name starts with ``prefix``; returns the
+    (name, witness) failures, or raises if no case was selected."""
+    selected = [(name, fn) for name, fn in cases if name.startswith(prefix)]
+    assert selected, f"no verify case starts with {prefix!r}"
+    return [(name, witness) for name, fn in selected if (witness := fn())]
+
+
 class TestCriterion1ReferenceMatrices:
     def test_displayed_four_site_matrices(self):
         start = time.monotonic()
@@ -103,11 +111,7 @@ class TestCriterion1ReferenceMatrices:
 class TestCriterion2Factorization:
     def test_exact_factorization_through_eight_sites(self):
         start = time.monotonic()
-        bad = []
-        for n, d in all_sectors(2, 8):
-            ok, rep = itw.factorization_check(n, d)
-            if not ok:
-                bad.append((n, d, len(rep["mismatches"])))
+        bad = failed_cases(vfy.gram_cases(8), "gram/factorization/")
         elapsed = time.monotonic() - start
         report(
             "criterion 2: Gram factorization exact for every sector through n=8",
@@ -118,12 +122,13 @@ class TestCriterion2Factorization:
 
 class TestCriterion3GramDeterminant:
     def test_exact_small_sizes(self):
-        bad = []
-        for n, d in all_sectors(2, 6):
-            det = itw.gram_det_exact(n, d)
-            if not itw.matches_up_to_sign(det, itw.det_formulas(n, d, "gram_tilde")):
-                bad.append((n, d))
-        report("criterion 3a: periodic Gram determinant exact through n=6", not bad, str(bad))
+        # the exact Gram and intertwiner determinants share one verify case
+        bad = failed_cases(vfy.determinant_cases(6), "determinants/exact/")
+        report(
+            "criteria 3a and 4a: periodic Gram and intertwiner determinants exact through n=6",
+            not bad,
+            str(bad),
+        )
 
     def test_numeric_larger_sizes(self):
         rng = random.Random(2026)
@@ -150,16 +155,6 @@ class TestCriterion3GramDeterminant:
 
 
 class TestCriterion4IntertwinerDeterminant:
-    def test_exact_small_sizes(self):
-        bad = []
-        for n, d in all_sectors(2, 6):
-            det = itw.det_exact(itw.i_matrix(n, d))
-            if itw.matches_up_to_unit(det, itw.det_formulas(n, d, "intertwiner")) is None:
-                bad.append((n, d))
-            elif det.extreme_term_uv()[0] != itw.leading_exponents(n, d):
-                bad.append((n, d, "leading"))
-        report("criterion 4a: intertwiner determinant exact through n=6", not bad, str(bad))
-
     def test_numeric_larger_sizes(self):
         rng = random.Random(414)
         bad = []
@@ -176,32 +171,21 @@ class TestCriterion4IntertwinerDeterminant:
 
 class TestCriterion5Intertwining:
     def test_exhaustive_through_seven_sites(self):
-        failures = []
-        for name, fn in vfy.intertwine_cases(7):
-            witness = fn()
-            if witness:
-                failures.append((name, witness))
+        failures = failed_cases(vfy.intertwine_cases(7))
         report("criterion 5: intertwining of all generators through n=7", not failures, str(failures[:3]))
 
 
 class TestCriterion6RelationSuites:
     def test_both_representations_through_six_sites(self):
-        failures = []
-        for name, fn in vfy.algebra_cases(6):
-            witness = fn()
-            if witness:
-                failures.append((name, witness))
+        failures = failed_cases(vfy.algebra_cases(6))
         report("criterion 6: defining relations in both representations, n<=6", not failures, str(failures[:3]))
 
 
 class TestCriterion7ProjectorLayer:
     def test_wenzl_properties(self):
-        failures = []
-        for name, fn in vfy.projector_cases(6):
-            if "wenzl" in name or "k-factors" in name:
-                witness = fn()
-                if witness:
-                    failures.append((name, witness))
+        cases = list(vfy.projector_cases(6))
+        failures = failed_cases(cases, "projectors/wenzl-properties")
+        failures += failed_cases(cases, "projectors/k-factors")
         report("criterion 7a: projector properties and K factors", not failures, str(failures))
 
     def test_four_site_gamma_displays(self):
@@ -234,25 +218,13 @@ class TestCriterion7ProjectorLayer:
         report("criterion 7b: transformed 4-site Gram matrices match the displays", ok0 and ok2 and ok4)
 
     def test_block_structure_through_six_sites(self):
-        bad = []
-        for n, d in all_sectors(4, 6):
-            ok, failures = prj.gamma_block_report(n, d)
-            if not ok:
-                bad.append((n, d, len(failures)))
+        bad = failed_cases(vfy.projector_cases(6), "projectors/gamma-blocks/")
         report("criterion 7c: block diagonalization with scalar block factors, n<=6", not bad, str(bad))
 
     def test_k_recursions_and_gram_recursion(self):
-        bad = []
-        for d in range(0, 5):
-            for r in range(1, 4):
-                amb = d + 2 * r + 2
-                if prj.k_factor(d, r, amb, "recursion") != prj.k_factor(d, r, amb, "closed_form"):
-                    bad.append(("k", d, r))
-        for n in range(2, 8):
-            for d in range(2 - (n % 2), n + 1, 2):
-                if not prj.gram_recursion_check(n, d):
-                    bad.append(("gram", n, d))
-        report("criterion 7d: block-factor and determinant recursions", not bad, str(bad))
+        # the K-factor recursions run in criterion 7a's projectors/k-factors case
+        bad = failed_cases(vfy.projector_cases(7), "projectors/gram-recursion/")
+        report("criterion 7d: determinant recursion through n=7", not bad, str(bad))
 
 
 class TestCriterion8Transfer:

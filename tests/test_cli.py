@@ -228,6 +228,38 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "--n-max", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "spectrum", "--n-max", "4", "--d", "5"],
+            ["verify", "--d", "5", "--n-max", "4"],
+        ],
+    )
+    def test_empty_selection_exits_two(self, argv, capsys):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        with pytest.raises(ValueError):
+            vfy.run_suite("spectrum", 4, d_filter=[5])
+
+    def test_intertwine_case_detects_a_changed_entry(self, monkeypatch):
+        from eptl import intertwiner as itw
+        from eptl.ring import LaurentPoly
+
+        original = itw.i_matrix
+
+        def changed(n, d):
+            m = original(n, d)
+            entries = [list(row) for row in m.entries]
+            entries[1][2] = entries[1][2] + LaurentPoly.one()
+            return type(m)(entries, m.row_labels, m.col_labels)
+
+        cases = dict(vfy.intertwine_cases(4, [2]))
+        assert cases["intertwine/n4d2"]() is None
+        monkeypatch.setattr(itw, "i_matrix", changed)
+        witness = cases["intertwine/n4d2"]()
+        assert witness is not None and witness.startswith("generator (")
+        assert witness.endswith(original(4, 2).col_labels[2].ascii())
+
 
 def _no_work(*args, **kwargs):
     raise AssertionError("work started")
@@ -280,6 +312,42 @@ class TestSurface:
         code = main(argv)
         assert code == 2
         assert "MAX_SITES" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate"],
+            ["gram"],
+            ["spin", "--op", "e1"],
+            *(["intertwiner", "--check", c] for c in ("matrix", "factorization", "det", "intertwine")),
+            *(["projector", "--check", c] for c in ("wj", "gamma", "kfactor", "recursion")),
+            *(
+                ["transfer", "--lambda", "1.1", "--check", c]
+                for c in ("commute", "translate", "cross", "expand", "all")
+            ),
+            ["scan-critical", "--lambda-range", "1:2:2", "--mu-range", "0:1:2"],
+            ["spectrum", "--lambda", "0.9"],
+            *(["export", "--what", w] for w in ("gram", "intertwiner", "spin-hamiltonian")),
+        ],
+    )
+    def test_impossible_sector_exits_two_before_work(self, argv, monkeypatch, capsys):
+        for target in (
+            "eptl.cli.enumerate_states", "eptl.cli.gram_matrix", "eptl.cli.hamiltonian",
+            "eptl.intertwiner.i_matrix", "eptl.projectors.wenzl_jones",
+            "eptl.projectors.k_factor", "eptl.transfer.transfer_matrix",
+        ):
+            monkeypatch.setattr(target, _no_work)
+        monkeypatch.setattr(vfy, "run_suite", _no_work)
+        code = main([*argv, "--n", "4", "--d", "1"])
+        assert code == 2
+        assert "defect count 1 incompatible with 4 sites" in capsys.readouterr().err
+
+    def test_recursion_without_defects_exits_two(self, capsys):
+        # d = 0 is refused as it is, not rewritten to d = 1
+        code = main(["projector", "--n", "6", "--d", "0", "--check", "recursion"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "at least one defect" in captured.err
 
     def test_size_at_budget_accepted(self, capsys):
         code, out = run_cli(capsys, "enumerate", "--n", str(MAX_SITES), "--d", str(MAX_SITES))

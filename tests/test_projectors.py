@@ -1,5 +1,6 @@
 import pytest
 
+from eptl.diagrams import identity_diagram
 from eptl.intertwiner import det_exact, gram_det_exact, i_matrix
 from eptl.linkrep import RingMatrix, gram_matrix, gram_pair
 from eptl.projectors import (
@@ -45,8 +46,7 @@ class TestProjectorCombination:
     def test_identity_always_present_with_unit_coefficient(self):
         for p in range(1, 6):
             wj = wenzl_jones(p)
-            ident = tuple((i, p + i) for i in range(p))
-            assert wj.diagrams[ident] == RingFraction.one()
+            assert wj.diagrams[identity_diagram(p)] == RingFraction.one()
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_one_sided_matches_idempotent_recursion(self, p):
