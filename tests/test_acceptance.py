@@ -122,13 +122,12 @@ class TestCriterion2Factorization:
 
 class TestCriterion3GramDeterminant:
     def test_exact_small_sizes(self):
-        # the exact Gram and intertwiner determinants share one verify case
-        bad = failed_cases(vfy.determinant_cases(6), "determinants/exact/")
-        report(
-            "criteria 3a and 4a: periodic Gram and intertwiner determinants exact through n=6",
-            not bad,
-            str(bad),
-        )
+        bad = []
+        for n, d in all_sectors(2, 6):
+            det = itw.gram_det_exact(n, d)
+            if not itw.matches_up_to_sign(det, itw.det_formulas(n, d, "gram_tilde")):
+                bad.append((n, d))
+        report("criterion 3a: periodic Gram determinant exact through n=6", not bad, str(bad))
 
     def test_numeric_larger_sizes(self):
         rng = random.Random(2026)
@@ -155,6 +154,16 @@ class TestCriterion3GramDeterminant:
 
 
 class TestCriterion4IntertwinerDeterminant:
+    def test_exact_small_sizes(self):
+        bad = []
+        for n, d in all_sectors(2, 6):
+            det = itw.det_exact(itw.i_matrix(n, d))
+            if itw.matches_up_to_unit(det, itw.det_formulas(n, d, "intertwiner")) is None:
+                bad.append((n, d))
+            elif det.extreme_term_uv()[0] != itw.leading_exponents(n, d):
+                bad.append((n, d, "leading"))
+        report("criterion 4a: intertwiner determinant exact through n=6", not bad, str(bad))
+
     def test_numeric_larger_sizes(self):
         rng = random.Random(414)
         bad = []
