@@ -26,8 +26,8 @@ from .ring import LaurentPoly
 from .spinrep import ebar_matrix, hamiltonian, omegabar_matrix
 from .states import enumerate_states
 
-# the largest --n / --n-max accepted: the desk budget of the transfer sum,
-# the largest in the README; larger sizes exit 2 before any work starts
+# the largest --n / --n-max accepted: the README's desk budget of the one-time
+# transfer table build; larger sizes exit 2 before any work starts
 MAX_SITES = 12
 
 
@@ -182,6 +182,8 @@ def cmd_projector(args, out) -> int:
         out.write(json.dumps({"n": n, "d": d, "block_diagonal": ok, "failures": len(failures)}) + "\n")
         return 0 if ok else 1
     if args.check == "kfactor":
+        if d == n:  # the only r would be 0, where both modes give 1 by construction
+            raise ValueError("the K-factor check needs fewer defects than sites")
         rows = []
         ok = True
         for r in range(0, (n - d) // 2 + 1):

@@ -343,5 +343,6 @@ def act_on_link(diag: AffineDiagram, w: LinkState):
                 raise AssertionError(f"loop with |winding| {abs(s)} > 1")
             nalpha += 1
 
-    state = LinkState(n, new_pairs, new_defects)
+    # a planar diagram on a valid state gives a valid state
+    state = LinkState(n, new_pairs, new_defects, validate=False)
     return ActResult(state, nbeta, nalpha, tuple(travel))

@@ -10,20 +10,21 @@ into one of two planar fillings:
 Summing the 2^n fillings gives a connectivity acting on link states.
 The all-first-choice filling is the unit translation (this pins the
 tile orientation), so the nu -> 0 limit is sin(lam)^n times the
-translation matrix.  Everything here is numeric; the anisotropy enters
-only through sines.
+translation matrix.  The fillings do not depend on the point, so their
+sum is built once per sector as an integer term table (transfer_table).
 """
 
 from __future__ import annotations
 
 from cmath import exp, sin
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 
 from .diagrams import AffineDiagram, act_on_link
 from .linkrep import hamiltonian_link, omega_matrix
-from .states import LinkState, enumerate_states
+from .states import LinkState, enumerate_states, module_dim
 
 # relative size below which each property defect counts as vanishing
 DEFECT_TOL = {
@@ -65,38 +66,47 @@ def tile_diagram(n: int, config: int) -> AffineDiagram:
     return AffineDiagram(n, conn)
 
 
+@lru_cache(maxsize=None)
+def transfer_table(n: int, d: int) -> tuple:
+    """Integer terms of the transfer matrix on the d-defect module.
+
+    Returns read-only int64 arrays ``(keys, coeffs)``: each row of keys is
+    ``(row, col, k, nbeta, nalpha, twist)``, and coeffs counts the tile
+    fillings with k second-choice tiles (of the 2^n) that give that term.
+    """
+    basis = enumerate_states(n, d)
+    index = {w: j for j, w in enumerate(basis)}
+    counts = Counter()
+    for config in range(1 << n):
+        diag = tile_diagram(n, config)
+        k = config.bit_count()
+        for j, w in enumerate(basis):
+            res = act_on_link(diag, w)
+            if res is not None:
+                counts[index[res.state], j, k, res.nbeta, res.nalpha, res.twist] += 1
+    keys = np.array(list(counts), dtype=np.int64).reshape(-1, 6)
+    coeffs = np.array(list(counts.values()), dtype=np.int64)
+    keys.flags.writeable = coeffs.flags.writeable = False
+    return keys, coeffs
+
+
 def transfer_matrix(n: int, d: int, lam: float, nu: complex, mu: float) -> np.ndarray:
     """Numeric transfer matrix on the d-defect module.
 
     Loop weights are beta = 2 cos(lam) and alpha = 2 cos(mu n); the
-    twist is exp(i mu).
+    twist is exp(i mu).  A tile filling weighs sin(lam - nu)^(n - k)
+    sin(nu)^k, k its count of second-choice tiles.
     """
-    basis = enumerate_states(n, d)
-    index = {w: k for k, w in enumerate(basis)}
-    size = len(basis)
-    out = np.zeros((size, size), dtype=complex)
+    keys, coeffs = transfer_table(n, d)
+    size = module_dim(n, d)
     u = exp(1j * lam / 2)
     v = exp(1j * mu)
     beta = u * u + 1 / (u * u)
     alpha = v ** n + v ** (-n)
-    w_id = sin(lam - nu)
-    w_e = sin(nu)
-    for config in range(1 << n):
-        diag = tile_diagram(n, config)
-        ones = bin(config).count("1")
-        weight = (w_id ** (n - ones)) * (w_e ** ones)
-        if weight == 0:
-            continue
-        for j, w in enumerate(basis):
-            res = act_on_link(diag, w)
-            if res is None:
-                continue
-            out[index[res.state], j] += (
-                weight
-                * (beta ** res.nbeta)
-                * (alpha ** res.nalpha)
-                * v ** res.twist
-            )
+    rows, cols, k, nbeta, nalpha, twist = keys.T
+    weights = sin(lam - nu) ** (n - k) * sin(nu) ** k * beta ** nbeta * alpha ** nalpha * v ** twist
+    out = np.zeros((size, size), dtype=complex)
+    np.add.at(out, (rows, cols), coeffs * weights)
     return out
 
 

@@ -9,15 +9,21 @@ route, and is kept only as a reference for the tests:
 * ``_tile_diagram_sequential``: a left-to-right tile sweep, against
   ``transfer.tile_diagram``;
 * ``to_numeric_entrywise``: ``LaurentPoly.eval_numeric`` entry by entry,
-  against the vectorized ``RingMatrix.to_numeric``.
+  against the vectorized ``RingMatrix.to_numeric``;
+* ``transfer_matrix_tilesum``: the sum over the 2^n tile fillings at one
+  point, against the cached term table of ``transfer.transfer_matrix``.
 """
+
+from cmath import exp, sin
 
 import numpy as np
 
-from eptl.diagrams import AffineDiagram, compose, generator_diagram, identity_diagram
+from eptl.diagrams import AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
 from eptl.linkrep import RingMatrix
 from eptl.projectors import _sine
 from eptl.ring import ONE, ZERO, LaurentPoly, RingFraction, beta_poly
+from eptl.states import enumerate_states
+from eptl.transfer import tile_diagram
 
 
 def det_cofactor(m: RingMatrix) -> LaurentPoly:
@@ -121,4 +127,35 @@ def to_numeric_entrywise(m: RingMatrix, u: complex, v: complex) -> np.ndarray:
         for j, e in enumerate(m.entries[i]):
             if e:
                 out[i, j] = e.eval_numeric(u, v)
+    return out
+
+
+def transfer_matrix_tilesum(n: int, d: int, lam: float, nu: complex, mu: float) -> np.ndarray:
+    """Every tile filling acting on every state, weighted at the point;
+    oracle for ``transfer_matrix``."""
+    basis = enumerate_states(n, d)
+    index = {w: k for k, w in enumerate(basis)}
+    out = np.zeros((len(basis), len(basis)), dtype=complex)
+    u = exp(1j * lam / 2)
+    v = exp(1j * mu)
+    beta = u * u + 1 / (u * u)
+    alpha = v ** n + v ** (-n)
+    w_id = sin(lam - nu)
+    w_e = sin(nu)
+    for config in range(1 << n):
+        diag = tile_diagram(n, config)
+        ones = bin(config).count("1")
+        weight = (w_id ** (n - ones)) * (w_e ** ones)
+        if weight == 0:
+            continue
+        for j, w in enumerate(basis):
+            res = act_on_link(diag, w)
+            if res is None:
+                continue
+            out[index[res.state], j] += (
+                weight
+                * (beta ** res.nbeta)
+                * (alpha ** res.nalpha)
+                * v ** res.twist
+            )
     return out

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy.linalg
 
 import eptl.cli  # noqa: F401  (loads every module the tracer patches)
+from eptl import transfer as trf
 from eptl import verify as vfy
 from eptl.linkrep import RingMatrix
 from eptl.ring import LaurentPoly
@@ -55,3 +56,19 @@ def test_tracer_installs_counts_and_uninstalls():
         "linalg",
     ):
         assert calls.get(key, 0) >= 1, key
+
+
+def test_tracer_counts_each_transfer_matrix_call():
+    original = trf.transfer_matrix
+    tracer = load_tracer_class()()
+    tracer.install()
+    try:
+        assert trf.transfer_matrix is not original
+        # two members of the family: two calls, one sector
+        trf.commuting_family_defect(5, 1, 1.1, 0.4, 0.3 + 0.1j, 0.3)
+    finally:
+        tracer.uninstall()
+    assert trf.transfer_matrix is original
+    metrics = tracer.summary(wall=1.0, output_bytes=0)["metrics"]
+    assert metrics["transfer.matrix_calls"] == 2
+    assert metrics["transfer.calls_per_sector"] == 2

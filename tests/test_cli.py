@@ -349,6 +349,14 @@ class TestSurface:
         assert code == 2 and captured.out == ""
         assert "at least one defect" in captured.err
 
+    def test_kfactor_without_arcs_exits_two(self, monkeypatch, capsys):
+        # at d = n the only r is 0, where both modes give 1 by construction
+        monkeypatch.setattr("eptl.projectors.k_factor", _no_work)
+        code = main(["projector", "--n", "4", "--d", "4", "--check", "kfactor"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:")
+
     def test_size_at_budget_accepted(self, capsys):
         code, out = run_cli(capsys, "enumerate", "--n", str(MAX_SITES), "--d", str(MAX_SITES))
         assert code == 0 and len(out.splitlines()) == 1

@@ -7,7 +7,9 @@ from eptl.diagrams import (
     identity_diagram,
     word_diagram,
 )
+from eptl.linkrep import state_diagram
 from eptl.states import LinkState, enumerate_states
+from eptl.transfer import tile_diagram
 
 
 def e(i, n):
@@ -197,3 +199,26 @@ class TestAction:
             res = act_on_link(diag, w)
             assert res.state == w
             assert res.twist == n * d
+
+
+class TestActionResultsAreValid:
+    """``act_on_link`` skips the validation of the states it builds, so
+    every result is validated here."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_every_result_validates(self, n):
+        states = [w for d in range(n % 2, n + 1, 2) for w in enumerate_states(n, d)]
+        diagrams = [tile_diagram(n, config) for config in range(1 << n)]
+        diagrams += [generator_diagram(kind, n) for kind in ("id", "omega", "omega_inv")]
+        if n >= 2:
+            diagrams += [e(i, n) for i in range(1, n + 1)]
+        diagrams += [state_diagram(w) for w in states]
+        results = 0
+        for diag in diagrams:
+            for w in states:
+                res = act_on_link(diag, w)
+                if res is not None:
+                    s = res.state
+                    LinkState(n, s.pairs, s.defects)  # raises on an invalid state
+                    results += 1
+        assert results >= len(diagrams)

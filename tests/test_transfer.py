@@ -15,9 +15,13 @@ from eptl.transfer import (
     reflect_state,
     tile_diagram,
     transfer_matrix,
+    transfer_table,
     translation_invariance_defect,
 )
-from oracles import _tile_diagram_sequential
+from eptl.cli import main
+from oracles import _tile_diagram_sequential, transfer_matrix_tilesum
+
+SECTORS_TO_7 = [(n, d) for n in range(1, 8) for d in range(n % 2, n + 1, 2)]
 
 
 class TestTiles:
@@ -76,6 +80,39 @@ class TestTransferProperties:
     )
     def test_anisotropy_expansion(self, n, d, lam):
         assert expansion_defect(n, d, lam, 0.3) < 1e-5
+
+
+class TestTransferTable:
+    @pytest.mark.parametrize("n,d", SECTORS_TO_7)
+    @pytest.mark.parametrize(
+        "lam,nu,mu",
+        [
+            (1.1, 0.4, 0.3),  # real nu
+            (0.9, 0.35 + 0.2j, -0.45),  # complex nu, negative mu
+            (1.3, 0.0, 0.2),  # nu = 0: only the all-first-choice filling
+            (1.3, 1.3, 0.2),  # nu = lam: only the all-second-choice filling
+        ],
+    )
+    def test_matches_tile_sum(self, n, d, lam, nu, mu):
+        got = transfer_matrix(n, d, lam, nu, mu)
+        want = transfer_matrix_tilesum(n, d, lam, nu, mu)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_arrays_are_read_only(self):
+        keys, coeffs = transfer_table(5, 1)
+        assert keys.dtype == coeffs.dtype == np.int64
+        assert keys.shape == (len(coeffs), 6)
+        for arr in (keys, coeffs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_check_all_builds_the_table_once(self, capsys):
+        transfer_table.cache_clear()
+        argv = ["transfer", "--n", "6", "--d", "2", "--lambda", "1.1", "--nu", "0.4", "--check", "all"]
+        assert main(argv) == 0
+        assert transfer_table.cache_info().misses == 1
+        assert transfer_table.cache_info().hits >= 8
 
 
 class TestReflection:
