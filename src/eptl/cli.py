@@ -22,7 +22,7 @@ from . import projectors as prj
 from . import transfer as trf
 from . import verify as vfy
 from .linkrep import gram_matrix
-from .ring import LaurentPoly
+from .ring import LaurentPoly, RingFraction
 from .spinrep import ebar_matrix, hamiltonian, omegabar_matrix
 from .states import enumerate_states
 
@@ -173,7 +173,8 @@ def cmd_projector(args, out) -> int:
     if args.check == "wj":
         wj = prj.wenzl_jones(min(n, 5))
         payload = [
-            {"word": list(word), "coefficient": repr(coeff)} for coeff, word in wj.terms
+            {"word": list(word), "coefficient": repr(RingFraction(num, wj.den))}
+            for num, word in wj.terms
         ]
         out.write(json.dumps(payload, indent=1) + "\n")
         return 0

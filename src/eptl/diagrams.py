@@ -306,16 +306,13 @@ def act_on_link(diag: AffineDiagram, w: LinkState):
         done_bottoms.add(q2)
         if s == 0:
             new_pairs.append((min(q1, q2), max(q1, q2)))
-        elif s == -1:
-            if not q2 < q1:
-                raise AssertionError("inconsistent rightward wrap")
-            new_pairs.append((q1, q2 + n))
         elif s == 1:
             if not q1 < q2:
                 raise AssertionError("inconsistent leftward wrap")
             new_pairs.append((q2, q1 + n))
         else:
-            raise AssertionError(f"arc with |winding| {abs(s)} > 1")
+            # q1 is the arc's smaller end, so a planar diagram winds it 0 or +1
+            raise AssertionError(f"arc {q1}-{q2} reached with winding {s}")
 
     # leftover top nodes close loops
     for p in range(1, n + 1):

@@ -160,35 +160,6 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
     return -det if sign < 0 else det
 
 
-def det_fraction(m: RingMatrix) -> RingFraction:
-    """Determinant of a matrix with RingFraction entries.
-
-    Rows are cleared to polynomials first, then Bareiss runs and the
-    collected denominators divide the result.
-    """
-    n = m.rows
-    if n == 0:
-        return RingFraction.one()
-    den_total = ONE
-    rows = []
-    for row in m.entries:
-        fracs = [e if isinstance(e, RingFraction) else RingFraction.from_poly(e) for e in row]
-        row_den = ONE
-        for f in fracs:
-            if not f.is_zero():
-                row_den = row_den * f.den
-        cleared = []
-        for f in fracs:
-            if f.is_zero():
-                cleared.append(ZERO)
-            else:
-                cleared.append(f.num * row_den.exact_div(f.den))
-        den_total = den_total * row_den
-        rows.append(cleared)
-    poly_det = det_exact(RingMatrix(rows))
-    return RingFraction(poly_det, den_total)
-
-
 @lru_cache(maxsize=None)
 def gram_det_exact(n: int, d: int) -> LaurentPoly:
     """Exact determinant of the periodic Gram matrix, computed through the
@@ -202,33 +173,40 @@ def gram_det_exact(n: int, d: int) -> LaurentPoly:
 # closed-form determinants
 # ---------------------------------------------------------------------
 
-def det_formulas(n: int, d: int, which: str):
-    """Closed-form determinant products.
+def det_factors(n: int, d: int, which: str):
+    """(polynomial, exponent) factors of a closed-form determinant product.
 
-    which = 'intertwiner': product of brackets <k + d/2>.
-    which = 'gram_tilde':  product of <k+d/2><-k-d/2>.
-    which = 'gram_open':   product of sine ratios (a RingFraction).
+    which = 'intertwiner': brackets <k + d/2>.
+    which = 'gram_tilde':  pairs <k+d/2><-k-d/2>.
+    which = 'gram_open':   sine ratios; the denominator's exponents are
+    negative.
     """
+    if which not in ("intertwiner", "gram_tilde", "gram_open"):
+        raise ValueError(f"unknown formula {which!r}")
     half = (n - d) // 2
-    if which == "intertwiner":
-        out = ONE
-        for k in range(1, half + 1):
-            out = out * bracket(2 * k + d, n) ** comb(n, half - k)
-        return out
-    if which == "gram_tilde":
-        out = ONE
-        for k in range(1, half + 1):
-            pair = bracket(2 * k + d, n) * bracket(-(2 * k + d), n)
-            out = out * pair ** comb(n, half - k)
-        return out
-    if which == "gram_open":
-        num, den = ONE, ONE
-        for k in range(1, half + 1):
+    factors = []
+    for k in range(1, half + 1):
+        if which == "gram_open":
             e = standard_dim(n, d + 2 * k)
-            num = num * trig_sin(2 * (d + k + 1)) ** e
-            den = den * trig_sin(2 * k) ** e
-        return RingFraction(num, den)
-    raise ValueError(f"unknown formula {which!r}")
+            factors += [(trig_sin(2 * (d + k + 1)), e), (trig_sin(2 * k), -e)]
+            continue
+        e = comb(n, half - k)
+        factors.append((bracket(2 * k + d, n), e))
+        if which == "gram_tilde":
+            factors.append((bracket(-(2 * k + d), n), e))
+    return factors
+
+
+def det_formulas(n: int, d: int, which: str):
+    """Closed-form determinant products (see :func:`det_factors`); a
+    RingFraction for 'gram_open', a Laurent polynomial otherwise."""
+    num, den = ONE, ONE
+    for poly, e in det_factors(n, d, which):
+        if e < 0:
+            den = den * poly ** -e
+        else:
+            num = num * poly ** e
+    return RingFraction(num, den) if which == "gram_open" else num
 
 
 def leading_exponents(n: int, d: int) -> tuple:
@@ -274,27 +252,11 @@ def det_formula_log(n: int, d: int, which: str, u: complex, v: complex):
     import cmath
     from math import log
 
-    half = (n - d) // 2
     log_abs, phase = 0.0, 0.0
-
-    def acc(val: complex, e: int):
-        nonlocal log_abs, phase
+    for poly, e in det_factors(n, d, which):
+        val = poly.eval_numeric(u, v)
         log_abs += e * log(abs(val))
         phase += e * cmath.phase(val)
-
-    for k in range(1, half + 1):
-        e = comb(n, half - k)
-        if which == "intertwiner":
-            acc(bracket(2 * k + d, n).eval_numeric(u, v), e)
-        elif which == "gram_tilde":
-            acc(bracket(2 * k + d, n).eval_numeric(u, v), e)
-            acc(bracket(-(2 * k + d), n).eval_numeric(u, v), e)
-        elif which == "gram_open":
-            e = standard_dim(n, d + 2 * k)
-            acc(trig_sin(2 * (d + k + 1)).eval_numeric(u, v), e)
-            acc(trig_sin(2 * k).eval_numeric(u, v), -e)
-        else:
-            raise ValueError(f"unknown formula {which!r}")
     return log_abs, phase
 
 

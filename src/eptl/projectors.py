@@ -5,10 +5,12 @@ The projector on p strands is built by the idempotent recursion
     wj_1 = id,    wj_p = wj_{p-1} + (S_{p-1}/S_p) wj_{p-1} e_{p-1} wj_{p-1},
 
 which by uniqueness agrees with the usual box-product construction.  It
-is stored as a linear combination of window diagrams, AffineDiagrams
-on p sites that never cross the seam (so the term count stays at the
-Catalan number); one representative generator word per diagram is kept
-so the combination can also be read as a formal word sum.
+only ever divides by quantum integers [k] = S_k/S_1, so it is stored as
+integer-coefficient numerators over the common denominator [p]! =
+[2]...[p], one per window diagram: an AffineDiagram on p sites that
+never crosses the seam (so the term count stays at the Catalan number).
+One representative generator word per diagram is kept so the
+combination can also be read as a formal word sum.
 
 Applying the projector inside the cylinder follows the change-of-basis
 recipe: interior arcs of the state are removed, the projector acts on
@@ -31,8 +33,6 @@ from .ring import (
     RingFraction,
     alpha_poly,
     beta_poly,
-    clear_denominators,
-    sum_fractions_cleared,
     trig_cos,
     trig_sin,
 )
@@ -63,19 +63,21 @@ def _chords(diag: AffineDiagram):
 
 
 class TLWord:
-    """Linear combination of window diagrams with fraction coefficients.
+    """Linear combination of window diagrams over a common denominator.
 
     ``diagrams`` maps each window diagram (an :class:`AffineDiagram` on
-    ``size`` sites with no loop weight) to its coefficient; ``words``
-    maps it to one representative generator word.
+    ``size`` sites with no loop weight) to its numerator, a Laurent
+    polynomial over ``den``; ``words`` maps it to one representative
+    generator word.
     """
 
-    __slots__ = ("window", "diagrams", "words")
+    __slots__ = ("window", "diagrams", "words", "den")
 
-    def __init__(self, window, diagrams, words):
+    def __init__(self, window, diagrams, words, den):
         self.window = tuple(window)
         self.diagrams = diagrams
         self.words = words
+        self.den = den
 
     @property
     def size(self) -> int:
@@ -83,7 +85,7 @@ class TLWord:
 
     @property
     def terms(self):
-        """(coefficient, word) pairs, ordered by chord list."""
+        """(numerator, word) pairs, ordered by chord list."""
         return [(self.diagrams[m], self.words[m]) for m in sorted(self.diagrams, key=_chords)]
 
     def _mapped(self, node, word_of) -> "TLWord":
@@ -93,7 +95,7 @@ class TLWord:
             mm = _relabel(m, p, node)
             diagrams[mm] = c
             words[mm] = word_of(self.words[m])
-        return TLWord(self.window, diagrams, words)
+        return TLWord(self.window, diagrams, words, self.den)
 
     def reflected(self) -> "TLWord":
         """Vertical-mirror image: window slot i -> p+1-i."""
@@ -112,63 +114,35 @@ def _sine(k: int) -> LaurentPoly:
     return trig_sin(2 * k)
 
 
-def _frac_key(f: RingFraction):
-    return (
-        tuple(sorted(f.num.terms.items())),
-        tuple(sorted(f.den.terms.items())),
-    )
-
-
-class _FracCache:
-    """Value-keyed caches for tidied sums and products.
-
-    The projector coefficients take few distinct values across many
-    diagrams, so memoizing the reduced arithmetic collapses the cost of
-    the quadratic recursion loop.
-    """
-
-    def __init__(self):
-        self.mul: dict = {}
-        self.add: dict = {}
-
-    def product(self, a: RingFraction, ka, b: RingFraction, kb, loops: int):
-        key = (ka, kb, loops)
-        hit = self.mul.get(key)
-        if hit is None:
-            out = a * b
-            if loops:
-                out = out * (beta_poly() ** loops)
-            hit = out.reduced_u()
-            self.mul[key] = hit
-        return hit
-
-    def total(self, a: RingFraction, ka, b: RingFraction, kb):
-        key = (ka, kb)
-        hit = self.add.get(key)
-        if hit is None:
-            hit = (a + b).reduced_u()
-            self.add[key] = hit
-        return hit
+@lru_cache(maxsize=None)
+def _qint(k: int) -> LaurentPoly:
+    """The quantum integer [k] = S_k/S_1; its coefficients are integers."""
+    return _sine(k).exact_div(_sine(1))
 
 
 @lru_cache(maxsize=None)
 def _wenzl_diagrams(p: int):
-    """dict window diagram -> (coefficient, word) for the projector on p strands.
+    """dict window diagram -> (numerator, word) for the projector on p strands.
 
-    Built by the one-sided product wj_p = wj_{p-1} (id + sum_k
-    (S_k/S_p) e_{p-1} e_{p-2} ... e_k), equivalent to the idempotent
-    recursion (cross-checked against it in the tests).
+    The numerators are over the common denominator [p]! = [2]...[p]:
+    multiplying the one-sided product wj_p = wj_{p-1} (id + sum_k
+    (S_k/S_p) e_{p-1} e_{p-2} ... e_k) by [p]! gives
+
+        [p]! wj_p = [p-1]! wj_{p-1} ([p] id + sum_k [k] e_{p-1} ... e_k),
+
+    so no coefficient is ever divided (cross-checked against the
+    idempotent recursion in the tests).
     """
     if p < 1:
         raise ValueError("projector needs at least one strand")
     if p == 1:
-        return {identity_diagram(1): (RingFraction.one(), ())}
-    # wj_{p-1} with a through line added at site p
+        return {identity_diagram(1): (ONE, ())}
+    # [p-1]! wj_{p-1} with a through line added at site p
     base = {
         _relabel(m, p, lambda x: x, through=[p]): cw for m, cw in _wenzl_diagrams(p - 1).items()
     }
-    cache = _FracCache()
-    out = dict(base)
+    qp = _qint(p)
+    out = {m: (c * qp, w) for m, (c, w) in base.items()}
 
     # descending words e_{p-1} e_{p-2} ... e_k as window diagrams
     tail = identity_diagram(p)
@@ -177,22 +151,17 @@ def _wenzl_diagrams(p: int):
         tail = compose(top=generator_diagram("e", p, k), bottom=tail)
         assert tail.nbeta == 0
         tail_word = tail_word + (k,)
-        coeff = RingFraction(_sine(k), _sine(p))
-        ck = _frac_key(coeff)
         for m2, (c2, w2) in base.items():
             prod = compose(top=tail, bottom=m2)  # product wj * (e-word)
             mm = AffineDiagram(p, prod.conn)
-            cc = cache.product(coeff, ck, c2, _frac_key(c2), prod.nbeta)
+            cc = c2 * _qint(k) * beta_poly() ** prod.nbeta
             word = w2 + tail_word
             if mm in out:
                 c0, w0 = out[mm]
-                out[mm] = (
-                    cache.total(c0, _frac_key(c0), cc, _frac_key(cc)),
-                    w0 if len(w0) <= len(word) else word,
-                )
+                out[mm] = (c0 + cc, w0 if len(w0) <= len(word) else word)
             else:
                 out[mm] = (cc, word)
-    return {m: (c, w) for m, (c, w) in out.items() if not c.is_zero()}
+    return {m: (c, w) for m, (c, w) in out.items() if c}
 
 
 def wenzl_jones(p: int, window=None) -> TLWord:
@@ -207,7 +176,12 @@ def wenzl_jones(p: int, window=None) -> TLWord:
     if len(window) != p or list(window) != sorted(set(window)):
         raise ValueError("window must be p strictly ascending positions")
     data = _wenzl_diagrams(p)
-    return TLWord(window, {m: c for m, (c, w) in data.items()}, {m: w for m, (c, w) in data.items()})
+    den = ONE
+    for k in range(2, p + 1):
+        den = den * _qint(k)
+    return TLWord(
+        window, {m: c for m, (c, w) in data.items()}, {m: w for m, (c, w) in data.items()}, den
+    )
 
 
 # ---------------------------------------------------------------------
@@ -217,28 +191,21 @@ def wenzl_jones(p: int, window=None) -> TLWord:
 def apply_tlword(word: TLWord, state: LinkState):
     """Act with a window combination on a link state (contiguous window).
 
-    Returns a dict mapping result states to Laurent-fraction
-    coefficients (single-twist weights included).
+    Returns a dict mapping result states to Laurent-polynomial
+    numerators over ``word.den`` (single-twist weights included).
     """
     n = state.n_sites
     window = word.window
     if any(window[i + 1] - window[i] != 1 for i in range(len(window) - 1)):
         raise ValueError("direct application needs a contiguous window")
     outside = [site for site in range(1, n + 1) if site not in window]
-    buckets: dict = {}
+    out: dict = {}
     for m, coeff in word.diagrams.items():
         diag = _relabel(m, n, lambda x: (x[0], window[x[1] - 1]), outside)
         res = act_on_link(diag, state)
-        if res is None:
-            continue
-        weight = act_weight(res, n)
-        buckets.setdefault(res.state, []).append(coeff * weight)
-    out: dict = {}
-    for target, parts in buckets.items():
-        total = sum_fractions_cleared(parts)
-        if not total.is_zero():
-            out[target] = total
-    return out
+        if res is not None:
+            out[res.state] = out.get(res.state, ZERO) + coeff * act_weight(res, n)
+    return {target: num for target, num in out.items() if num}
 
 
 def _reduced_state(w: LinkState):
@@ -261,16 +228,17 @@ def _reduced_state(w: LinkState):
 def u_transform_state(w: LinkState):
     """The change-of-basis image of a single state.
 
-    Returns a dict mapping link states to fraction coefficients.
+    Returns (image, den): ``image`` maps link states to numerators over
+    ``den`` = [m]!, where m = d + 2r counts the defects and the
+    boundary-arc ends of ``w`` (den = 1 when w has no boundary arc).
     """
     n = w.n_sites
-    r = w.boundary_arcs
-    if r == 0:
-        return {w: RingFraction.one()}
+    if w.boundary_arcs == 0:
+        return {w: ONE}, ONE
     window, reduced, interior = _reduced_state(w)
     m = len(window)
     proj = wenzl_jones(m)
-    buckets: dict = {}
+    out: dict = {}
     for diag, coeff in proj.diagrams.items():
         res = act_on_link(diag, reduced)
         if res is None:
@@ -289,25 +257,27 @@ def u_transform_state(w: LinkState):
                 pairs.append((window[a - 1], window[b - m - 1] + n))
         defects = [window[a - 1] for a in res.state.defects]
         target = LinkState(n, pairs, defects)
-        buckets.setdefault(target, []).append(coeff * weight)
-    out: dict = {}
-    for target, parts in buckets.items():
-        total = sum_fractions_cleared(parts)
-        if not total.is_zero():
-            out[target] = total
-    return out
+        out[target] = out.get(target, ZERO) + coeff * weight
+    return {target: num for target, num in out.items() if num}, proj.den
 
 
-def u_transform(n: int, d: int) -> RingMatrix:
-    """Matrix of the change of basis on the d-defect module."""
+def u_transform(n: int, d: int):
+    """Matrix of the change of basis on the d-defect module.
+
+    Returns (U, dens): column j of the change of basis is column j of
+    the Laurent-polynomial matrix U divided by dens[j].
+    """
     basis = enumerate_states(n, d)
     index = {w: k for k, w in enumerate(basis)}
     size = len(basis)
-    ent = [[RingFraction.zero()] * size for _ in range(size)]
+    ent = [[ZERO] * size for _ in range(size)]
+    dens = []
     for j, w in enumerate(basis):
-        for target, coeff in u_transform_state(w).items():
-            ent[index[target]][j] = coeff
-    return RingMatrix(ent, list(basis), list(basis), zero=RingFraction.zero())
+        image, den = u_transform_state(w)
+        dens.append(den)
+        for target, num in image.items():
+            ent[index[target]][j] = num
+    return RingMatrix(ent, list(basis), list(basis)), dens
 
 
 def gamma_matrix(n: int, d: int) -> RingMatrix:
@@ -316,24 +286,15 @@ def gamma_matrix(n: int, d: int) -> RingMatrix:
     The Gram form pairs the twist-v action on its first slot with the
     twist-1/v action on its second, so the congruence reads
     transpose(U|_{v->1/v}) @ Gram @ U; this is what block-diagonalizes.
-    Each column of U is cleared to a common u-only denominator first so
-    the triple product runs over plain polynomials; the denominators are
-    divided back out entrywise at the end.
+    The triple product runs over the numerators of U, whose column
+    denominators involve u alone and are divided back out entrywise.
     """
-    u = u_transform(n, d)
-    size = u.rows
-    columns = [clear_denominators([u[i, j] for i in range(size)]) for j in range(size)]
-    dens = [den for _, den in columns]
-    cleared = [[columns[j][0][i] for j in range(size)] for i in range(size)]
-    upoly = RingMatrix(cleared, u.row_labels, u.col_labels)
+    u, dens = u_transform(n, d)
     g = gram_matrix(n, d)
-    p = upoly.map(LaurentPoly.flip_v).transpose() @ g @ upoly
+    p = u.map(LaurentPoly.flip_v).transpose() @ g @ u
     ent = [
-        [
-            RingFraction(p[i, j], dens[i] * dens[j])
-            for j in range(size)
-        ]
-        for i in range(size)
+        [RingFraction(p[i, j], dens[i] * dens[j]) for j in range(u.cols)]
+        for i in range(u.rows)
     ]
     return RingMatrix(ent, u.row_labels, u.col_labels, zero=RingFraction.zero())
 
@@ -383,14 +344,11 @@ def k_factor(d: int, r: int, n_ambient: int | None = None, mode: str = "closed_f
             raise ValueError("the defining pairing lives on d + 2r sites")
         w_ref = reference_state(d, r)
         proj = wenzl_jones(d + 2 * r)
-        parts = []
-        for target, coeff in apply_tlword(proj, w_ref).items():
-            pairing = gram_pair(w_ref, target)
-            if pairing:
-                # the second Gram slot carries the twist-1/v action
-                flipped = RingFraction(coeff.num.flip_v(), coeff.den.flip_v())
-                parts.append(flipped * pairing)
-        return sum_fractions_cleared(parts)
+        total = ZERO
+        for target, num in apply_tlword(proj, w_ref).items():
+            # the second Gram slot carries the twist-1/v action
+            total = total + num.flip_v() * gram_pair(w_ref, target)
+        return RingFraction(total, proj.den)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -464,25 +422,17 @@ def gram_recursion_check(n: int, d: int, twists=None) -> bool:
 
 
 def wj_matrix(p: int, n: int, d: int, flip_twist: bool = False):
-    """Denominator-cleared matrix of the projector on window 1..p.
+    """Matrix of the projector on window 1..p, over its denominator.
 
-    Returns (P, den) with den a u-only polynomial such that the honest
-    operator matrix is P/den; clearing keeps all downstream identity
-    checks inside the polynomial ring.
+    Returns (P, den) with den = [p]! such that the operator matrix is
+    P/den; every identity check then stays inside the polynomial ring.
     """
     proj = wenzl_jones(p)
     basis = enumerate_states(n, d)
     index = {w: k for k, w in enumerate(basis)}
     size = len(basis)
-    positions, coeffs = [], []
-    for j, w in enumerate(basis):
-        for target, coeff in apply_tlword(proj, w).items():
-            if not any(e[1] for e in coeff.num.terms):
-                coeff = coeff.reduced_u()
-            positions.append((index[target], j))
-            coeffs.append(coeff)
-    nums, den = clear_denominators(coeffs)
     ent = [[ZERO] * size for _ in range(size)]
-    for (i, j), num in zip(positions, nums):
-        ent[i][j] = ent[i][j] + (num.flip_v() if flip_twist else num)
-    return RingMatrix(ent, list(basis), list(basis)), den
+    for j, w in enumerate(basis):
+        for target, num in apply_tlword(proj, w).items():
+            ent[index[target]][j] = num.flip_v() if flip_twist else num
+    return RingMatrix(ent, list(basis), list(basis)), proj.den

@@ -14,7 +14,7 @@ types live here:
 
 ``RingFraction``
     A quotient of two Laurent polynomials.  Equality is decided by
-    cross-multiplication; no multivariate gcd is ever computed, only a
+    cross-multiplication; no polynomial gcd is ever computed, only a
     common pure-monomial factor is stripped.
 
 The module also provides the trigonometric building blocks used by the
@@ -355,29 +355,6 @@ class LaurentPoly:
 
     # -- numerics and serialization ----------------------------------
 
-    def univariate_u(self):
-        """Dense ascending coefficient list in u alone, or None if v occurs.
-
-        Returns (coeffs, min_exponent); the list has no leading/trailing
-        zero entries unless the polynomial is zero.
-        """
-        if not self.terms:
-            return [], 0
-        if any(e[1] for e in self.terms):
-            return None
-        lo = min(e[0] for e in self.terms)
-        hi = max(e[0] for e in self.terms)
-        coeffs = [GR_ZERO] * (hi - lo + 1)
-        for (eu, _), c in self.terms.items():
-            coeffs[eu - lo] = c
-        return coeffs, lo
-
-    @staticmethod
-    def from_univariate_u(coeffs, lo: int) -> "LaurentPoly":
-        return LaurentPoly(
-            {(lo + k, 0): c for k, c in enumerate(coeffs) if c}
-        )
-
     def eval_numeric(self, u: complex, v: complex) -> complex:
         """Substitution homomorphism into C; u, v must be nonzero."""
         if u == 0 or v == 0:
@@ -521,72 +498,6 @@ class RingFraction:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def cancel(self, factors) -> "RingFraction":
-        """Cancel known common factors by trial exact division.
-
-        This is not a gcd: only the polynomials in ``factors`` are tried,
-        repeatedly and to a fixed point, as long as both numerator and
-        denominator divide.
-        """
-        num, den = self.num, self.den
-        changed = True
-        while changed and not num.is_zero():
-            changed = False
-            for f in factors:
-                if len(f.terms) < 2:
-                    continue
-                while True:
-                    try:
-                        n2 = num.exact_div(f)
-                        d2 = den.exact_div(f)
-                    except (ValueError, ZeroDivisionError):
-                        break
-                    num, den = n2, d2
-                    changed = True
-                    if num.is_zero():
-                        break
-        return RingFraction(num, den)
-
-    def reduced_u(self) -> "RingFraction":
-        """Lowest-terms form when numerator and denominator involve only u.
-
-        Uses a univariate Euclidean gcd over Q(i) (the multivariate-gcd
-        ban does not apply); returns self unchanged if v occurs.  The
-        denominator is normalized to leading coefficient 1.
-        """
-        a = self.num.univariate_u()
-        b = self.den.univariate_u()
-        if a is None or b is None or self.num.is_zero():
-            return self
-        (ca, la), (cb, lb) = a, b
-        # compress the common exponent stride before running Euclid
-        from math import gcd as igcd
-
-        stride = 0
-        for coeffs in (ca, cb):
-            for k, c in enumerate(coeffs):
-                if c and k:
-                    stride = igcd(stride, k)
-        if stride > 1:
-            ca = ca[::stride]
-            cb = cb[::stride]
-        g = _gcd_dense(ca, cb)
-        if len(g) > 1:
-            ca = _div_dense(ca, g)
-            cb = _div_dense(cb, g)
-        lead = cb[-1]
-        if lead != GR_ONE:
-            inv = GR_ONE / lead
-            ca = [c * inv for c in ca]
-            cb = [c * inv for c in cb]
-        if stride > 1:
-            ca = _unstride(ca, stride)
-            cb = _unstride(cb, stride)
-        return RingFraction(
-            LaurentPoly.from_univariate_u(ca, la),
-            LaurentPoly.from_univariate_u(cb, lb),
-        )
-
     def __repr__(self) -> str:
         if self.den == ONE:
             return repr(self.num)
@@ -599,103 +510,6 @@ def _as_fraction(x) -> RingFraction:
     if isinstance(x, LaurentPoly):
         return RingFraction.from_poly(x)
     raise TypeError(f"cannot coerce {type(x)} to RingFraction")
-
-
-def _trim(c: list) -> list:
-    while c and not c[-1]:
-        c.pop()
-    return c
-
-
-def _unstride(c: list, stride: int) -> list:
-    out = [GR_ZERO] * ((len(c) - 1) * stride + 1) if c else []
-    for k, x in enumerate(c):
-        out[k * stride] = x
-    return out
-
-
-def _divmod_dense(a: list, b: list) -> tuple:
-    """Quotient and remainder of dense univariate division over Q(i)."""
-    a = list(a)
-    q = [GR_ZERO] * (len(a) - len(b) + 1)
-    inv = GR_ONE / b[-1]
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv
-        off = len(a) - len(b)
-        q[off] = c
-        for k in range(len(b)):
-            a[off + k] = a[off + k] - c * b[k]
-        _trim(a)
-    return q, a
-
-
-def _div_dense(a: list, b: list) -> list:
-    """Exact dense univariate quotient."""
-    q, r = _divmod_dense(a, b)
-    if r:
-        raise ValueError("dense division is not exact")
-    return q
-
-
-def _gcd_dense(a: list, b: list) -> list:
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _divmod_dense(a, b)[1]
-    if a:
-        inv = GR_ONE / a[-1]
-        a = [c * inv for c in a]
-    return a
-
-
-def clear_denominators(fractions) -> tuple:
-    """Bring fractions whose denominators involve u alone (up to a pure
-    v-monomial) over one common u-only denominator.
-
-    Returns ``(nums, den)`` with ``nums[k] / den == fractions[k]``; ``den``
-    is the :func:`lcm_u` of the denominators and zero fractions get a zero
-    numerator.  Raises ValueError when a denominator mixes v powers.
-    """
-    parts = []
-    den = ONE
-    for f in fractions:
-        if f.is_zero():
-            parts.append(None)
-            continue
-        evs = {e[1] for e in f.den.terms}
-        if len(evs) != 1:
-            raise ValueError("denominator mixes v powers")
-        dv = evs.pop()
-        num, dpoly = f.num.shift(0, -dv), f.den.shift(0, -dv)
-        parts.append((num, dpoly))
-        den = lcm_u(den, dpoly)
-    nums = [ZERO if part is None else part[0] * den.exact_div(part[1]) for part in parts]
-    return nums, den
-
-
-def sum_fractions_cleared(fractions) -> RingFraction:
-    """Sum fractions whose denominators involve u alone (up to a pure
-    v-monomial), over one common denominator instead of pairwise adds."""
-    nums, den = clear_denominators(fractions)
-    return RingFraction(sum(nums, ZERO), den)
-
-
-def lcm_u(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Least common multiple of two u-only Laurent polynomials,
-    normalized to leading coefficient 1 and minimal exponent 0."""
-    ua, ub = a.univariate_u(), b.univariate_u()
-    if ua is None or ub is None:
-        raise ValueError("lcm_u needs u-only polynomials")
-    (ca, _), (cb, _) = ua, ub
-    if not ca:
-        return ZERO
-    if not cb:
-        return ZERO
-    g = _gcd_dense(ca, cb)
-    q = _div_dense(ca, g) if len(g) > 1 else list(ca)
-    prod = LaurentPoly.from_univariate_u(q, 0) * LaurentPoly.from_univariate_u(cb, 0)
-    coeffs, _ = prod.univariate_u()
-    inv = GR_ONE / coeffs[-1]
-    return LaurentPoly.from_univariate_u([c * inv for c in coeffs], 0)
 
 
 # ---------------------------------------------------------------------

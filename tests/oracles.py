@@ -21,7 +21,7 @@ import numpy as np
 from eptl.diagrams import AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
 from eptl.linkrep import RingMatrix
 from eptl.projectors import _sine
-from eptl.ring import ONE, ZERO, LaurentPoly, RingFraction, beta_poly
+from eptl.ring import ONE, ZERO, LaurentPoly, beta_poly
 from eptl.states import enumerate_states
 from eptl.transfer import tile_diagram
 
@@ -56,11 +56,20 @@ def det_cofactor(m: RingMatrix) -> LaurentPoly:
 def _wenzl_diagrams_reference(p: int):
     """The two-sided idempotent recursion; oracle for the fast builder.
 
-    Runs wj_q = wj_{q-1} + (S_{q-1}/S_q) wj_{q-1} e_{q-1} wj_{q-1} for
+    Runs wj_q = wj_{q-1} + ([q-1]/[q]) wj_{q-1} e_{q-1} wj_{q-1} for
     q = 2..p with every diagram on p sites from wj_1 = id, so no
-    embedding between strand counts is needed.
+    embedding between strand counts is needed.  Coefficients are
+    numerators over [q]!: with N = [q-1]! wj_{q-1},
+
+        [q]! wj_q = [q] N + [q-1] (N e_{q-1} N) / [q-1]!,
+
+    and the exact division raises if [q]! does not clear the
+    denominators of wj_q.
     """
     beta = beta_poly()
+
+    def qint(k):
+        return _sine(k).exact_div(_sine(1))
 
     def product(xs, ys):
         # the algebra product xs * ys: ys is stacked on top of xs
@@ -69,25 +78,28 @@ def _wenzl_diagrams_reference(p: int):
             for my, (cy, wy) in ys.items():
                 prod = compose(top=my, bottom=mx)
                 key = AffineDiagram(p, prod.conn)
-                c = (cx * cy * beta ** prod.nbeta).reduced_u()
+                c = cx * cy * beta ** prod.nbeta
                 if key in out:
                     c0, w0 = out[key]
-                    out[key] = ((c0 + c).reduced_u(), w0)
+                    out[key] = (c0 + c, w0)
                 else:
                     out[key] = (c, wx + wy)
         return out
 
-    wj = {identity_diagram(p): (RingFraction.one(), ())}
+    wj = {identity_diagram(p): (ONE, ())}
+    fact = ONE  # [q-1]!
     for q in range(2, p + 1):
-        gen = {generator_diagram("e", p, q - 1): (RingFraction(_sine(q - 1), _sine(q)), (q - 1,))}
-        out = dict(wj)
+        gen = {generator_diagram("e", p, q - 1): (qint(q - 1), (q - 1,))}
+        out = {m: (c * qint(q), w) for m, (c, w) in wj.items()}
         for m, (c, w) in product(product(wj, gen), wj).items():
+            c = c.exact_div(fact)
             if m in out:
                 c0, w0 = out[m]
-                out[m] = ((c0 + c).reduced_u(), w0)
+                out[m] = (c0 + c, w0)
             else:
                 out[m] = (c, w)
-        wj = {m: (c, w) for m, (c, w) in out.items() if not c.is_zero()}
+        wj = {m: (c, w) for m, (c, w) in out.items() if c}
+        fact = fact * qint(q)
     return wj
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy.linalg
 
 import eptl.cli  # noqa: F401  (loads every module the tracer patches)
+from eptl import projectors as prj
 from eptl import transfer as trf
 from eptl import verify as vfy
 from eptl.linkrep import RingMatrix
@@ -72,3 +73,16 @@ def test_tracer_counts_each_transfer_matrix_call():
     metrics = tracer.summary(wall=1.0, output_bytes=0)["metrics"]
     assert metrics["transfer.matrix_calls"] == 2
     assert metrics["transfer.calls_per_sector"] == 2
+
+
+def test_tracer_spans_cover_the_projector_layer():
+    tracer = load_tracer_class()()
+    tracer.install()
+    try:
+        ok, _ = prj.gamma_block_report(4, 0)
+    finally:
+        tracer.uninstall()
+    assert ok
+    calls = {key: n for key, (n, _) in tracer.stats.items()}
+    for key in ("projectors.u_transform", "projectors.gamma_matrix", "projectors.wenzl_jones"):
+        assert calls.get(key, 0) >= 1, key

@@ -87,6 +87,20 @@ class TestChecks:
         code, out = run_cli(capsys, "projector", "--n", "6", "--d", "2", "--check", "kfactor")
         assert code == 0
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_projector_wj_prints_numerators_over_quantum_factorial(self, capsys, p):
+        from eptl.projectors import wenzl_jones
+        from eptl.ring import RingFraction
+
+        code, out = run_cli(capsys, "projector", "--n", str(p), "--d", str(p % 2), "--check", "wj")
+        assert code == 0
+        wj = wenzl_jones(p)
+        expect = [
+            {"word": list(word), "coefficient": repr(RingFraction(num, wj.den))}
+            for num, word in wj.terms
+        ]
+        assert json.loads(out) == expect
+
     def test_projector_recursion(self, capsys):
         code, out = run_cli(capsys, "projector", "--n", "5", "--d", "1", "--check", "recursion")
         assert code == 0

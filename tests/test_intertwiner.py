@@ -12,7 +12,6 @@ from eptl.intertwiner import (
     det_exact,
     det_formula_log,
     det_formulas,
-    det_fraction,
     factorization_check,
     gram_det_exact,
     i_matrix,
@@ -26,7 +25,7 @@ from eptl.intertwiner import (
     t_tilde_apply,
 )
 from eptl.linkrep import RingMatrix, act_weight, gram_matrix
-from eptl.ring import ONE, ZERO, LaurentPoly, RingFraction, beta_poly, trig_sin
+from eptl.ring import ONE, ZERO, LaurentPoly, RingFraction, beta_poly
 from eptl.spinrep import tau_matrix
 from eptl.states import LinkState, enumerate_states
 from oracles import det_cofactor, to_numeric_entrywise
@@ -212,15 +211,6 @@ class TestDeterminants:
         det = det_exact(i_matrix(n, d))
         (eu, ev), _ = det.extreme_term_uv()
         assert (eu, ev) == leading_exponents(n, d)
-
-    def test_det_fraction(self):
-        b = beta_poly()
-        ent = [
-            [RingFraction(b, trig_sin(2)), RingFraction.one()],
-            [RingFraction.zero(), RingFraction(ONE, b)],
-        ]
-        m = RingMatrix(ent, zero=RingFraction.zero())
-        assert det_fraction(m) == RingFraction(ONE, trig_sin(2))
 
 
 class TestNumericDeterminants:

@@ -16,6 +16,7 @@ from eptl.projectors import (
 )
 from eptl.ring import (
     ONE,
+    ZERO,
     LaurentPoly,
     RingFraction,
     alpha_poly,
@@ -35,20 +36,34 @@ def frac(p):
 class TestProjectorCombination:
     def test_single_strand_is_identity_word(self):
         wj = wenzl_jones(1)
-        assert wj.terms == [(RingFraction.one(), ())]
+        assert wj.terms == [(ONE, ())]
+        assert wj.den == ONE
 
     def test_two_strands(self):
         wj = wenzl_jones(2)
-        by_word = {w: c for c, w in wj.terms}
+        by_word = {w: RingFraction(c, wj.den) for c, w in wj.terms}
         assert by_word[()] == RingFraction.one()
         assert by_word[(1,)] == RingFraction(trig_sin(2), trig_sin(4))
 
     def test_identity_always_present_with_unit_coefficient(self):
         for p in range(1, 6):
             wj = wenzl_jones(p)
-            assert wj.diagrams[identity_diagram(p)] == RingFraction.one()
+            assert RingFraction(wj.diagrams[identity_diagram(p)], wj.den) == RingFraction.one()
 
-    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_denominator_is_quantum_factorial(self, p):
+        den = ONE
+        for k in range(2, p + 1):
+            den = den * trig_sin(2 * k).exact_div(trig_sin(2))
+        assert wenzl_jones(p).den == den
+
+    @pytest.mark.parametrize("p", range(1, 8))
+    def test_numerators_have_gaussian_integer_coefficients(self, p):
+        for num in wenzl_jones(p).diagrams.values():
+            for c in num.terms.values():
+                assert c.re.denominator == 1 and c.im.denominator == 1, (p, num)
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
     def test_one_sided_matches_idempotent_recursion(self, p):
         from eptl.projectors import _wenzl_diagrams
         from oracles import _wenzl_diagrams_reference
@@ -85,7 +100,7 @@ class TestProjectorCombination:
                 from eptl.linkrep import act_weight
 
                 cc = c * act_weight(res, n)
-                total[res.state] = total.get(res.state, RingFraction.zero()) + cc
+                total[res.state] = total.get(res.state, ZERO) + cc
             assert all(v.is_zero() for v in total.values())
 
 
@@ -123,10 +138,12 @@ class TestProjectorProperties:
 class TestChangeOfBasis:
     @pytest.mark.parametrize("n,d", sectors([4, 5, 6, 7]))
     def test_unit_upper_triangular(self, n, d):
-        u = u_transform(n, d)
+        u, dens = u_transform(n, d)
         basis = enumerate_states(n, d)
         for i, wi in enumerate(basis):
-            assert u[i, i] == RingFraction.one()
+            r = wi.boundary_arcs
+            assert dens[i] == (wenzl_jones(d + 2 * r).den if r else ONE)
+            assert RingFraction(u[i, i], dens[i]) == RingFraction.one()
             for j, wj in enumerate(basis):
                 if wi.boundary_arcs >= wj.boundary_arcs and i != j:
                     assert u[i, j].is_zero(), (i, j)
@@ -134,7 +151,7 @@ class TestChangeOfBasis:
     def test_boundary_free_states_fixed(self):
         for w in enumerate_states(6, 2):
             if w.boundary_arcs == 0:
-                assert u_transform_state(w) == {w: RingFraction.one()}
+                assert u_transform_state(w) == ({w: ONE}, ONE)
 
     def test_six_site_worked_pairing(self):
         # the transformed pairing of the two 6-site states with one
