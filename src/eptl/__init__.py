@@ -6,7 +6,7 @@ projectors, and the one-row loop transfer matrix -- all over exact
 Laurent polynomials in the loop and twist variables.
 """
 
-from .ring import GaussianRational, LaurentPoly, RingFraction
+from .ring import GaussianInt, LaurentPoly, RingFraction
 from .states import LinkState, Path, bijection_C, enumerate_states
 from .diagrams import AffineDiagram, act_on_link, compose, generator_diagram
 from .linkrep import RingMatrix, gram_matrix, gram_pair, omega_matrix
@@ -23,7 +23,7 @@ from .transfer import transfer_matrix
 
 __all__ = [
     "AffineDiagram",
-    "GaussianRational",
+    "GaussianInt",
     "LaurentPoly",
     "LinkState",
     "Path",

@@ -19,7 +19,7 @@ from math import comb, pi, sin
 import numpy as np
 
 from .linkrep import RingMatrix, gram_matrix, loop_variables_to_uv
-from .ring import ONE, ZERO, LaurentPoly, RingFraction, bracket, trig_sin
+from .ring import GR_I, ONE, ZERO, LaurentPoly, RingFraction, bracket, trig_sin
 from .spinrep import spin_sector
 from .states import LinkState, enumerate_states, module_dim, standard_dim
 
@@ -228,13 +228,11 @@ def matches_up_to_unit(a: LaurentPoly, b: LaurentPoly):
     Determinants of integer matrices against half-integer bracket
     products can differ by +-i, not just +-1.
     """
-    from .ring import GR_I
-
     if a == b:
         return "+1"
     if a == -b:
         return "-1"
-    bi = b.scale(GR_I)
+    bi = b * LaurentPoly.const(GR_I)
     if a == bi:
         return "+i"
     if a == -bi:

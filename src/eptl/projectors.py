@@ -325,7 +325,7 @@ def k_factor(d: int, r: int, n_ambient: int | None = None, mode: str = "closed_f
         num, den = ONE, ONE
         for k in range(1, r + 1):
             c = trig_cos(2 * k + d)
-            num = num * (alpha2 - (c * c).scale(4)) * _sine(k)
+            num = num * (alpha2 - c * c) * _sine(k)
             den = den * _sine(r + d + k)
         return RingFraction(num, den)
     if mode == "recursion":
@@ -335,7 +335,7 @@ def k_factor(d: int, r: int, n_ambient: int | None = None, mode: str = "closed_f
         prev = k_factor(d, r - 1, n_ambient, "recursion")
         c = trig_cos(2 * r + d)
         step = RingFraction(
-            (alpha2 - (c * c).scale(4)) * _sine(r) * _sine(r + d),
+            (alpha2 - c * c) * _sine(r) * _sine(r + d),
             _sine(2 * r + d) * _sine(2 * r + d - 1),
         )
         return prev * step
@@ -421,7 +421,7 @@ def gram_recursion_check(n: int, d: int, twists=None) -> bool:
     return lhs == rhs or lhs == -rhs
 
 
-def wj_matrix(p: int, n: int, d: int, flip_twist: bool = False):
+def wj_matrix(p: int, n: int, d: int):
     """Matrix of the projector on window 1..p, over its denominator.
 
     Returns (P, den) with den = [p]! such that the operator matrix is
@@ -434,5 +434,5 @@ def wj_matrix(p: int, n: int, d: int, flip_twist: bool = False):
     ent = [[ZERO] * size for _ in range(size)]
     for j, w in enumerate(basis):
         for target, num in apply_tlword(proj, w).items():
-            ent[index[target]][j] = num.flip_v() if flip_twist else num
+            ent[index[target]][j] = num
     return RingMatrix(ent, list(basis), list(basis)), proj.den

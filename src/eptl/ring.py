@@ -1,15 +1,15 @@
 """Exact scalar arithmetic for the periodic Temperley-Lieb toolkit.
 
 Everything downstream is computed over the ring of Laurent polynomials in
-two variables ``u`` and ``v`` with Gaussian-rational coefficients.  Three
+two variables ``u`` and ``v`` with Gaussian-integer coefficients.  Three
 types live here:
 
-``GaussianRational``
-    An exact element of Q(i), stored as a pair of ``fractions.Fraction``.
+``GaussianInt``
+    An exact element of Z[i], stored as a pair of Python ints.
 
 ``LaurentPoly``
     A sparse Laurent polynomial, stored as a dict mapping exponent pairs
-    ``(eu, ev)`` to nonzero ``GaussianRational`` coefficients.  The zero
+    ``(eu, ev)`` to nonzero ``GaussianInt`` coefficients.  The zero
     polynomial has an empty term map.
 
 ``RingFraction``
@@ -20,76 +20,78 @@ types live here:
 The module also provides the trigonometric building blocks used by the
 determinant formulas: with ``u = exp(i*lam/2)`` and ``Lam = pi - lam``,
 
-* ``trig_sin(2k)``  is ``sin(k*Lam)``  as a Laurent polynomial in ``u``,
-* ``trig_cos(2k)``  is ``cos(k*Lam)``,
+* ``trig_sin(2k)``  is ``S_k = 2i*sin(k*Lam)`` as a Laurent polynomial in ``u``,
+* ``trig_cos(2k)``  is ``C_k = 2*cos(k*Lam)``,
 * ``beta_poly()``   is ``u^2 + u^-2`` (contractible-loop weight),
 * ``alpha_poly(n)`` is ``v^n + v^-n`` (non-contractible-loop weight),
 * ``bracket(2x,n)`` is ``(-u^2)^x v^n - (-u^2)^-x v^-n``.
 
-Half-integer indices are supported throughout by passing the doubled
-index; the square root ``(-u^2)^(1/2)`` is resolved once and for all as
-``i*u``.
+``S_k`` and ``C_k`` are ``e^{ikLam} -+ e^{-ikLam}``, so their coefficients
+are units of Z[i]; every sine enters a ratio with as many sines above as
+below, where the factor 2i cancels.  Half-integer indices are supported
+throughout by passing the doubled index; the square root ``(-u^2)^(1/2)``
+is resolved once and for all as ``i*u``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import index
 
 
-class GaussianRational:
-    """An exact Gaussian rational a + b*i with a, b in Q.
+class GaussianInt:
+    """An exact Gaussian integer a + b*i with a, b in Z.
 
-    Instances are immutable; arithmetic returns new objects.  Stored in
-    lowest terms automatically because ``Fraction`` normalizes.
+    Instances are immutable; arithmetic returns new objects.  The parts
+    are taken through ``operator.index``, so a ``Fraction`` or a float is
+    refused.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        object.__setattr__(self, "re", index(re))
+        object.__setattr__(self, "im", index(im))
 
     def __setattr__(self, *a):
-        raise AttributeError("GaussianRational is immutable")
+        raise AttributeError("GaussianInt is immutable")
 
     @staticmethod
-    def _fast(re: Fraction, im: Fraction) -> "GaussianRational":
-        out = object.__new__(GaussianRational)
+    def _fast(re: int, im: int) -> "GaussianInt":
+        out = object.__new__(GaussianInt)
         object.__setattr__(out, "re", re)
         object.__setattr__(out, "im", im)
         return out
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational._fast(self.re + other.re, self.im + other.im)
+    def __add__(self, other: "GaussianInt") -> "GaussianInt":
+        return GaussianInt._fast(self.re + other.re, self.im + other.im)
 
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational._fast(self.re - other.re, self.im - other.im)
+    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
+        return GaussianInt._fast(self.re - other.re, self.im - other.im)
 
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational._fast(-self.re, -self.im)
+    def __neg__(self) -> "GaussianInt":
+        return GaussianInt._fast(-self.re, -self.im)
 
-    def __mul__(self, other: "GaussianRational") -> "GaussianRational":
+    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
         a, b, c, d = self.re, self.im, other.re, other.im
-        if not b:
-            if not d:
-                return GaussianRational._fast(a * c, b)
-            return GaussianRational._fast(a * c, a * d)
-        if not a:
-            if not c:
-                return GaussianRational._fast(-b * d, a)
-            return GaussianRational._fast(-b * d if d else a, b * c)
-        return GaussianRational._fast(a * c - b * d, a * d + b * c)
+        if not b and not d:
+            return GaussianInt._fast(a * c, 0)
+        return GaussianInt._fast(a * c - b * d, a * d + b * c)
 
-    def __truediv__(self, other: "GaussianRational") -> "GaussianRational":
+    def __truediv__(self, other: "GaussianInt") -> "GaussianInt":
+        """Exact quotient; raises ValueError when it is not in Z[i]."""
         c, d = other.re, other.im
         n = c * c + d * d
         if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
+            raise ZeroDivisionError("division by zero in Z[i]")
         a, b = self.re, self.im
-        return GaussianRational._fast((a * c + b * d) / n, (b * c - a * d) / n)
+        re, r1 = divmod(a * c + b * d, n)
+        im, r2 = divmod(b * c - a * d, n)
+        if r1 or r2:
+            raise ValueError(f"{self!r} is not divisible by {other!r} in Z[i]")
+        return GaussianInt._fast(re, im)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussianRational):
+        if not isinstance(other, GaussianInt):
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
@@ -100,7 +102,7 @@ class GaussianRational:
         return bool(self.re) or bool(self.im)
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.re, self.im)
 
     def __repr__(self) -> str:
         if not self.im:
@@ -111,24 +113,24 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-GR_ZERO = GaussianRational(0)
-GR_ONE = GaussianRational(1)
-GR_I = GaussianRational(0, 1)
+GR_ZERO = GaussianInt(0)
+GR_ONE = GaussianInt(1)
+GR_I = GaussianInt(0, 1)
 
-# i^k for k mod 4, as Gaussian rationals
-_I_POW = (GR_ONE, GR_I, GaussianRational(-1), GaussianRational(0, -1))
+# i^k for k mod 4, as Gaussian integers
+_I_POW = (GR_ONE, GR_I, GaussianInt(-1), GaussianInt(0, -1))
 
 
-def i_power(k: int) -> GaussianRational:
+def i_power(k: int) -> GaussianInt:
     """Return i^k exactly."""
     return _I_POW[k % 4]
 
 
 class LaurentPoly:
-    """Sparse bivariate Laurent polynomial over Q(i).
+    """Sparse bivariate Laurent polynomial over Z[i].
 
     ``terms`` maps ``(eu, ev)`` integer exponent pairs to nonzero
-    ``GaussianRational`` coefficients.  Treat instances as immutable.
+    ``GaussianInt`` coefficients.  Treat instances as immutable.
 
     Example
     -------
@@ -154,12 +156,12 @@ class LaurentPoly:
 
     @staticmethod
     def const(c) -> "LaurentPoly":
-        g = c if isinstance(c, GaussianRational) else GaussianRational(c)
+        g = c if isinstance(c, GaussianInt) else GaussianInt(c)
         return LaurentPoly({(0, 0): g}) if g else LaurentPoly({})
 
     @staticmethod
     def monomial(eu: int, ev: int, coeff=GR_ONE) -> "LaurentPoly":
-        g = coeff if isinstance(coeff, GaussianRational) else GaussianRational(coeff)
+        g = coeff if isinstance(coeff, GaussianInt) else GaussianInt(coeff)
         return LaurentPoly({(eu, ev): g}) if g else LaurentPoly({})
 
     @staticmethod
@@ -237,13 +239,6 @@ class LaurentPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def scale(self, c) -> "LaurentPoly":
-        if not isinstance(c, GaussianRational):
-            c = GaussianRational(c)
-        if not c:
-            return LaurentPoly({})
-        return LaurentPoly({e: k * c for e, k in self.terms.items()})
 
     def shift(self, du: int, dv: int) -> "LaurentPoly":
         """Multiply by the monomial u^du v^dv."""
@@ -324,8 +319,7 @@ class LaurentPoly:
             return LaurentPoly.zero()
         if len(divisor.terms) == 1:
             (eu, ev), c = next(iter(divisor.terms.items()))
-            inv = GR_ONE / c
-            return LaurentPoly({(x - eu, y - ev): k * inv for (x, y), k in self.terms.items()})
+            return LaurentPoly({(x - eu, y - ev): k / c for (x, y), k in self.terms.items()})
         rem = dict(self.terms)
         div_lead = max(divisor.terms)
         div_lead_c = divisor.terms[div_lead]
@@ -376,7 +370,7 @@ class LaurentPoly:
     def from_json_dict(d: dict) -> "LaurentPoly":
         terms = {}
         for t in d["terms"]:
-            c = GaussianRational(Fraction(t["re"]), Fraction(t["im"]))
+            c = GaussianInt(int(t["re"]), int(t["im"]))
             if c:
                 terms[(int(t["eu"]), int(t["ev"]))] = c
         return LaurentPoly(terms)
@@ -401,7 +395,7 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _coeff_inv_pow(c: GaussianRational, n: int) -> GaussianRational:
+def _coeff_inv_pow(c: GaussianInt, n: int) -> GaussianInt:
     out = GR_ONE
     inv = GR_ONE / c
     for _ in range(n):
@@ -517,29 +511,21 @@ def _as_fraction(x) -> RingFraction:
 # ---------------------------------------------------------------------
 
 def trig_sin(two_k: int) -> LaurentPoly:
-    """sin(k*Lam) as a Laurent polynomial in u, with k = two_k/2.
+    """S_k = 2i*sin(k*Lam) as a Laurent polynomial in u, with k = two_k/2.
 
     With exp(i*Lam) resolved as (i/u)^2 and the half-integer branch fixed
-    by (i/u)^(2k), this is (i^2k u^-2k - i^-2k u^2k) / (2i).
+    by (i/u)^(2k), this is i^2k u^-2k - i^-2k u^2k.
     """
-    c = i_power(two_k) / (GR_I + GR_I)
-    cm = i_power(-two_k) / (GR_I + GR_I)
-    if two_k == 0:
-        return ZERO
-    return LaurentPoly({(-two_k, 0): c}) + LaurentPoly({(two_k, 0): -cm})
+    return LaurentPoly({(-two_k, 0): i_power(two_k)}) - LaurentPoly({(two_k, 0): i_power(-two_k)})
 
 
 def trig_cos(two_k: int) -> LaurentPoly:
-    """cos(k*Lam) as a Laurent polynomial in u, with k = two_k/2."""
-    half = GaussianRational(Fraction(1, 2))
-    c = i_power(two_k) * half
-    cm = i_power(-two_k) * half
-    out = LaurentPoly({(-two_k, 0): c})
-    return out + LaurentPoly({(two_k, 0): cm})
+    """C_k = 2*cos(k*Lam) = i^2k u^-2k + i^-2k u^2k, with k = two_k/2."""
+    return LaurentPoly({(-two_k, 0): i_power(two_k)}) + LaurentPoly({(two_k, 0): i_power(-two_k)})
 
 
 def beta_poly() -> LaurentPoly:
-    """Contractible-loop weight u^2 + u^-2 (equal to -2*cos(Lam))."""
+    """Contractible-loop weight u^2 + u^-2 (equal to -C_1 = -2*cos(Lam))."""
     return LaurentPoly({(2, 0): GR_ONE, (-2, 0): GR_ONE})
 
 

@@ -87,6 +87,8 @@ def ebar_columns(i: int, n: int):
 
 def _generator_sum(sites, n: int, d: int) -> RingMatrix:
     """Exact sector matrix of the sum of the local generators at ``sites``."""
+    if n < 2:
+        raise ValueError("e generators need at least 2 sites")
     sec = spin_sector(n, d)
     size = len(sec)
     ent = [[ZERO] * size for _ in range(size)]

@@ -281,8 +281,7 @@ def projector_cases(n_max: int, d_filter=None, seed: int = 0):
                     e = omega_matrix([("e", i)], n, d)
                     if not (m @ e).is_zero() or not (e @ m).is_zero():
                         return f"does not annihilate site {i}: p={p} n={n} d={d}"
-                m_flip, _ = prj.wj_matrix(p, n, d, flip_twist=True)
-                if h @ m_flip != m.transpose() @ h:
+                if h @ m.map(LaurentPoly.flip_v) != m.transpose() @ h:
                     return f"not self-adjoint: p={p} n={n} d={d}"
         for p in range(2, 6):
             wj = prj.wenzl_jones(p)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy.linalg
 
 import eptl.cli  # noqa: F401  (loads every module the tracer patches)
+from eptl import intertwiner as itw
 from eptl import projectors as prj
 from eptl import transfer as trf
 from eptl import verify as vfy
@@ -86,3 +87,20 @@ def test_tracer_spans_cover_the_projector_layer():
     calls = {key: n for key, (n, _) in tracer.stats.items()}
     for key in ("projectors.u_transform", "projectors.gamma_matrix", "projectors.wenzl_jones"):
         assert calls.get(key, 0) >= 1, key
+
+
+def test_exact_sample_runs_over_gaussian_integers():
+    tracer = load_tracer_class()()
+    tracer.install()
+    try:
+        itw.det_exact(itw.i_matrix(4, 2))
+        itw.gram_det_exact.__wrapped__(4, 0)  # past the cache, so the ring work is traced
+        prj.k_factor(1, 1, mode="recursion")
+        ok, _ = prj.gamma_block_report(4, 0)
+    finally:
+        tracer.uninstall()
+    assert ok
+    metrics = tracer.summary(wall=1.0, output_bytes=0)["metrics"]
+    assert metrics["ring.poly_mul_calls"] > 0
+    assert metrics["ring.fraction_ops"] == 0
+    assert metrics["ring.integer_coeff_ratio"] == 1

@@ -371,6 +371,21 @@ class TestSurface:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spin", "--op", "e1"],
+            ["spin", "--op", "hamiltonian"],
+            ["export", "--what", "spin-hamiltonian"],
+        ],
+    )
+    def test_spin_generators_need_two_sites(self, argv, capsys):
+        # the link side refuses n = 1 in generator_diagram; so does the spin side
+        code = main([*argv, "--n", "1", "--d", "1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "e generators need at least 2 sites" in captured.err
+
     def test_size_at_budget_accepted(self, capsys):
         code, out = run_cli(capsys, "enumerate", "--n", str(MAX_SITES), "--d", str(MAX_SITES))
         assert code == 0 and len(out.splitlines()) == 1

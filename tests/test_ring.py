@@ -1,12 +1,17 @@
 import cmath
 import math
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import eptl
 from eptl.ring import (
-    GaussianRational,
+    GaussianInt,
     LaurentPoly,
     RingFraction,
     alpha_poly,
@@ -18,8 +23,8 @@ from eptl.ring import (
 
 
 def _coeffs():
-    small = st.fractions(min_value=-20, max_value=20, max_denominator=7)
-    return st.builds(GaussianRational, small, small)
+    small = st.integers(-20, 20)
+    return st.builds(GaussianInt, small, small)
 
 
 def _polys():
@@ -37,7 +42,7 @@ def rand_poly(rng, n_terms=5, span=6):
         p = p + LaurentPoly.monomial(
             rng.randint(-span, span),
             rng.randint(-span, span),
-            GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9)),
+            GaussianInt(rng.randint(-9, 9), rng.randint(-9, 9)),
         )
     return p
 
@@ -55,11 +60,11 @@ class TestArithmetic:
         assert p + LaurentPoly.zero() == p
 
     def test_alpha_sq_minus_cos_matches_bracket_product(self):
-        # (v^4+v^-4)^2 - 4*C_2^2 == <2>*<-2> at N=4
+        # (v^4+v^-4)^2 - C_2^2 == <2>*<-2> at N=4, with C_2 = 2cos(2*Lam)
         n = 4
         a = alpha_poly(n)
         c2 = trig_cos(4)
-        lhs = a * a - (c2 * c2).scale(GaussianRational(4))
+        lhs = a * a - c2 * c2
         rhs = bracket(4, n) * bracket(-4, n)
         assert lhs == rhs
 
@@ -113,7 +118,8 @@ class TestEval:
 
 class TestTrig:
     def test_beta_is_minus_two_c1(self):
-        assert beta_poly() == trig_cos(2).scale(GaussianRational(-2))
+        # beta = -2cos(Lam) = -C_1
+        assert beta_poly() == -trig_cos(2)
 
     def test_bracket_zero(self):
         for n in (2, 5, 8):
@@ -121,12 +127,12 @@ class TestTrig:
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8])
     def test_bracket_pair_identity(self, n):
-        # <x><-x> == alpha^2 - 4 C_x^2 for integer and half-integer x
+        # <x><-x> == alpha^2 - C_x^2 for integer and half-integer x
         a2 = alpha_poly(n) * alpha_poly(n)
         for two_x in range(1, 12):
             c = trig_cos(two_x)
             lhs = bracket(two_x, n) * bracket(-two_x, n)
-            assert lhs == a2 - (c * c).scale(GaussianRational(4))
+            assert lhs == a2 - c * c
 
     def test_trig_numeric_match(self):
         rng = random.Random(3)
@@ -136,8 +142,9 @@ class TestTrig:
             u = cmath.exp(1j * lam / 2)
             for two_k in range(0, 9):
                 k = two_k / 2
-                assert abs(trig_sin(two_k).eval_numeric(u, 1) - math.sin(k * big_lam)) < 1e-12
-                assert abs(trig_cos(two_k).eval_numeric(u, 1) - math.cos(k * big_lam)) < 1e-12
+                s_k, c_k = 2j * math.sin(k * big_lam), 2 * math.cos(k * big_lam)
+                assert abs(trig_sin(two_k).eval_numeric(u, 1) - s_k) < 1e-12
+                assert abs(trig_cos(two_k).eval_numeric(u, 1) - c_k) < 1e-12
 
     def test_bracket_numeric_sign_convention(self):
         # <x> at u=e^{i lam/2}, v=e^{i mu} equals -(-1)^{2x} * 2i sin(Lam*x - mu*N)
@@ -153,6 +160,39 @@ class TestTrig:
                 got = bracket(two_x, n).eval_numeric(u, v)
                 want = -((-1) ** two_x) * 2j * math.sin(big_lam * x - mu * n)
                 assert abs(got - want) < 1e-12
+
+
+class TestGaussianIntegers:
+    @pytest.mark.parametrize("part", [Fraction(1, 2), 0.5])
+    def test_non_integer_parts_refused(self, part):
+        with pytest.raises(TypeError):
+            GaussianInt(part)
+        with pytest.raises(TypeError):
+            GaussianInt(0, part)
+
+    def test_json_with_rational_coefficient_refused(self):
+        d = {"terms": [{"eu": 0, "ev": 0, "re": "1/2", "im": "0"}]}
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json_dict(d)
+
+    def test_exact_gaussian_division(self):
+        assert GaussianInt(5) / GaussianInt(2, 1) == GaussianInt(2, -1)
+        assert GaussianInt(3, 1) / GaussianInt(0, 1) == GaussianInt(1, -3)
+        with pytest.raises(ValueError):
+            GaussianInt(3) / GaussianInt(2)
+        with pytest.raises(ZeroDivisionError):
+            GaussianInt(3) / GaussianInt(0)
+
+    def test_exact_div_refuses_a_quotient_outside_the_ring(self):
+        with pytest.raises(ValueError):
+            LaurentPoly.const(3).exact_div(LaurentPoly.const(2))
+        with pytest.raises(ValueError):
+            (beta_poly() * LaurentPoly.const(3)).exact_div(beta_poly() * LaurentPoly.const(2))
+
+    def test_cli_import_leaves_fractions_unloaded(self):
+        src = str(Path(eptl.__file__).resolve().parents[1])
+        code = "import sys, eptl.cli; assert 'fractions' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], check=True, cwd=src)
 
 
 class TestJson:
