@@ -116,8 +116,8 @@ def cmd_gram(args, out) -> int:
     mode = "open" if args.open else "tilde"
     if args.twists:
         twists = [_parse_monomial(t) for t in args.twists.split(",")]
-    m = gram_matrix(args.n, args.d, mode=mode, twists=twists, row_first=args.row_first)
-    _emit_matrix(m, args.format, out)
+    m = gram_matrix(args.n, args.d, mode=mode, twists=twists)
+    _emit_matrix(m.transpose() if args.row_first else m, args.format, out)
     return 0
 
 

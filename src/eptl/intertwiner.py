@@ -20,70 +20,32 @@ import numpy as np
 
 from .linkrep import RingMatrix, gram_matrix, loop_variables_to_uv
 from .ring import GR_I, ONE, ZERO, LaurentPoly, RingFraction, bracket, trig_sin
-from .spinrep import spin_sector
+from .spinrep import act, spin_sector
 from .states import LinkState, enumerate_states, module_dim, standard_dim
 
 
-class SpinVector:
-    """A vector in a fixed total-spin sector with exact coordinates."""
-
-    __slots__ = ("sector", "coords")
-
-    def __init__(self, sector, coords):
-        if len(coords) != len(sector):
-            raise ValueError("coordinate count does not match sector size")
-        self.sector = sector
-        self.coords = coords
-
-    @staticmethod
-    def all_up(n: int) -> "SpinVector":
-        sec = spin_sector(n, n)
-        return SpinVector(sec, [ONE])
-
-    def __eq__(self, other):
-        if not isinstance(other, SpinVector):
-            return NotImplemented
-        return self.sector is other.sector and self.coords == other.coords
-
-    def __hash__(self):
-        raise TypeError("SpinVector is not hashable")
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coords)
-
-
-def t_tilde_apply(i: int, j: int, vec: SpinVector) -> SpinVector:
-    """Apply the arc operator for an arc opening at i and closing at j.
+def t_tilde_apply(i: int, j: int, vec: dict, n: int) -> dict:
+    """Apply the arc operator for an arc opening at i and closing at j
+    to a spin vector ``mask -> LaurentPoly`` on n sites.
 
     Requires 1 <= i <= n and i+1 <= j <= n+i-1; lowers the total spin by
     two, annihilating components already down at both target sites.
     """
-    sec = vec.sector
-    n = sec.n
     if not (1 <= i <= n and i + 1 <= j <= n + i - 1):
         raise ValueError(f"arc ({i},{j}) outside canonical range")
-    target = spin_sector(n, sec.d - 2)
-    jm = (j - 1) % n + 1
-    w_j = LaurentPoly.monomial(1, j - i)    # u v^(j-i), lowers at j
-    w_i = LaurentPoly.monomial(-1, i - j)   # u^-1 v^(i-j), lowers at i
-    out = [ZERO] * len(target)
-    for k, c in enumerate(vec.coords):
-        if not c:
-            continue
-        mask = sec.configs[k]
-        for site, w in ((jm, w_j), (i, w_i)):
-            if mask >> (site - 1) & 1:
-                m2 = mask ^ (1 << (site - 1))
-                idx = target.index[m2]
-                out[idx] = out[idx] + c * w
-    return SpinVector(target, out)
+    # lowering at j carries u v^(j-i), at i it carries u^-1 v^(i-j)
+    lower = ((1 << (j - 1) % n, 1, j - i), (1 << (i - 1), -1, i - j))
+    images = {m: tuple((m ^ b, eu, ev) for b, eu, ev in lower if m & b) for m in vec}
+    return act(images, vec)
 
 
-def intertwine_state(w: LinkState) -> SpinVector:
-    """Image of a link state: arc operators applied to the all-up state."""
-    vec = SpinVector.all_up(w.n_sites)
+def intertwine_state(w: LinkState) -> dict:
+    """Image of a link state, ``mask -> LaurentPoly``: the arc operators
+    applied to the all-up state."""
+    n = w.n_sites
+    vec = {(1 << n) - 1: ONE}
     for i, j in w.pairs:
-        vec = t_tilde_apply(i, j, vec)
+        vec = t_tilde_apply(i, j, vec, n)
     return vec
 
 
@@ -94,8 +56,10 @@ def i_matrix(n: int, d: int) -> RingMatrix:
     result as read-only."""
     basis = enumerate_states(n, d)
     sec = spin_sector(n, d)
-    cols = [intertwine_state(w).coords for w in basis]
-    ent = [[cols[j][i] for j in range(len(basis))] for i in range(len(sec))]
+    ent = [[ZERO] * len(basis) for _ in sec.configs]
+    for col, w in enumerate(basis):
+        for mask, c in intertwine_state(w).items():
+            ent[sec.index[mask]][col] = c
     return RingMatrix(ent, sec.labels(), list(basis))
 
 
@@ -273,6 +237,10 @@ def logdet_matches(logdet_sign, logdet_abs, formula_log, formula_phase, tol=1e-8
 # criticality
 # ---------------------------------------------------------------------
 
+# size below which a sine bracket counts as vanishing in critical_scan
+BRACKET_TOL = 1e-9
+
+
 def bracket_values(n: int, d: int, lam: float, mu: float):
     """Numeric values sin(Lam*(k+d/2) - mu*n) for k = 1..(n-d)/2."""
     big_lam = pi - lam
@@ -288,18 +256,12 @@ def min_singular_scaled(mat: np.ndarray) -> float:
     return float(np.linalg.svd(mat / scale, compute_uv=False)[-1])
 
 
-def critical_scan(
-    n: int,
-    d: int,
-    lam_values,
-    mu_values,
-    bracket_tol: float = 1e-9,
-    singular_tol: float = 1e-8,
-):
+def critical_scan(n: int, d: int, lam_values, mu_values, singular_tol: float = 1e-8):
     """Grid scan comparing the bracket predictor against the numeric rank.
 
     Yields one row per grid point: (lam, mu, predicted, min_singular,
-    observed, which_k) with observed true when min_singular is below
+    observed, which_k) with predicted true when the smallest bracket is
+    below ``BRACKET_TOL``, observed true when min_singular is below
     singular_tol and which_k the 1-based index of the smallest bracket (0
     when the k-range is empty).
     """
@@ -311,7 +273,7 @@ def critical_scan(
             vals = bracket_values(n, d, lam, mu)
             if vals:
                 k_best = min(range(len(vals)), key=lambda t: abs(vals[t]))
-                predicted = abs(vals[k_best]) < bracket_tol
+                predicted = abs(vals[k_best]) < BRACKET_TOL
                 which = k_best + 1
             else:
                 predicted = False

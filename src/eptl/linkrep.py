@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diagrams import AffineDiagram, act_on_link, generator_diagram, word_diagram
-from .ring import ZERO, LaurentPoly, alpha_poly, beta_poly
+from .ring import ONE, ZERO, LaurentPoly, alpha_poly, beta_poly
 from .states import LinkState, enumerate_states, standard_states
 
 
@@ -42,11 +42,9 @@ class RingMatrix:
         self._terms = None
 
     @staticmethod
-    def identity(n, labels=None, zero=ZERO, one=None):
-        if one is None:
-            one = LaurentPoly.one()
-        ent = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        return RingMatrix(ent, labels, labels, zero)
+    def identity(n, labels=None):
+        ent = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        return RingMatrix(ent, labels, labels)
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
@@ -278,15 +276,14 @@ def gram_matrix(
     mode: str = "tilde",
     twists=None,
     loop_variables: bool = False,
-    row_first: bool = False,
 ) -> RingMatrix:
     """Gram matrix on the periodic basis ('tilde') or its r=0 stratum ('open').
 
-    By default entry (i, j) is the pairing with the *column* state in the
-    first slot, the orientation under which the matrix equals
-    transpose(I(u, 1/v)) @ I(u, v) exactly; ``row_first=True`` gives the
-    transpose convention common in displays.  (For d = 0 the matrix is
-    symmetric and the flag is irrelevant.)
+    Entry (i, j) is the pairing with the *column* state in the first
+    slot, the orientation under which the matrix equals
+    transpose(I(u, 1/v)) @ I(u, v) exactly; ``.transpose()`` gives the
+    row-first convention common in displays.  (For d = 0 the matrix is
+    symmetric.)
 
     ``loop_variables=True`` returns entries as monomials in compressed
     variables instead of (u, v): exponent pair (contractible loops,
@@ -307,8 +304,7 @@ def gram_matrix(
     for wr in basis:
         row = []
         for wc in basis:
-            w1, w2 = (wr, wc) if row_first else (wc, wr)
-            res = act_on_link(closings[w2], w1)
+            res = act_on_link(closings[wr], wc)
             if not loop_variables:
                 row.append(_pair_weight(res, n, twists))
             elif res is None:

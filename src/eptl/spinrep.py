@@ -14,6 +14,10 @@ site 1) by::
 
 and the translation is the cyclic left shift scaled by ``v^(2 Sz)``,
 which on a fixed sector is the monomial ``v^(+-d)``.
+
+A spin vector is a sparse dict ``mask -> LaurentPoly``.  Every operator
+acts by pushing such vectors through the images of its word tokens
+(:func:`act`), as link-side matrices act diagram by diagram.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linkrep import RingMatrix
-from .ring import ZERO, LaurentPoly
+from .ring import ONE, ZERO
 from .states import module_dim
 
 
@@ -59,90 +63,93 @@ def spin_sector(n: int, d: int) -> SpinSector:
     return SpinSector(n, d)
 
 
-def _site_bit(mask: int, site: int) -> int:
-    return mask >> (site - 1) & 1
+def _token_images(tok, n: int) -> dict:
+    """Action of one word token on every basis mask of n sites.
 
-
-def _flip(mask: int, site: int) -> int:
-    return mask ^ (1 << (site - 1))
-
-
-def ebar_columns(i: int, n: int):
-    """Sparse action of the i-th local generator: mask -> [(mask', weight)].
-
-    Weights are (eu, ev) exponent pairs of monomials.
+    Returns ``mask -> ((mask', eu, ev), ...)``: the token sends ``mask``
+    to the sum of ``u^eu v^ev |mask'>``.  Tokens are those of
+    :func:`eptl.diagrams.word_diagram`.
     """
-    j = i + 1 if i < n else 1
+    masks = range(1 << n)
+    if tok == "id":
+        return {m: ((m, 0, 0),) for m in masks}
+    kind, arg = tok
+    if kind == "e":
+        if n < 2:
+            raise ValueError("e generators need at least 2 sites")
+        if not 1 <= arg <= n:
+            raise ValueError(f"site index {arg} out of range for {n} sites")
+        bi, bj = 1 << (arg - 1), 1 << (arg % n)  # sites i and i+1 (n+1 is 1)
+        both = bi | bj
+        images = dict.fromkeys(masks, ())
+        for m in masks:
+            if m & both == bi:  # up at i, down at i+1
+                images[m] = ((m, 2, 0), (m ^ both, 0, -2))
+            elif m & both == bj:
+                images[m] = ((m ^ both, 0, 2), (m, -2, 0))
+        return images
+    if kind == "omega":
+        # the twist v^(2 Sz) is v^(+-d) with d = 2 * (up spins) - n
+        top, full = n - 1, (1 << n) - 1
+        if arg > 0:  # left translation: new site s holds old site s+1
+            return {m: ((m >> 1 | (m & 1) << top, 0, 2 * bin(m).count("1") - n),) for m in masks}
+        return {m: ((m << 1 & full | m >> top, 0, n - 2 * bin(m).count("1")),) for m in masks}
+    raise ValueError(f"unknown word token {tok!r}")
 
-    def apply(mask):
-        bi, bj = _site_bit(mask, i), _site_bit(mask, j)
-        if bi == bj:
-            return []
-        if bi == 1:  # up at i, down at j
-            return [(mask, (2, 0)), (_flip(_flip(mask, i), j), (0, -2))]
-        return [(_flip(_flip(mask, i), j), (0, 2)), (mask, (-2, 0))]
 
-    return apply
+def act(images, vec: dict) -> dict:
+    """Push a sparse spin vector ``mask -> LaurentPoly`` through one
+    token's images (see :func:`_token_images`); zero components are dropped."""
+    out = {}
+    for mask, c in vec.items():
+        for m2, eu, ev in images[mask]:
+            t = c.shift(eu, ev) if eu or ev else c
+            if m2 in out:
+                t = out.pop(m2) + t
+            if t:
+                out[m2] = t
+    return out
 
 
-def _generator_sum(sites, n: int, d: int) -> RingMatrix:
-    """Exact sector matrix of the sum of the local generators at ``sites``."""
-    if n < 2:
-        raise ValueError("e generators need at least 2 sites")
+def spin_matrix(words, n: int, d: int) -> RingMatrix:
+    """Exact sector matrix of a sum of generator words, as
+    :func:`eptl.linkrep.link_matrix` sums diagrams on the link side.
+
+    Column ``mask`` pushes ``{mask: 1}`` through each word, the rightmost
+    token acting first, and adds up the images.
+    """
     sec = spin_sector(n, d)
-    size = len(sec)
-    ent = [[ZERO] * size for _ in range(size)]
-    for i in sites:
-        apply = ebar_columns(i, n)
-        for col, mask in enumerate(sec.configs):
-            for mask2, (eu, ev) in apply(mask):
-                row = sec.index[mask2]
-                ent[row][col] = ent[row][col] + LaurentPoly.monomial(eu, ev)
+    words = [[_token_images(tok, n) for tok in reversed(word)] for word in words]
+    ent = [[ZERO] * len(sec) for _ in sec.configs]
+    for col, mask in enumerate(sec.configs):
+        for word in words:
+            vec = {mask: ONE}
+            for images in word:
+                vec = act(images, vec)
+            for m2, c in vec.items():
+                row = ent[sec.index[m2]]
+                row[col] = row[col] + c if row[col] else c
     return RingMatrix(ent, sec.labels(), sec.labels())
 
 
 def ebar_matrix(i: int, n: int, d: int) -> RingMatrix:
     """Exact sector matrix of the i-th local generator."""
-    if not 1 <= i <= n:
-        raise ValueError(f"site index {i} out of range for {n} sites")
-    return _generator_sum([i], n, d)
+    return spin_matrix([[("e", i)]], n, d)
 
 
 def omegabar_matrix(sign: int, n: int, d: int) -> RingMatrix:
     """Exact sector matrix of the twisted translation (sign = +1 or -1)."""
-    sec = spin_sector(n, d)
-    size = len(sec)
-    twist = LaurentPoly.v_pow(d if sign > 0 else -d)
-    ent = [[ZERO] * size for _ in range(size)]
-    for col, mask in enumerate(sec.configs):
-        shifted = _shift_mask(mask, n, sign)
-        ent[sec.index[shifted]][col] = twist
-    return RingMatrix(ent, sec.labels(), sec.labels())
-
-
-def _shift_mask(mask: int, n: int, sign: int) -> int:
-    if sign > 0:
-        # left translation: new site s holds old site s+1
-        return (mask >> 1) | ((mask & 1) << (n - 1))
-    return ((mask << 1) & ((1 << n) - 1)) | (mask >> (n - 1))
+    return spin_matrix([[("omega", sign)]], n, d)
 
 
 def tau_matrix(word, n: int, d: int) -> RingMatrix:
     """Exact sector matrix of a generator word (same tokens as word_diagram)."""
-    sec = spin_sector(n, d)
-    out = RingMatrix.identity(len(sec), sec.labels())
-    for tok in word:
-        if tok == "id":
-            continue
-        kind, arg = tok
-        m = ebar_matrix(arg, n, d) if kind == "e" else omegabar_matrix(arg, n, d)
-        out = out @ m
-    return out
+    return spin_matrix([word], n, d)
 
 
 def hamiltonian(n: int, d: int) -> RingMatrix:
     """Exact sector matrix of the sum of all n local generators."""
-    return _generator_sum(range(1, n + 1), n, d)
+    return spin_matrix([[("e", i)] for i in range(1, n + 1)], n, d)
 
 
 def hamiltonian_numeric(n: int, d: int, u: complex, v: complex) -> np.ndarray:

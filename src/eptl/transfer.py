@@ -33,6 +33,8 @@ DEFECT_TOL = {
     "crossing_defect": 1e-9,
     "expansion_defect": 1e-5,
 }
+# finite-difference step of expansion_defect
+EXPANSION_STEP = 1e-4
 
 
 @lru_cache(maxsize=None)
@@ -166,13 +168,15 @@ def crossing_defect(n: int, d: int, lam: float, nu: complex, mu: float) -> float
     return float(np.linalg.norm(lhs - rhs) / scale)
 
 
-def expansion_defect(n: int, d: int, lam: float, mu: float, h: float = 1e-4) -> float:
+def expansion_defect(n: int, d: int, lam: float, mu: float) -> float:
     """Deviation of the first-order anisotropy expansion.
 
     Richardson-extrapolated central differences of the transfer matrix
-    at zero anisotropy against sin(lam)^n * Omega (H/sin(lam)
-    - n cot(lam)), with H the generator-sum matrix.
+    at zero anisotropy, with step ``EXPANSION_STEP``, against
+    sin(lam)^n * Omega (H/sin(lam) - n cot(lam)), with H the
+    generator-sum matrix.
     """
+    h = EXPANSION_STEP
     u, v = exp(1j * lam / 2), exp(1j * mu)
     d1 = (transfer_matrix(n, d, lam, h, mu) - transfer_matrix(n, d, lam, -h, mu)) / (2 * h)
     d2 = (transfer_matrix(n, d, lam, 2 * h, mu) - transfer_matrix(n, d, lam, -2 * h, mu)) / (4 * h)

@@ -272,7 +272,7 @@ def projector_cases(n_max: int, d_filter=None, seed: int = 0):
     def wj_properties():
         n = min(n_max, 6)
         for _, d in _sectors(n, n, d_filter):
-            h = gram_matrix(n, d, row_first=True)
+            h = gram_matrix(n, d).transpose()
             for p in range(2, min(5, n) + 1):
                 m, den = prj.wj_matrix(p, n, d)
                 if m @ m != m.scale(den):

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 
@@ -53,6 +54,16 @@ class TestMatrices:
         )
         assert code == 0
         assert out.startswith("row,col")
+
+    def test_gram_row_first_is_the_transpose(self, capsys):
+        def cells(*flags):
+            code, out = run_cli(capsys, "gram", "--n", "5", "--d", "1", "--format", "csv", *flags)
+            assert code == 0
+            return {(r[0], r[1]): tuple(r[2:]) for r in csv.reader(out.splitlines()[1:])}
+
+        plain, row_first = cells(), cells("--row-first")
+        assert row_first != plain  # d > 0: the Gram matrix is not symmetric
+        assert row_first == {(j, i): (cl, rl, e) for (i, j), (rl, cl, e) in plain.items()}
 
     def test_spin_ops(self, capsys):
         for op in ("e1", "omega", "omega-inv", "hamiltonian"):

@@ -118,7 +118,7 @@ class TestGramMatrix:
 
     def test_five_one_twisted_open_matrix(self):
         v1 = LaurentPoly.v_pow(1)
-        g = gram_matrix(5, 1, mode="open", twists=[v1], row_first=True)
+        g = gram_matrix(5, 1, mode="open", twists=[v1]).transpose()
         # displayed ordering: defect-first states, then bubble-first states
         order = [
             LinkState(5, [(2, 3), (4, 5)], [1]),

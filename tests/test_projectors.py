@@ -128,7 +128,7 @@ class TestProjectorProperties:
 
     @pytest.mark.parametrize("n,d", sectors([5, 6]))
     def test_self_adjoint_for_gram(self, n, d):
-        h = gram_matrix(n, d, row_first=True)
+        h = gram_matrix(n, d).transpose()
         for p in range(2, min(5, n) + 1):
             m, _den = wj_matrix(p, n, d)
             assert h @ m.map(LaurentPoly.flip_v) == m.transpose() @ h, p

@@ -1,4 +1,7 @@
 import cmath
+import random
+from functools import reduce
+from operator import matmul
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from eptl.linkrep import RingMatrix
 from eptl.ring import alpha_poly, beta_poly
 from eptl.spinrep import (
+    _token_images,
     ebar_matrix,
     hamiltonian,
     hamiltonian_numeric,
@@ -104,8 +108,9 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("n,d", sectors(6))
     def test_matches_generator_sum_in_every_sector(self, n, d):
-        # hamiltonian accumulates monomials itself rather than adding the
-        # ebar_matrix results, so the two routes are compared everywhere
+        # hamiltonian sums its n one-token words inside one spin_matrix
+        # call rather than adding the ebar_matrix results, so the two
+        # routes are compared everywhere
         total = ebar_matrix(1, n, d)
         for i in range(2, n + 1):
             total = total + ebar_matrix(i, n, d)
@@ -132,12 +137,54 @@ class TestHamiltonian:
         assert np.max(np.abs(to_numeric_entrywise(h, u, v) - hn)) < 1e-12
 
     def test_generators_preserve_total_spin(self):
-        from eptl.spinrep import ebar_columns
-
         n = 6
-        for i in range(1, n + 1):
-            apply = ebar_columns(i, n)
-            for mask in range(1 << n):
+        for tok in tokens(n):
+            for mask, images in _token_images(tok, n).items():
                 ups = bin(mask).count("1")
-                for mask2, _ in apply(mask):
+                for mask2, _, _ in images:
                     assert bin(mask2).count("1") == ups
+
+
+def tokens(n):
+    return ["id"] + [("e", i) for i in range(1, n + 1)] + [("omega", 1), ("omega", -1)]
+
+
+class TestWordAction:
+    @pytest.mark.parametrize("n,d", sectors(6))
+    def test_matches_product_of_token_matrices(self, n, d):
+        # the dense product of one-token matrices, kept as the oracle
+        rng = random.Random(1000 * n + d)
+        ident = RingMatrix.identity(module_dim(n, d))
+        for _ in range(12):
+            word = [rng.choice(tokens(n)) for _ in range(rng.randint(0, 2 * n))]
+            product = reduce(matmul, [tau_matrix([t], n, d) for t in word], ident)
+            assert tau_matrix(word, n, d) == product, word
+
+    @pytest.mark.parametrize(
+        "tok,n,message",
+        [
+            (("x", 1), 4, "unknown word token"),
+            (("e", 5), 4, "out of range"),
+            (("e", 0), 4, "out of range"),
+            (("e", 1), 1, "at least 2 sites"),
+        ],
+    )
+    def test_bad_token_raises(self, tok, n, message):
+        with pytest.raises(ValueError, match=message):
+            tau_matrix([tok], n, n % 2)
+
+    def test_every_token_is_checked_before_acting(self):
+        # e_1 annihilates the whole d = 4 sector before e_5 would act
+        with pytest.raises(ValueError, match="out of range"):
+            tau_matrix([("e", 5), ("e", 1)], 4, 4)
+
+    def test_builds_without_dense_products(self, monkeypatch):
+        rng = random.Random(7)
+        word = [rng.choice(tokens(6)) for _ in range(12)]
+        expect = tau_matrix(word, 6, 2)
+
+        def refuse(self, other):
+            raise AssertionError("dense matrix product")
+
+        monkeypatch.setattr(RingMatrix, "__matmul__", refuse)
+        assert tau_matrix(word, 6, 2) == expect
