@@ -27,6 +27,10 @@ def sectors(n_max, n_min=2):
     return [(n, d) for n in range(n_min, n_max + 1) for d in range(n % 2, n + 1, 2)]
 
 
+def tokens(n):
+    return ["id"] + [("e", i) for i in range(1, n + 1)] + [("omega", 1), ("omega", -1)]
+
+
 class TestSector:
     @pytest.mark.parametrize("n,d", sectors(8))
     def test_dimension_matches_link_module(self, n, d):
@@ -143,10 +147,6 @@ class TestHamiltonian:
                 ups = bin(mask).count("1")
                 for mask2, _, _ in images:
                     assert bin(mask2).count("1") == ups
-
-
-def tokens(n):
-    return ["id"] + [("e", i) for i in range(1, n + 1)] + [("omega", 1), ("omega", -1)]
 
 
 class TestWordAction:
