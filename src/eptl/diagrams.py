@@ -230,7 +230,9 @@ def _token_diagram(tok, n: int) -> AffineDiagram:
     if kind == "e":
         return generator_diagram("e", n, arg)
     if kind == "omega":
-        return generator_diagram("omega" if arg > 0 else "omega_inv", n)
+        if arg not in (1, -1):
+            raise ValueError(f"translation power must be +1 or -1, not {arg!r}")
+        return generator_diagram("omega" if arg == 1 else "omega_inv", n)
     raise ValueError(f"unknown word token {tok!r}")
 
 

@@ -63,14 +63,15 @@ def spin_sector(n: int, d: int) -> SpinSector:
     return SpinSector(n, d)
 
 
-def _token_images(tok, n: int) -> dict:
-    """Action of one word token on every basis mask of n sites.
+def _token_images(tok, sec: SpinSector) -> dict:
+    """Action of one word token on the basis masks of a spin sector.
 
     Returns ``mask -> ((mask', eu, ev), ...)``: the token sends ``mask``
-    to the sum of ``u^eu v^ev |mask'>``.  Tokens are those of
+    to the sum of ``u^eu v^ev |mask'>``.  Every token keeps the total
+    spin, so each ``mask'`` lies in the sector again.  Tokens are those of
     :func:`eptl.diagrams.word_diagram`.
     """
-    masks = range(1 << n)
+    n, masks = sec.n, sec.configs
     if tok == "id":
         return {m: ((m, 0, 0),) for m in masks}
     kind, arg = tok
@@ -89,11 +90,13 @@ def _token_images(tok, n: int) -> dict:
                 images[m] = ((m ^ both, 0, 2), (m, -2, 0))
         return images
     if kind == "omega":
-        # the twist v^(2 Sz) is v^(+-d) with d = 2 * (up spins) - n
+        if arg not in (1, -1):
+            raise ValueError(f"translation power must be +1 or -1, not {arg!r}")
+        # the twist v^(2 Sz) is v^(+-d) on the sector
         top, full = n - 1, (1 << n) - 1
-        if arg > 0:  # left translation: new site s holds old site s+1
-            return {m: ((m >> 1 | (m & 1) << top, 0, 2 * bin(m).count("1") - n),) for m in masks}
-        return {m: ((m << 1 & full | m >> top, 0, n - 2 * bin(m).count("1")),) for m in masks}
+        if arg == 1:  # left translation: new site s holds old site s+1
+            return {m: ((m >> 1 | (m & 1) << top, 0, sec.d),) for m in masks}
+        return {m: ((m << 1 & full | m >> top, 0, -sec.d),) for m in masks}
     raise ValueError(f"unknown word token {tok!r}")
 
 
@@ -119,7 +122,7 @@ def spin_matrix(words, n: int, d: int) -> RingMatrix:
     token acting first, and adds up the images.
     """
     sec = spin_sector(n, d)
-    words = [[_token_images(tok, n) for tok in reversed(word)] for word in words]
+    words = [[_token_images(tok, sec) for tok in reversed(word)] for word in words]
     ent = [[ZERO] * len(sec) for _ in sec.configs]
     for col, mask in enumerate(sec.configs):
         for word in words:

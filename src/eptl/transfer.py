@@ -12,17 +12,20 @@ The all-first-choice filling is the unit translation (this pins the
 tile orientation), so the nu -> 0 limit is sin(lam)^n times the
 translation matrix.  The fillings do not depend on the point, so their
 sum is built once per sector as an integer term table (transfer_table).
+Rotating a filling conjugates it by the translation, so the table acts
+with one filling per rotation orbit and reaches the others through the
+translation's permutation of the basis.
 """
 
 from __future__ import annotations
 
 from cmath import exp, sin
-from collections import Counter
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
-from .diagrams import AffineDiagram, act_on_link
+from .diagrams import AffineDiagram, act_on_link, generator_diagram
 from .linkrep import hamiltonian_link, omega_matrix
 from .states import LinkState, enumerate_states, module_dim
 
@@ -75,19 +78,72 @@ def transfer_table(n: int, d: int) -> tuple:
     Returns read-only int64 arrays ``(keys, coeffs)``: each row of keys is
     ``(row, col, k, nbeta, nalpha, twist)``, and coeffs counts the tile
     fillings with k second-choice tiles (of the 2^n) that give that term.
+    Terms appear in the order they first occur when the fillings are
+    taken in increasing bit order and the columns in basis order.
+
+    Rotating a filling's bits right by one conjugates it by the
+    translation: ``tile_diagram(n, c >> 1 | (c & 1) << (n-1))`` is
+    Omega T_c Omega^-1.  So only one filling per rotation orbit acts on
+    the basis; the terms of its r-th rotation follow a column through
+    Omega^-r, then T_c, then Omega^r, and the three twists add.
     """
     basis = enumerate_states(n, d)
+    dim = len(basis)
     index = {w: j for j, w in enumerate(basis)}
-    counts = Counter()
-    for config in range(1 << n):
-        diag = tile_diagram(n, config)
-        k = config.bit_count()
-        for j, w in enumerate(basis):
-            res = act_on_link(diag, w)
-            if res is not None:
-                counts[index[res.state], j, k, res.nbeta, res.nalpha, res.twist] += 1
-    keys = np.array(list(counts), dtype=np.int64).reshape(-1, 6)
-    coeffs = np.array(list(counts.values()), dtype=np.int64)
+
+    def act_all(diag):
+        # (row, nbeta, nalpha, twist) per column; row -1 where two defects join
+        res = (act_on_link(diag, w) for w in basis)
+        rows = [(index[r.state], r.nbeta, r.nalpha, r.twist) if r else (-1, 0, 0, 0) for r in res]
+        return np.array(rows, dtype=np.int32).reshape(dim, 4).T
+
+    def powers(translation):
+        # state index and accumulated twist after r translations, r < n
+        step, step_twist = translation[0], translation[3]
+        perm, twist = [np.arange(dim, dtype=np.int32)], [np.zeros(dim, dtype=np.int32)]
+        for _ in range(n - 1):
+            twist.append(twist[-1] + step_twist[perm[-1]])
+            perm.append(step[perm[-1]])
+        return perm, twist
+
+    fwd, fwd_twist = powers(act_all(generator_diagram("omega", n)))
+    back, back_twist = powers(act_all(generator_diagram("omega_inv", n)))
+    terms = {}  # config -> (col, row, nbeta, nalpha, twist) arrays
+    for c in range(1 << n):
+        if c in terms:
+            continue
+        row_c, nbeta_c, nalpha_c, twist_c = act_all(tile_diagram(n, c))
+        config, r = c, 0
+        while config not in terms:
+            cols = np.flatnonzero(row_c[back[r]] >= 0).astype(np.int32)
+            mid = back[r][cols]
+            out = row_c[mid]
+            twist = back_twist[r][cols] + twist_c[mid] + fwd_twist[r][out]
+            terms[config] = (cols, fwd[r][out], nbeta_c[mid], nalpha_c[mid], twist)
+            config = config >> 1 | (config & 1) << (n - 1)
+            r += 1
+    parts = [terms.pop(c) for c in range(1 << n)]
+    col, row, nbeta, nalpha, twist = (np.concatenate(f) for f in zip(*parts))
+    k = np.repeat([c.bit_count() for c in range(1 << n)], [len(p[0]) for p in parts])
+    del parts  # free the per-filling arrays before packing
+
+    # one int64 per term: np.unique on a flat array needs far less memory than on rows
+    fields = (row, col, k, nbeta, nalpha, twist)
+    lows = (0, 0, 0, *(int(f.min()) for f in fields[3:]))
+    radices = (dim, dim, n + 1, *(int(f.max()) - lo + 1 for f, lo in zip(fields[3:], lows[3:])))
+    assert prod(radices) < 1 << 63, radices
+    packed = np.zeros(len(row), dtype=np.int64)
+    for f, lo, radix in zip(fields, lows, radices):
+        packed *= radix
+        packed += f
+        packed -= lo
+    packed, first, counts = np.unique(packed, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    packed, coeffs = packed[order], counts[order].astype(np.int64)
+    keys = np.empty((len(packed), 6), dtype=np.int64)
+    for i in reversed(range(6)):
+        packed, keys[:, i] = np.divmod(packed, radices[i])
+        keys[:, i] += lows[i]
     keys.flags.writeable = coeffs.flags.writeable = False
     return keys, coeffs
 

@@ -11,10 +11,13 @@ route, and is kept only as a reference for the tests:
 * ``to_numeric_entrywise``: ``LaurentPoly.eval_numeric`` entry by entry,
   against the vectorized ``RingMatrix.to_numeric``;
 * ``transfer_matrix_tilesum``: the sum over the 2^n tile fillings at one
-  point, against the cached term table of ``transfer.transfer_matrix``.
+  point, against the cached term table of ``transfer.transfer_matrix``;
+* ``transfer_table_per_config``: every tile filling acting on every
+  state, against the rotation-orbit build of ``transfer.transfer_table``.
 """
 
 from cmath import exp, sin
+from collections import Counter
 
 import numpy as np
 
@@ -171,3 +174,21 @@ def transfer_matrix_tilesum(n: int, d: int, lam: float, nu: complex, mu: float) 
                 * v ** res.twist
             )
     return out
+
+
+def transfer_table_per_config(n: int, d: int) -> tuple:
+    """Every tile filling acting on every state, terms counted in first-seen
+    order; oracle for ``transfer.transfer_table``."""
+    basis = enumerate_states(n, d)
+    index = {w: j for j, w in enumerate(basis)}
+    counts = Counter()
+    for config in range(1 << n):
+        diag = tile_diagram(n, config)
+        k = config.bit_count()
+        for j, w in enumerate(basis):
+            res = act_on_link(diag, w)
+            if res is not None:
+                counts[index[res.state], j, k, res.nbeta, res.nalpha, res.twist] += 1
+    keys = np.array(list(counts), dtype=np.int64).reshape(-1, 6)
+    coeffs = np.array(list(counts.values()), dtype=np.int64)
+    return keys, coeffs

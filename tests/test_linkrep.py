@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from eptl.diagrams import word_diagram
 from eptl.intertwiner import i_matrix
 from eptl.linkrep import (
     RingMatrix,
@@ -52,6 +53,13 @@ class TestOmega:
         n, d = 5, 3
         m = omega_matrix([("omega", 1)] * n, n, d)
         assert m == RingMatrix.identity(m.rows).scale(LaurentPoly.v_pow(n * d))
+
+    @pytest.mark.parametrize("power", [0, 2, -5, "1"])
+    def test_translation_power_must_be_unit(self, power):
+        with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+            word_diagram([("omega", power)], 4)
+        with pytest.raises(ValueError, match=r"must be \+1 or -1"):
+            omega_matrix([("omega", power)], 4, 2)
 
 
 class TestGramPairExamples:

@@ -142,11 +142,12 @@ class TestHamiltonian:
 
     def test_generators_preserve_total_spin(self):
         n = 6
-        for tok in tokens(n):
-            for mask, images in _token_images(tok, n).items():
-                ups = bin(mask).count("1")
-                for mask2, _, _ in images:
-                    assert bin(mask2).count("1") == ups
+        for d in range(0, n + 1, 2):
+            for tok in tokens(n):
+                for mask, images in _token_images(tok, spin_sector(n, d)).items():
+                    ups = bin(mask).count("1")
+                    for mask2, _, _ in images:
+                        assert bin(mask2).count("1") == ups
 
 
 class TestWordAction:
@@ -167,6 +168,10 @@ class TestWordAction:
             (("e", 5), 4, "out of range"),
             (("e", 0), 4, "out of range"),
             (("e", 1), 1, "at least 2 sites"),
+            (("omega", 0), 4, r"must be \+1 or -1"),
+            (("omega", 2), 4, r"must be \+1 or -1"),
+            (("omega", -5), 4, r"must be \+1 or -1"),
+            (("omega", "1"), 4, r"must be \+1 or -1"),
         ],
     )
     def test_bad_token_raises(self, tok, n, message):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from eptl.diagrams import generator_diagram
+from eptl.diagrams import act_on_link, compose, generator_diagram
 from eptl.linkrep import omega_matrix
 from eptl.states import LinkState, enumerate_states
 from eptl.transfer import (
@@ -19,9 +19,10 @@ from eptl.transfer import (
     translation_invariance_defect,
 )
 from eptl.cli import main
-from oracles import _tile_diagram_sequential, transfer_matrix_tilesum
+from oracles import _tile_diagram_sequential, transfer_matrix_tilesum, transfer_table_per_config
 
 SECTORS_TO_7 = [(n, d) for n in range(1, 8) for d in range(n % 2, n + 1, 2)]
+SECTORS_TO_8 = SECTORS_TO_7 + [(8, d) for d in range(0, 9, 2)]
 
 
 class TestTiles:
@@ -34,6 +35,15 @@ class TestTiles:
     def test_two_constructions_agree(self, n):
         for config in range(1 << n):
             assert tile_diagram(n, config) == _tile_diagram_sequential(n, config)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_rotation_is_translation_conjugate(self, n):
+        # rotating the filling's bits right by one is Omega T_c Omega^-1
+        om, om_inv = generator_diagram("omega", n), generator_diagram("omega_inv", n)
+        for config in range(1 << n):
+            rotated = config >> 1 | (config & 1) << (n - 1)
+            conj = compose(top=compose(top=om_inv, bottom=tile_diagram(n, config)), bottom=om)
+            assert conj == tile_diagram(n, rotated), config
 
     def test_single_flip_is_translation_times_generator(self):
         from eptl.diagrams import word_diagram
@@ -97,6 +107,26 @@ class TestTransferTable:
         got = transfer_matrix(n, d, lam, nu, mu)
         want = transfer_matrix_tilesum(n, d, lam, nu, mu)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n,d", SECTORS_TO_8 + [(9, 1)])
+    def test_matches_per_config_table(self, n, d):
+        # same terms in the same order and dtype, so every float is bit-identical
+        for got, want in zip(transfer_table(n, d), transfer_table_per_config(n, d)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_acts_once_per_rotation_orbit(self, monkeypatch):
+        # 36 necklaces of 8 bits, plus Omega and Omega^-1, each on 70 states
+        calls = []
+
+        def counting(diag, w):
+            calls.append(w)
+            return act_on_link(diag, w)
+
+        monkeypatch.setattr("eptl.transfer.act_on_link", counting)
+        transfer_table.cache_clear()
+        transfer_table(8, 0)
+        assert 0 < len(calls) <= (36 + 2) * 70
 
     def test_arrays_are_read_only(self):
         keys, coeffs = transfer_table(5, 1)
