@@ -6,7 +6,7 @@ projectors, and the one-row loop transfer matrix -- all over exact
 Laurent polynomials in the loop and twist variables.
 """
 
-from .ring import GaussianInt, LaurentPoly, RingFraction
+from .ring import GaussianInt, LaurentPoly
 from .states import LinkState, Path, bijection_C, enumerate_states
 from .diagrams import AffineDiagram, act_on_link, compose, generator_diagram
 from .linkrep import RingMatrix, gram_matrix, gram_pair, omega_matrix
@@ -18,7 +18,7 @@ from .intertwiner import (
     i_matrix,
     intertwine_state,
 )
-from .projectors import gamma_matrix, k_factor, u_transform, wenzl_jones
+from .projectors import gamma_matrix, k_factor, same_ratio, u_transform, wenzl_jones
 from .transfer import transfer_matrix
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "LaurentPoly",
     "LinkState",
     "Path",
-    "RingFraction",
     "RingMatrix",
     "act_on_link",
     "bijection_C",
@@ -47,6 +46,7 @@ __all__ = [
     "k_factor",
     "omega_matrix",
     "omegabar_matrix",
+    "same_ratio",
     "spin_sector",
     "tau_matrix",
     "transfer_matrix",

@@ -3,8 +3,10 @@
 Subcommands: enumerate, gram, spin, intertwiner, projector, transfer,
 scan-critical, spectrum, verify, export.  Exit codes: 0 all checks pass,
 1 verification failure, 2 usage or domain error (including a size above
-MAX_SITES, a --d that is no defect count on --n sites, a verify run that
-selects no case, and an unwritable --out).  All floating numbers are
+MAX_SITES, a --d that is no defect count on --n sites, a non-finite
+--lambda, --mu, --nu or --tol, a transfer expansion check where
+sin(lambda) vanishes, a verify run that selects no case, and an
+unwritable --out).  All floating numbers are
 emitted with 17 significant digits; the randomized verify suites take
 --seed.
 """
@@ -12,6 +14,7 @@ emitted with 17 significant digits; the randomized verify suites take
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -22,7 +25,7 @@ from . import projectors as prj
 from . import transfer as trf
 from . import verify as vfy
 from .linkrep import gram_matrix
-from .ring import LaurentPoly, RingFraction
+from .ring import ONE, LaurentPoly
 from .spinrep import ebar_matrix, hamiltonian, omegabar_matrix
 from .states import enumerate_states
 
@@ -37,6 +40,13 @@ def _fmt(x: float) -> str:
 
 def _fmt_complex(z: complex) -> str:
     return f"{_fmt(z.real)}{'+' if z.imag >= 0 else '-'}{_fmt(abs(z.imag))}j"
+
+
+def _ratio_repr(num: LaurentPoly, den: LaurentPoly) -> str:
+    """num/den as text, with the monomial common to both taken out."""
+    su, sv = map(min, zip(num.min_exponents(), den.min_exponents()))
+    num, den = num.shift(-su, -sv), den.shift(-su, -sv)
+    return repr(num) if den == ONE else f"({num!r}) / ({den!r})"
 
 
 def _parse_monomial(text: str) -> LaurentPoly:
@@ -173,7 +183,7 @@ def cmd_projector(args, out) -> int:
     if args.check == "wj":
         wj = prj.wenzl_jones(min(n, 5))
         payload = [
-            {"word": list(word), "coefficient": repr(RingFraction(num, wj.den))}
+            {"word": list(word), "coefficient": _ratio_repr(num, wj.den)}
             for num, word in wj.terms
         ]
         out.write(json.dumps(payload, indent=1) + "\n")
@@ -190,7 +200,7 @@ def cmd_projector(args, out) -> int:
         for r in range(0, (n - d) // 2 + 1):
             closed = prj.k_factor(d, r, n_ambient=n, mode="closed_form")
             rec = prj.k_factor(d, r, n_ambient=n, mode="recursion")
-            agree = closed == rec
+            agree = prj.same_ratio(closed, rec)
             ok = ok and agree
             rows.append({"r": r, "recursion_matches_closed_form": agree})
         out.write(json.dumps(rows) + "\n")
@@ -430,6 +440,14 @@ def _check_size(args):
             raise ValueError(f"--{flag.replace('_', '-')} {size} exceeds MAX_SITES = {MAX_SITES}")
 
 
+def _check_finite(args):
+    for flag in ("lam", "mu", "nu", "tol"):
+        x = getattr(args, flag, None)
+        if x is not None and not cmath.isfinite(complex(x)):
+            name = "lambda" if flag == "lam" else flag
+            raise ValueError(f"--{name} {x} is not a finite number")
+
+
 def _check_sector(args):
     n = getattr(args, "n", None)
     if n is not None and not (0 <= args.d <= n and (n - args.d) % 2 == 0):
@@ -440,6 +458,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_size(args)
+        _check_finite(args)
         _check_sector(args)
         if args.out is None:
             return args.fn(args, sys.stdout)

@@ -19,7 +19,7 @@ from math import comb, pi, sin
 import numpy as np
 
 from .linkrep import RingMatrix, gram_matrix, loop_variables_to_uv
-from .ring import GR_I, ONE, ZERO, LaurentPoly, RingFraction, bracket, trig_sin
+from .ring import GR_I, ONE, ZERO, LaurentPoly, bracket, trig_sin
 from .spinrep import act, spin_sector
 from .states import LinkState, enumerate_states, module_dim, standard_dim
 
@@ -163,14 +163,15 @@ def det_factors(n: int, d: int, which: str):
 
 def det_formulas(n: int, d: int, which: str):
     """Closed-form determinant products (see :func:`det_factors`); a
-    RingFraction for 'gram_open', a Laurent polynomial otherwise."""
+    pair (numerator, denominator) for 'gram_open', a Laurent polynomial
+    otherwise."""
     num, den = ONE, ONE
     for poly, e in det_factors(n, d, which):
         if e < 0:
             den = den * poly ** -e
         else:
             num = num * poly ** e
-    return RingFraction(num, den) if which == "gram_open" else num
+    return (num, den) if which == "gram_open" else num
 
 
 def leading_exponents(n: int, d: int) -> tuple:

@@ -22,15 +22,11 @@ from .states import LinkState, enumerate_states, standard_states
 
 
 class RingMatrix:
-    """Dense labeled matrix over an exact ring (or plain numbers).
+    """Dense labeled matrix of Laurent polynomials."""
 
-    Entries only need +, * and truthiness; ``zero`` supplies the additive
-    identity for lazy accumulation.
-    """
+    __slots__ = ("rows", "cols", "entries", "row_labels", "col_labels", "_terms")
 
-    __slots__ = ("rows", "cols", "entries", "row_labels", "col_labels", "zero", "_terms")
-
-    def __init__(self, entries, row_labels=None, col_labels=None, zero=ZERO):
+    def __init__(self, entries, row_labels=None, col_labels=None):
         self.entries = entries
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else 0
@@ -38,7 +34,6 @@ class RingMatrix:
         self.col_labels = col_labels if col_labels is not None else list(range(self.cols))
         if len(self.row_labels) != self.rows or len(self.col_labels) != self.cols:
             raise ValueError("label count does not match matrix shape")
-        self.zero = zero
         self._terms = None
 
     @staticmethod
@@ -67,34 +62,34 @@ class RingMatrix:
                         continue
                     t = a * b
                     acc = t if acc is None else acc + t
-                out_row.append(self.zero if acc is None else acc)
+                out_row.append(ZERO if acc is None else acc)
             out.append(out_row)
-        return RingMatrix(out, self.row_labels, other.col_labels, self.zero)
+        return RingMatrix(out, self.row_labels, other.col_labels)
 
     def transpose(self) -> "RingMatrix":
         ent = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return RingMatrix(ent, self.col_labels, self.row_labels, self.zero)
+        return RingMatrix(ent, self.col_labels, self.row_labels)
 
     def map(self, fn) -> "RingMatrix":
         ent = [[fn(e) for e in row] for row in self.entries]
-        return RingMatrix(ent, self.row_labels, self.col_labels, self.zero)
+        return RingMatrix(ent, self.row_labels, self.col_labels)
 
     def scale(self, c) -> "RingMatrix":
-        return self.map(lambda e: e * c if e else self.zero)
+        return self.map(lambda e: e * c if e else ZERO)
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         ent = [
             [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
             for i in range(self.rows)
         ]
-        return RingMatrix(ent, self.row_labels, self.col_labels, self.zero)
+        return RingMatrix(ent, self.row_labels, self.col_labels)
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
         ent = [
             [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
             for i in range(self.rows)
         ]
-        return RingMatrix(ent, self.row_labels, self.col_labels, self.zero)
+        return RingMatrix(ent, self.row_labels, self.col_labels)
 
     def __eq__(self, other):
         if not isinstance(other, RingMatrix):
@@ -119,7 +114,6 @@ class RingMatrix:
             ent,
             [self.row_labels[i] for i in row_idx],
             [self.col_labels[j] for j in col_idx],
-            self.zero,
         )
 
     def permuted(self, row_perm, col_perm) -> "RingMatrix":
@@ -317,6 +311,9 @@ def gram_matrix(
 
 def loop_variables_to_uv(p: LaurentPoly, n: int, d: int) -> LaurentPoly:
     """Undo the compressed encoding of :func:`gram_matrix`."""
-    if d == 0:
-        return p.substitute(beta_poly(), alpha_poly(n))
-    return p.substitute(beta_poly(), LaurentPoly.v_pow(1))
+    out = ZERO
+    for (a, b), c in p.terms.items():
+        # beta^a and alpha^b (or v^b) are cached apart: few distinct a and b, many pairs
+        other = loop_weight(0, b, 0, n) if d == 0 else loop_weight(0, 0, b, n)
+        out = out + LaurentPoly.const(c) * loop_weight(a, 0, 0, n) * other
+    return out

@@ -12,6 +12,11 @@ never crosses the seam (so the term count stays at the Catalan number).
 One representative generator word per diagram is kept so the
 combination can also be read as a formal word sum.
 
+Every quotient here (a projector coefficient, an entry of the
+transformed Gram matrix, a K factor) is a pair (numerator, denominator)
+of Laurent polynomials with the denominator known in advance; two pairs
+are compared with :func:`same_ratio`.
+
 Applying the projector inside the cylinder follows the change-of-basis
 recipe: interior arcs of the state are removed, the projector acts on
 the reduced cylinder spanned by the boundary-arc endpoints and defects,
@@ -26,16 +31,7 @@ from functools import lru_cache
 
 from .diagrams import AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
 from .linkrep import RingMatrix, act_weight, gram_matrix, gram_pair, loop_weight
-from .ring import (
-    ONE,
-    ZERO,
-    LaurentPoly,
-    RingFraction,
-    alpha_poly,
-    beta_poly,
-    trig_cos,
-    trig_sin,
-)
+from .ring import ONE, ZERO, LaurentPoly, alpha_poly, beta_poly, trig_cos, trig_sin
 from .states import LinkState, bijection_C, enumerate_states, standard_dim
 
 
@@ -71,17 +67,13 @@ class TLWord:
     generator word.
     """
 
-    __slots__ = ("window", "diagrams", "words", "den")
+    __slots__ = ("size", "diagrams", "words", "den")
 
-    def __init__(self, window, diagrams, words, den):
-        self.window = tuple(window)
+    def __init__(self, size, diagrams, words, den):
+        self.size = size
         self.diagrams = diagrams
         self.words = words
         self.den = den
-
-    @property
-    def size(self) -> int:
-        return len(self.window)
 
     @property
     def terms(self):
@@ -95,7 +87,7 @@ class TLWord:
             mm = _relabel(m, p, node)
             diagrams[mm] = c
             words[mm] = word_of(self.words[m])
-        return TLWord(self.window, diagrams, words, self.den)
+        return TLWord(p, diagrams, words, self.den)
 
     def reflected(self) -> "TLWord":
         """Vertical-mirror image: window slot i -> p+1-i."""
@@ -164,23 +156,14 @@ def _wenzl_diagrams(p: int):
     return {m: (c, w) for m, (c, w) in out.items() if c}
 
 
-def wenzl_jones(p: int, window=None) -> TLWord:
-    """The projector on p strands, acting at the given window positions.
-
-    ``window`` defaults to slots 1..p; entries must be strictly
-    ascending site positions.
-    """
-    if window is None:
-        window = tuple(range(1, p + 1))
-    window = tuple(window)
-    if len(window) != p or list(window) != sorted(set(window)):
-        raise ValueError("window must be p strictly ascending positions")
+def wenzl_jones(p: int) -> TLWord:
+    """The projector on p strands, acting on sites 1..p."""
     data = _wenzl_diagrams(p)
     den = ONE
     for k in range(2, p + 1):
         den = den * _qint(k)
     return TLWord(
-        window, {m: c for m, (c, w) in data.items()}, {m: w for m, (c, w) in data.items()}, den
+        p, {m: c for m, (c, w) in data.items()}, {m: w for m, (c, w) in data.items()}, den
     )
 
 
@@ -189,19 +172,16 @@ def wenzl_jones(p: int, window=None) -> TLWord:
 # ---------------------------------------------------------------------
 
 def apply_tlword(word: TLWord, state: LinkState):
-    """Act with a window combination on a link state (contiguous window).
+    """Act with a window combination on sites 1..size of a link state.
 
     Returns a dict mapping result states to Laurent-polynomial
     numerators over ``word.den`` (single-twist weights included).
     """
     n = state.n_sites
-    window = word.window
-    if any(window[i + 1] - window[i] != 1 for i in range(len(window) - 1)):
-        raise ValueError("direct application needs a contiguous window")
-    outside = [site for site in range(1, n + 1) if site not in window]
+    outside = range(word.size + 1, n + 1)
     out: dict = {}
     for m, coeff in word.diagrams.items():
-        diag = _relabel(m, n, lambda x: (x[0], window[x[1] - 1]), outside)
+        diag = _relabel(m, n, lambda x: x, outside)
         res = act_on_link(diag, state)
         if res is not None:
             out[res.state] = out.get(res.state, ZERO) + coeff * act_weight(res, n)
@@ -280,23 +260,24 @@ def u_transform(n: int, d: int):
     return RingMatrix(ent, list(basis), list(basis)), dens
 
 
-def gamma_matrix(n: int, d: int) -> RingMatrix:
+def gamma_matrix(n: int, d: int):
     """The Gram matrix congruence-transformed to the projector basis.
 
     The Gram form pairs the twist-v action on its first slot with the
     twist-1/v action on its second, so the congruence reads
     transpose(U|_{v->1/v}) @ Gram @ U; this is what block-diagonalizes.
-    The triple product runs over the numerators of U, whose column
-    denominators involve u alone and are divided back out entrywise.
+    Returns (P, dens): the triple product over the numerators of U, so
+    entry (i, j) of the transformed matrix is P[i, j] / (dens[i] dens[j]);
+    the column denominators of U involve u alone, so v -> 1/v fixes them.
     """
     u, dens = u_transform(n, d)
     g = gram_matrix(n, d)
-    p = u.map(LaurentPoly.flip_v).transpose() @ g @ u
-    ent = [
-        [RingFraction(p[i, j], dens[i] * dens[j]) for j in range(u.cols)]
-        for i in range(u.rows)
-    ]
-    return RingMatrix(ent, u.row_labels, u.col_labels, zero=RingFraction.zero())
+    return u.map(LaurentPoly.flip_v).transpose() @ g @ u, dens
+
+
+def same_ratio(a, b) -> bool:
+    """Whether the quotients a = (num, den) and b = (num, den) are equal."""
+    return a[0] * b[1] == b[0] * a[1]
 
 
 # ---------------------------------------------------------------------
@@ -311,8 +292,9 @@ def reference_state(d: int, r: int) -> LinkState:
     return LinkState(m, pairs, defects)
 
 
-def k_factor(d: int, r: int, n_ambient: int | None = None, mode: str = "closed_form") -> RingFraction:
-    """The scalar block factor for the r-th stratum with d defects.
+def k_factor(d: int, r: int, n_ambient: int | None = None, mode: str = "closed_form"):
+    """The scalar block factor for the r-th stratum with d defects, as a
+    pair (numerator, denominator).
 
     ``n_ambient`` fixes which circumference the non-contractible weight
     refers to (it enters through alpha = v^n + v^-n); it defaults to
@@ -327,18 +309,15 @@ def k_factor(d: int, r: int, n_ambient: int | None = None, mode: str = "closed_f
             c = trig_cos(2 * k + d)
             num = num * (alpha2 - c * c) * _sine(k)
             den = den * _sine(r + d + k)
-        return RingFraction(num, den)
+        return num, den
     if mode == "recursion":
         if r == 0:
-            return RingFraction.one()
+            return ONE, ONE
         alpha2 = alpha_poly(n_ambient) * alpha_poly(n_ambient)
-        prev = k_factor(d, r - 1, n_ambient, "recursion")
+        num, den = k_factor(d, r - 1, n_ambient, "recursion")
         c = trig_cos(2 * r + d)
-        step = RingFraction(
-            (alpha2 - c * c) * _sine(r) * _sine(r + d),
-            _sine(2 * r + d) * _sine(2 * r + d - 1),
-        )
-        return prev * step
+        num = num * (alpha2 - c * c) * _sine(r) * _sine(r + d)
+        return num, den * _sine(2 * r + d) * _sine(2 * r + d - 1)
     if mode == "gram_pairing":
         if n_ambient != d + 2 * r:
             raise ValueError("the defining pairing lives on d + 2r sites")
@@ -348,7 +327,7 @@ def k_factor(d: int, r: int, n_ambient: int | None = None, mode: str = "closed_f
         for target, num in apply_tlword(proj, w_ref).items():
             # the second Gram slot carries the twist-1/v action
             total = total + num.flip_v() * gram_pair(w_ref, target)
-        return RingFraction(total, proj.den)
+        return total, proj.den
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -365,7 +344,7 @@ def gamma_block_report(n: int, d: int):
     basis.
     """
     basis = enumerate_states(n, d)
-    gamma = gamma_matrix(n, d)
+    gamma, dens = gamma_matrix(n, d)
     strata: dict = {}
     for k, w in enumerate(basis):
         strata.setdefault(w.boundary_arcs, []).append(k)
@@ -380,13 +359,12 @@ def gamma_block_report(n: int, d: int):
                         failures.append(("off-block", r1, r2, i, j))
     v = LaurentPoly.v_pow(1)
     for r, idx in strata.items():
-        kf = k_factor(d, r, n_ambient=n)
+        k_num, k_den = k_factor(d, r, n_ambient=n)
         twists = [ONE] * r + [v] * d + [ONE] * r
         for i in idx:
             for j in idx:
-                wi, wj = basis[i], basis[j]
-                expect = kf * gram_pair(bijection_C(wj), bijection_C(wi), twists)
-                if gamma[i, j] != expect:
+                pair = gram_pair(bijection_C(basis[j]), bijection_C(basis[i]), twists)
+                if gamma[i, j] * k_den != k_num * pair * dens[i] * dens[j]:
                     failures.append(("block", r, i, j))
     return not failures, failures
 
@@ -396,7 +374,8 @@ def gram_recursion_check(n: int, d: int, twists=None) -> bool:
 
     The d-defect open Gram determinant at size n factors as the
     (d-1)-defect determinant at size n-1 times a sine-ratio power times
-    the (d+1)-defect determinant at size n-1.
+    the (d+1)-defect determinant at size n-1; the ratio's denominator
+    S_{d+1}^power is multiplied over to the left.
     """
     from .intertwiner import det_exact
 
@@ -404,16 +383,10 @@ def gram_recursion_check(n: int, d: int, twists=None) -> bool:
         raise ValueError("the recursion needs at least one defect")
     if twists is None:
         twists = [LaurentPoly.v_pow(k + 1) for k in range(d)]
-    lhs = RingFraction.from_poly(
-        det_exact(gram_matrix(n, d, mode="open", twists=list(twists)))
-    )
-    rhs = RingFraction.one()
-    if d - 1 <= n - 1:
-        rhs = rhs * det_exact(
-            gram_matrix(n - 1, d - 1, mode="open", twists=list(twists[1:]))
-        )
     power = standard_dim(n - 1, d + 1)
-    rhs = rhs * RingFraction(_sine(d + 2) ** power, _sine(d + 1) ** power)
+    lhs = det_exact(gram_matrix(n, d, mode="open", twists=list(twists))) * _sine(d + 1) ** power
+    rhs = det_exact(gram_matrix(n - 1, d - 1, mode="open", twists=list(twists[1:])))
+    rhs = rhs * _sine(d + 2) ** power
     if d + 1 <= n - 1:
         rhs = rhs * det_exact(
             gram_matrix(n - 1, d + 1, mode="open", twists=[ONE] + list(twists))

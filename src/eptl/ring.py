@@ -1,7 +1,7 @@
 """Exact scalar arithmetic for the periodic Temperley-Lieb toolkit.
 
 Everything downstream is computed over the ring of Laurent polynomials in
-two variables ``u`` and ``v`` with Gaussian-integer coefficients.  Three
+two variables ``u`` and ``v`` with Gaussian-integer coefficients.  Two
 types live here:
 
 ``GaussianInt``
@@ -12,10 +12,10 @@ types live here:
     ``(eu, ev)`` to nonzero ``GaussianInt`` coefficients.  The zero
     polynomial has an empty term map.
 
-``RingFraction``
-    A quotient of two Laurent polynomials.  Equality is decided by
-    cross-multiplication; no polynomial gcd is ever computed, only a
-    common pure-monomial factor is stripped.
+There is no fraction type: every quotient downstream is a pair
+(numerator, denominator) of Laurent polynomials whose denominator is
+known before the arithmetic starts, and two pairs are compared by
+cross-multiplication, so no polynomial gcd is ever needed.
 
 The module also provides the trigonometric building blocks used by the
 determinant formulas: with ``u = exp(i*lam/2)`` and ``Lam = pi - lam``,
@@ -283,32 +283,6 @@ class LaurentPoly:
         """Substitute v -> v^-1."""
         return LaurentPoly({(x, -y): c for (x, y), c in self.terms.items()})
 
-    def substitute(self, pu: "LaurentPoly", pv: "LaurentPoly") -> "LaurentPoly":
-        """Evaluate self at u=pu, v=pv (exact composition).
-
-        Negative exponents require the corresponding value to be an
-        invertible monomial.
-        """
-        pu_inv = _monomial_inverse(pu) if any(e[0] < 0 for e in self.terms) else None
-        pv_inv = _monomial_inverse(pv) if any(e[1] < 0 for e in self.terms) else None
-        pow_cache_u: dict = {0: LaurentPoly.one()}
-        pow_cache_v: dict = {0: LaurentPoly.one()}
-
-        def ppow(base, inv, k, cache):
-            if k not in cache:
-                cache[k] = (base if k > 0 else inv) ** abs(k) if abs(k) > 1 else (base if k > 0 else inv)
-            return cache[k]
-
-        out = LaurentPoly.zero()
-        for (x, y), c in self.terms.items():
-            term = LaurentPoly.const(c)
-            if x:
-                term = term * ppow(pu, pu_inv, x, pow_cache_u)
-            if y:
-                term = term * ppow(pv, pv_inv, y, pow_cache_v)
-            out = out + term
-        return out
-
     # -- exact division ----------------------------------------------
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
@@ -403,107 +377,8 @@ def _coeff_inv_pow(c: GaussianInt, n: int) -> GaussianInt:
     return out
 
 
-def _monomial_inverse(p: LaurentPoly) -> LaurentPoly:
-    if len(p.terms) != 1:
-        raise ValueError("negative exponents need an invertible monomial value")
-    (eu, ev), c = next(iter(p.terms.items()))
-    return LaurentPoly({(-eu, -ev): GR_ONE / c})
-
-
 ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.one()
-
-
-class RingFraction:
-    """Quotient num/den of Laurent polynomials.
-
-    No gcd machinery: construction only strips a common pure monomial
-    factor, and equality is decided by cross-multiplication.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly = ONE):
-        if den.is_zero():
-            raise ZeroDivisionError("fraction with zero denominator")
-        if num.is_zero():
-            den = ONE
-        else:
-            nu, nv = num.min_exponents()
-            du, dv = den.min_exponents()
-            su, sv = min(nu, du), min(nv, dv)
-            if su or sv:
-                num = num.shift(-su, -sv)
-                den = den.shift(-su, -sv)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "RingFraction":
-        return RingFraction(p, ONE)
-
-    @staticmethod
-    def one() -> "RingFraction":
-        return RingFraction(ONE, ONE)
-
-    @staticmethod
-    def zero() -> "RingFraction":
-        return RingFraction(ZERO, ONE)
-
-    def __add__(self, other) -> "RingFraction":
-        other = _as_fraction(other)
-        return RingFraction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other) -> "RingFraction":
-        other = _as_fraction(other)
-        return RingFraction(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> "RingFraction":
-        return RingFraction(-self.num, self.den)
-
-    def __mul__(self, other) -> "RingFraction":
-        other = _as_fraction(other)
-        return RingFraction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other) -> "RingFraction":
-        other = _as_fraction(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by the zero fraction")
-        return RingFraction(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, n: int) -> "RingFraction":
-        if n < 0:
-            return RingFraction(self.den ** -n, self.num ** -n)
-        return RingFraction(self.num ** n, self.den ** n)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LaurentPoly):
-            other = RingFraction.from_poly(other)
-        if not isinstance(other, RingFraction):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        raise TypeError("RingFraction is not hashable (equality is semantic)")
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __repr__(self) -> str:
-        if self.den == ONE:
-            return repr(self.num)
-        return f"({self.num!r}) / ({self.den!r})"
-
-
-def _as_fraction(x) -> RingFraction:
-    if isinstance(x, RingFraction):
-        return x
-    if isinstance(x, LaurentPoly):
-        return RingFraction.from_poly(x)
-    raise TypeError(f"cannot coerce {type(x)} to RingFraction")
 
 
 # ---------------------------------------------------------------------

@@ -38,6 +38,9 @@ DEFECT_TOL = {
 }
 # finite-difference step of expansion_defect
 EXPANSION_STEP = 1e-4
+# |sin(lam)| below which the zero-anisotropy limit sin(lam)^n Omega vanishes
+# and the expansion about it, which divides by sin(lam), is undefined
+SIN_FLOOR = 1e-6
 
 
 @lru_cache(maxsize=None)
@@ -230,8 +233,11 @@ def expansion_defect(n: int, d: int, lam: float, mu: float) -> float:
     Richardson-extrapolated central differences of the transfer matrix
     at zero anisotropy, with step ``EXPANSION_STEP``, against
     sin(lam)^n * Omega (H/sin(lam) - n cot(lam)), with H the
-    generator-sum matrix.
+    generator-sum matrix.  Raises ValueError when |sin(lam)| is below
+    ``SIN_FLOOR``.
     """
+    if abs(sin(lam)) < SIN_FLOOR:
+        raise ValueError(f"sin(lambda) vanishes at lambda = {lam}; the expansion is undefined")
     h = EXPANSION_STEP
     u, v = exp(1j * lam / 2), exp(1j * mu)
     d1 = (transfer_matrix(n, d, lam, h, mu) - transfer_matrix(n, d, lam, -h, mu)) / (2 * h)

@@ -311,13 +311,13 @@ def projector_cases(n_max: int, d_filter=None, seed: int = 0):
     def k_recursions():
         for d in k_defects:
             for r in range(1, 4):
-                if prj.k_factor(d, r, d + 2 * r + 2, "recursion") != prj.k_factor(
-                    d, r, d + 2 * r + 2, "closed_form"
-                ):
+                n_amb = d + 2 * r + 2
+                closed = prj.k_factor(d, r, n_amb, "closed_form")
+                if not prj.same_ratio(prj.k_factor(d, r, n_amb, "recursion"), closed):
                     return f"recursion vs closed form at d={d} r={r}"
                 # the defining pairing is desk-scale only for small windows
-                if d + 2 * r <= 6 and prj.k_factor(d, r, mode="gram_pairing") != prj.k_factor(
-                    d, r, mode="closed_form"
+                if d + 2 * r <= 6 and not prj.same_ratio(
+                    prj.k_factor(d, r, mode="gram_pairing"), prj.k_factor(d, r, mode="closed_form")
                 ):
                     return f"pairing vs closed form at d={d} r={r}"
         return None
@@ -357,14 +357,14 @@ def transfer_cases(n_max: int, d_filter=None, seed: int = 0):
                     return "crossing symmetry"
                 if trf.expansion_defect(n, d, lam, mu) > tol["expansion_defect"]:
                     return "anisotropy expansion"
-                if abs(math.sin(lam)) > 1e-6:
-                    t0 = trf.transfer_matrix(n, d, lam, 0.0, mu)
-                    u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
-                    om = omega_matrix([("omega", 1)], n, d).to_numeric(u, v)
-                    if np.max(np.abs(t0 - math.sin(lam) ** n * om)) > 1e-12 * max(
-                        1.0, np.max(np.abs(t0))
-                    ):
-                        return "zero-anisotropy calibration"
+                # expansion_defect has refused a vanishing sin(lam) above
+                t0 = trf.transfer_matrix(n, d, lam, 0.0, mu)
+                u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
+                om = omega_matrix([("omega", 1)], n, d).to_numeric(u, v)
+                if np.max(np.abs(t0 - math.sin(lam) ** n * om)) > 1e-12 * max(
+                    1.0, np.max(np.abs(t0))
+                ):
+                    return "zero-anisotropy calibration"
                 return None
 
             return run
@@ -405,7 +405,7 @@ def spectrum_deviation(n: int, d: int, lam: float, mu: float):
     """Max sorted-eigenvalue deviation between the two module Hamiltonians,
     plus the bracket-criticality flag."""
     vals = itw.bracket_values(n, d, lam, mu)
-    critical = bool(vals) and min(abs(x) for x in vals) < 1e-9
+    critical = bool(vals) and min(abs(x) for x in vals) < itw.BRACKET_TOL
     e1, e2 = sorted_spectra(n, d, lam, mu)
     dev = float(np.max(np.abs(e1 - e2))) if len(e1) else 0.0
     return dev, critical

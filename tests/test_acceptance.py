@@ -24,7 +24,6 @@ from eptl.ring import (
     ONE,
     ZERO,
     LaurentPoly,
-    RingFraction,
     alpha_poly,
     beta_poly,
 )
@@ -198,32 +197,37 @@ class TestCriterion7ProjectorLayer:
         report("criterion 7a: projector properties and K factors", not failures, str(failures))
 
     def test_four_site_gamma_displays(self):
-        g0 = prj.gamma_matrix(4, 0)
+        def matches(gamma, expect):
+            p, dens = gamma
+            return p.rows == len(expect) and all(
+                prj.same_ratio((p[i, j], dens[i] * dens[j]), expect[i][j])
+                for i in range(p.rows)
+                for j in range(p.cols)
+            )
+
         k1 = prj.k_factor(0, 1, n_ambient=4)
         k2 = prj.k_factor(0, 2, n_ambient=4)
-        b = RingFraction.from_poly(B)
-        z = RingFraction.zero()
+        b, bb, z = (B, ONE), (B * B, ONE), (ZERO, ONE)
+        bk1 = (B * k1[0], k1[1])
         expect0 = [
-            [b * b, b, z, z, z, z],
-            [b, b * b, z, z, z, z],
-            [z, z, b * k1, k1, z, z],
-            [z, z, k1, b * k1, k1, z],
-            [z, z, z, k1, b * k1, z],
+            [bb, b, z, z, z, z],
+            [b, bb, z, z, z, z],
+            [z, z, bk1, k1, z, z],
+            [z, z, k1, bk1, k1, z],
+            [z, z, z, k1, bk1, z],
             [z, z, z, z, z, k2],
         ]
-        ok0 = all(g0[i, j] == expect0[i][j] for i in range(6) for j in range(6))
-        g2 = prj.gamma_matrix(4, 2)
+        ok0 = matches(prj.gamma_matrix(4, 0), expect0)
         k21 = prj.k_factor(2, 1, n_ambient=4)
-        vp = lambda k: RingFraction.from_poly(LaurentPoly.v_pow(k))
+        vp = lambda k: (LaurentPoly.v_pow(k), ONE)
         expect2 = [
             [b, vp(-2), z, z],
             [vp(2), b, vp(-2), z],
             [z, vp(2), b, z],
             [z, z, z, k21],
         ]
-        ok2 = all(g2[i, j] == expect2[i][j] for i in range(4) for j in range(4))
-        g4 = prj.gamma_matrix(4, 4)
-        ok4 = g4.rows == 1 and g4[0, 0] == RingFraction.one()
+        ok2 = matches(prj.gamma_matrix(4, 2), expect2)
+        ok4 = matches(prj.gamma_matrix(4, 4), [[(ONE, ONE)]])
         report("criterion 7b: transformed 4-site Gram matrices match the displays", ok0 and ok2 and ok4)
 
     def test_block_structure_through_six_sites(self):

@@ -100,17 +100,35 @@ class TestChecks:
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_projector_wj_prints_numerators_over_quantum_factorial(self, capsys, p):
+        from eptl.cli import _ratio_repr
         from eptl.projectors import wenzl_jones
-        from eptl.ring import RingFraction
 
         code, out = run_cli(capsys, "projector", "--n", str(p), "--d", str(p % 2), "--check", "wj")
         assert code == 0
         wj = wenzl_jones(p)
         expect = [
-            {"word": list(word), "coefficient": repr(RingFraction(num, wj.den))}
+            {"word": list(word), "coefficient": _ratio_repr(num, wj.den)}
             for num, word in wj.terms
         ]
         assert json.loads(out) == expect
+
+    # the printed coefficient text, pinned literally so any change to it shows
+    WJ_COEFFICIENTS = {
+        2: ["(u^2) / ((-1) + (-1)*u^4)", "((-1) + (-1)*u^4) / ((-1) + (-1)*u^4)"],
+        3: [
+            "((-1)*u^4 + (-1)*u^8) / ((-1) + (-2)*u^4 + (-2)*u^8 + (-1)*u^12)",
+            "(u^2 + (2)*u^6 + u^10) / ((-1) + (-2)*u^4 + (-2)*u^8 + (-1)*u^12)",
+            "(u^2 + (2)*u^6 + u^10) / ((-1) + (-2)*u^4 + (-2)*u^8 + (-1)*u^12)",
+            "((-1) + (-2)*u^4 + (-2)*u^8 + (-1)*u^12) / ((-1) + (-2)*u^4 + (-2)*u^8 + (-1)*u^12)",
+            "((-1)*u^4 + (-1)*u^8) / ((-1) + (-2)*u^4 + (-2)*u^8 + (-1)*u^12)",
+        ],
+    }
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_projector_wj_coefficient_text_is_pinned(self, capsys, p):
+        code, out = run_cli(capsys, "projector", "--n", str(p), "--d", str(p % 2), "--check", "wj")
+        assert code == 0
+        assert [t["coefficient"] for t in json.loads(out)] == self.WJ_COEFFICIENTS[p]
 
     def test_projector_recursion(self, capsys):
         code, out = run_cli(capsys, "projector", "--n", "5", "--d", "1", "--check", "recursion")
@@ -238,7 +256,7 @@ class TestVerify:
 
         def record_k(d, *args, **kwargs):
             seen["k"].add(d)
-            return 1
+            return 1, 1
 
         monkeypatch.setattr(vfy, "gram_matrix", record_gram)
         monkeypatch.setattr(vfy.prj, "k_factor", record_k)
@@ -366,6 +384,37 @@ class TestSurface:
         code = main([*argv, "--n", "4", "--d", "1"])
         assert code == 2
         assert "defect count 1 incompatible with 4 sites" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["transfer", "--lambda", "nan"],
+            ["transfer", "--lambda", "inf"],
+            ["transfer", "--lambda", "1.1", "--mu=-inf"],
+            ["transfer", "--lambda", "1.1", "--nu", "nan"],
+            ["transfer", "--lambda", "1.1", "--nu", "0.3+infj"],
+            ["spectrum", "--lambda", "nan"],
+            ["spectrum", "--lambda", "0.9", "--tol", "nan"],
+            ["scan-critical", "--lambda-range", "1:2:2", "--mu-range", "0:1:2", "--tol", "nan"],
+        ],
+    )
+    def test_non_finite_float_exits_two_before_work(self, argv, monkeypatch, capsys):
+        for target in (
+            "eptl.transfer.transfer_matrix", "eptl.verify.sorted_spectra",
+            "eptl.intertwiner.critical_scan",
+        ):
+            monkeypatch.setattr(target, _no_work)
+        code = main([*argv, "--n", "4", "--d", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "is not a finite number" in captured.err
+
+    @pytest.mark.parametrize("lam", ["0", "3.141592653589793"])
+    def test_expansion_where_sin_lambda_vanishes_exits_two(self, lam, capsys):
+        code = main(["transfer", "--n", "4", "--d", "0", "--lambda", lam])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "sin(lambda) vanishes" in captured.err
 
     def test_recursion_without_defects_exits_two(self, capsys):
         # d = 0 is refused as it is, not rewritten to d = 1

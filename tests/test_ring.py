@@ -13,7 +13,6 @@ import eptl
 from eptl.ring import (
     GaussianInt,
     LaurentPoly,
-    RingFraction,
     alpha_poly,
     beta_poly,
     bracket,
@@ -208,25 +207,3 @@ class TestJson:
     def test_roundtrip_property(self, p):
         assert LaurentPoly.from_json_dict(p.to_json_dict()) == p
 
-
-class TestFraction:
-    def test_cross_multiplied_equality(self):
-        b = beta_poly()
-        f = RingFraction(b * b, b)
-        assert f == RingFraction.from_poly(b)
-
-    def test_monomial_content_stripped(self):
-        num = LaurentPoly.monomial(3, 2) * beta_poly()
-        den = LaurentPoly.monomial(3, 2) * alpha_poly(4)
-        f = RingFraction(num, den)
-        mins = min(f.num.min_exponents(), f.den.min_exponents())
-        assert min(f.num.min_exponents()[0], f.den.min_exponents()[0]) == 0
-        assert min(f.num.min_exponents()[1], f.den.min_exponents()[1]) == 0
-        assert f == RingFraction(beta_poly(), alpha_poly(4))
-
-    def test_arithmetic(self):
-        b, a = beta_poly(), alpha_poly(3)
-        f = RingFraction(b, a) + RingFraction(a, b)
-        assert f == RingFraction(b * b + a * a, a * b)
-        assert (f - f).is_zero()
-        assert RingFraction(b, a) * RingFraction(a, b) == RingFraction.one()

@@ -91,6 +91,11 @@ class TestTransferProperties:
     def test_anisotropy_expansion(self, n, d, lam):
         assert expansion_defect(n, d, lam, 0.3) < 1e-5
 
+    @pytest.mark.parametrize("lam", [0.0, math.pi, -math.pi, 1e-7])
+    def test_expansion_refuses_vanishing_sine(self, lam):
+        with pytest.raises(ValueError, match="sin\\(lambda\\) vanishes"):
+            expansion_defect(4, 0, lam, 0.3)
+
 
 class TestTransferTable:
     @pytest.mark.parametrize("n,d", SECTORS_TO_7)
