@@ -4,9 +4,9 @@ Subcommands: enumerate, gram, spin, intertwiner, projector, transfer,
 scan-critical, spectrum, verify, export.  Exit codes: 0 all checks pass,
 1 verification failure, 2 usage or domain error (including a size above
 MAX_SITES, a --d that is no defect count on --n sites, a non-finite
---lambda, --mu, --nu or --tol, a transfer expansion check where
-sin(lambda) vanishes, a verify run that selects no case, and an
-unwritable --out).  All floating numbers are
+--lambda, --mu, --nu, --tol or --lambda-range/--mu-range bound, a
+transfer expansion check where sin(lambda) vanishes, a verify run that
+selects no case, and an unwritable --out).  All floating numbers are
 emitted with 17 significant digits; the randomized verify suites take
 --seed.
 """
@@ -222,7 +222,7 @@ def cmd_transfer(args, out) -> int:
     if args.check in ("translate", "all"):
         results["translate_defect"] = trf.translation_invariance_defect(n, d, lam, nu, mu)
     if args.check in ("cross", "all"):
-        results["crossing_defect"] = trf.crossing_defect(n, d, lam, nu.real, mu)
+        results["crossing_defect"] = trf.crossing_defect(n, d, lam, nu, mu)
     if args.check in ("expand", "all"):
         results["expansion_defect"] = trf.expansion_defect(n, d, lam, mu)
     ok = all(v <= trf.DEFECT_TOL[k] for k, v in results.items())
@@ -234,6 +234,8 @@ def cmd_transfer(args, out) -> int:
 def _parse_range(spec: str):
     lo, hi, steps = spec.split(":")
     lo, hi, steps = float(lo), float(hi), int(steps)
+    if not (cmath.isfinite(lo) and cmath.isfinite(hi)):
+        raise ValueError(f"range {spec} has a bound that is not a finite number")
     if steps < 1:
         raise ValueError("need at least one step")
     if steps == 1:

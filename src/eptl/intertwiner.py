@@ -56,11 +56,8 @@ def i_matrix(n: int, d: int) -> RingMatrix:
     result as read-only."""
     basis = enumerate_states(n, d)
     sec = spin_sector(n, d)
-    ent = [[ZERO] * len(basis) for _ in sec.configs]
-    for col, w in enumerate(basis):
-        for mask, c in intertwine_state(w).items():
-            ent[sec.index[mask]][col] = c
-    return RingMatrix(ent, sec.labels(), list(basis))
+    columns = [intertwine_state(w) for w in basis]
+    return RingMatrix.from_columns(columns, sec.index, sec.labels(), list(basis))
 
 
 def i_matrix_numeric(n: int, d: int, u: complex, v: complex) -> np.ndarray:
@@ -223,12 +220,15 @@ def det_formula_log(n: int, d: int, which: str, u: complex, v: complex):
     return log_abs, phase
 
 
-def logdet_matches(logdet_sign, logdet_abs, formula_log, formula_phase, tol=1e-8) -> bool:
+LOGDET_TOL = 1e-8  # relative tolerance of logdet_matches on log |det|
+
+
+def logdet_matches(logdet_sign, logdet_abs, formula_log, formula_phase) -> bool:
     """Compare a numpy slogdet result against a factor-wise formula value,
     up to a global fourth root of unity."""
     import cmath
 
-    if abs(logdet_abs - formula_log) > tol * max(1.0, abs(formula_log)):
+    if abs(logdet_abs - formula_log) > LOGDET_TOL * max(1.0, abs(formula_log)):
         return False
     ratio = logdet_sign / cmath.exp(1j * formula_phase)
     return min(abs(ratio - t) for t in (1, -1, 1j, -1j)) < 1e-6

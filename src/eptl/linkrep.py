@@ -41,6 +41,16 @@ class RingMatrix:
         ent = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
         return RingMatrix(ent, labels, labels)
 
+    @staticmethod
+    def from_columns(columns, row_keys, row_labels, col_labels) -> "RingMatrix":
+        """The matrix whose column j is the sparse vector ``columns[j]``,
+        key -> entry; ``row_keys`` maps each key to its row index."""
+        ent = [[ZERO] * len(col_labels) for _ in row_labels]
+        for j, col in enumerate(columns):
+            for key, c in col.items():
+                ent[row_keys[key]][j] = c
+        return RingMatrix(ent, row_labels, col_labels)
+
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
 
@@ -185,32 +195,46 @@ def act_weight(res, n: int) -> LaurentPoly:
     return loop_weight(res.nbeta, res.nalpha, res.twist, n)
 
 
-def link_matrix(diagrams, n: int, d: int) -> RingMatrix:
-    """Exact matrix of a sum of diagrams acting on the d-defect module.
+def link_image(diagrams, w: LinkState) -> dict:
+    """Image of ``w`` under a diagram combination ``{diagram: coefficient}``,
+    as a sparse vector ``state -> LaurentPoly``; zero components are dropped."""
+    n = w.n_sites
+    out: dict = {}
+    for diag, coeff in diagrams.items():
+        res = act_on_link(diag, w)
+        if res is None:
+            continue
+        t = loop_weight(res.nbeta, res.nalpha, res.twist, n)
+        if coeff is not ONE:
+            t = coeff * t
+        target = res.state
+        if out and target in out:  # a state hashes in Python: skip it while out is empty
+            t = out.pop(target) + t
+            if not t:
+                continue
+        out[target] = t
+    return out
 
-    The basis is :func:`eptl.states.enumerate_states` order.
-    """
+
+def link_matrix(diagrams, n: int, d: int) -> RingMatrix:
+    """Exact matrix of a diagram combination ``{diagram: coefficient}`` on
+    the d-defect module, in :func:`eptl.states.enumerate_states` order."""
     basis = enumerate_states(n, d)
     index = {w: k for k, w in enumerate(basis)}
-    ent = [[ZERO] * len(basis) for _ in basis]
-    for diag in diagrams:
-        for j, w in enumerate(basis):
-            res = act_on_link(diag, w)
-            if res is not None:
-                weight, row = act_weight(res, n), ent[index[res.state]]
-                row[j] = row[j] + weight if row[j] else weight
-    return RingMatrix(ent, list(basis), list(basis))
+    columns = [link_image(diagrams, w) for w in basis]
+    return RingMatrix.from_columns(columns, index, list(basis), list(basis))
 
 
 def omega_matrix(word, n: int, d: int) -> RingMatrix:
     """Exact matrix of a generator word acting on the d-defect module;
     ``word`` uses the tokens of :func:`eptl.diagrams.word_diagram`."""
-    return link_matrix([word_diagram(word, n)], n, d)
+    return link_matrix({word_diagram(word, n): ONE}, n, d)
 
 
 def hamiltonian_link(n: int, d: int) -> RingMatrix:
     """Exact matrix of the generator sum e_1 + ... + e_n."""
-    return link_matrix((generator_diagram("e", n, i) for i in range(1, n + 1)), n, d)
+    gens = (generator_diagram("e", n, i) for i in range(1, n + 1))
+    return link_matrix(dict.fromkeys(gens, ONE), n, d)
 
 
 # ---------------------------------------------------------------------

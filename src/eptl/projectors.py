@@ -17,20 +17,18 @@ transformed Gram matrix, a K factor) is a pair (numerator, denominator)
 of Laurent polynomials with the denominator known in advance; two pairs
 are compared with :func:`same_ratio`.
 
-Applying the projector inside the cylinder follows the change-of-basis
-recipe: interior arcs of the state are removed, the projector acts on
-the reduced cylinder spanned by the boundary-arc endpoints and defects,
-displacements are converted back to original positions (a wrap around
-the reduced seam costs a full circumference), and the interior arcs are
-reinserted.
+A window combination acts on link states through :func:`embed`, which
+places it on any ascending set of cylinder sites.  The change of basis
+applies the projector on m = d + 2r strands to the m defects of C(w):
+the d defects and 2r boundary-arc ends of w.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagrams import AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
-from .linkrep import RingMatrix, act_weight, gram_matrix, gram_pair, loop_weight
+from .diagrams import AffineDiagram, compose, generator_diagram, identity_diagram
+from .linkrep import RingMatrix, gram_matrix, gram_pair, link_image, link_matrix
 from .ring import ONE, ZERO, LaurentPoly, alpha_poly, beta_poly, trig_cos, trig_sin
 from .states import LinkState, bijection_C, enumerate_states, standard_dim
 
@@ -171,74 +169,32 @@ def wenzl_jones(p: int) -> TLWord:
 # applying window diagrams inside the cylinder
 # ---------------------------------------------------------------------
 
-def apply_tlword(word: TLWord, state: LinkState):
-    """Act with a window combination on sites 1..size of a link state.
-
-    Returns a dict mapping result states to Laurent-polynomial
-    numerators over ``word.den`` (single-twist weights included).
+def embed(word: TLWord, n: int, sites) -> dict:
+    """``word`` placed on the ascending ``sites`` of an n-site cylinder,
+    with a through line at every other site: ``{diagram: numerator}`` over
+    ``word.den``.  The chords pass over the through lines between their
+    ends; acting on w at the defects of C(w), w's interior arcs close each
+    such line back into the same arc, so this is the action on the reduced
+    cylinder, and ActResult.twist already measures full-cylinder displacement.
     """
-    n = state.n_sites
-    outside = range(word.size + 1, n + 1)
-    out: dict = {}
-    for m, coeff in word.diagrams.items():
-        diag = _relabel(m, n, lambda x: x, outside)
-        res = act_on_link(diag, state)
-        if res is not None:
-            out[res.state] = out.get(res.state, ZERO) + coeff * act_weight(res, n)
-    return {target: num for target, num in out.items() if num}
-
-
-def _reduced_state(w: LinkState):
-    """Strip interior arcs: returns (window, reduced state, interior arcs)."""
-    n = w.n_sites
-    interior = [(i, j) for i, j in w.pairs if j <= n]
-    boundary = [(i, j) for i, j in w.pairs if j > n]
-    window = sorted(
-        set(w.defects)
-        | {i for i, _ in boundary}
-        | {j - n for _, j in boundary}
-    )
-    idx = {q: t + 1 for t, q in enumerate(window)}
-    m = len(window)
-    pairs = [(idx[i], idx[j - n] + m) for i, j in boundary]
-    defects = [idx[p] for p in w.defects]
-    return window, LinkState(m, pairs, defects), interior
+    sites = tuple(sites)
+    others = sorted(set(range(1, n + 1)).difference(sites))
+    return {
+        _relabel(m, n, lambda x: (x[0], sites[x[1] - 1]), others): c
+        for m, c in word.diagrams.items()
+    }
 
 
 def u_transform_state(w: LinkState):
-    """The change-of-basis image of a single state.
-
-    Returns (image, den): ``image`` maps link states to numerators over
-    ``den`` = [m]!, where m = d + 2r counts the defects and the
-    boundary-arc ends of ``w`` (den = 1 when w has no boundary arc).
+    """The change-of-basis image of a single state, as (image, den):
+    the projector on the m = d + 2r defects of C(w) acting on w, link
+    state -> numerator over den = [m]!; ({w: 1}, 1) without boundary arcs.
     """
-    n = w.n_sites
     if w.boundary_arcs == 0:
         return {w: ONE}, ONE
-    window, reduced, interior = _reduced_state(w)
-    m = len(window)
-    proj = wenzl_jones(m)
-    out: dict = {}
-    for diag, coeff in proj.diagrams.items():
-        res = act_on_link(diag, reduced)
-        if res is None:
-            continue
-        # map displacements back to original positions; each wrap of the
-        # reduced seam is a wrap of the full cylinder
-        delta = sum(
-            window[p - 1] - window[q - 1] + n * s for p, q, s in res.travel
-        )
-        weight = loop_weight(res.nbeta, res.nalpha, delta, n)
-        pairs = list(interior)
-        for a, b in res.state.pairs:
-            if b <= m:
-                pairs.append((window[a - 1], window[b - 1]))
-            else:
-                pairs.append((window[a - 1], window[b - m - 1] + n))
-        defects = [window[a - 1] for a in res.state.defects]
-        target = LinkState(n, pairs, defects)
-        out[target] = out.get(target, ZERO) + coeff * weight
-    return {target: num for target, num in out.items() if num}, proj.den
+    sites = bijection_C(w).defects
+    proj = wenzl_jones(len(sites))
+    return link_image(embed(proj, w.n_sites, sites), w), proj.den
 
 
 def u_transform(n: int, d: int):
@@ -249,15 +205,8 @@ def u_transform(n: int, d: int):
     """
     basis = enumerate_states(n, d)
     index = {w: k for k, w in enumerate(basis)}
-    size = len(basis)
-    ent = [[ZERO] * size for _ in range(size)]
-    dens = []
-    for j, w in enumerate(basis):
-        image, den = u_transform_state(w)
-        dens.append(den)
-        for target, num in image.items():
-            ent[index[target]][j] = num
-    return RingMatrix(ent, list(basis), list(basis)), dens
+    columns, dens = zip(*map(u_transform_state, basis))
+    return RingMatrix.from_columns(columns, index, list(basis), list(basis)), list(dens)
 
 
 def gamma_matrix(n: int, d: int):
@@ -322,9 +271,9 @@ def k_factor(d: int, r: int, n_ambient: int | None = None, mode: str = "closed_f
         if n_ambient != d + 2 * r:
             raise ValueError("the defining pairing lives on d + 2r sites")
         w_ref = reference_state(d, r)
-        proj = wenzl_jones(d + 2 * r)
+        proj = wenzl_jones(d + 2 * r)  # its window spans the whole cylinder
         total = ZERO
-        for target, num in apply_tlword(proj, w_ref).items():
+        for target, num in link_image(proj.diagrams, w_ref).items():
             # the second Gram slot carries the twist-1/v action
             total = total + num.flip_v() * gram_pair(w_ref, target)
         return total, proj.den
@@ -369,7 +318,7 @@ def gamma_block_report(n: int, d: int):
     return not failures, failures
 
 
-def gram_recursion_check(n: int, d: int, twists=None) -> bool:
+def gram_recursion_check(n: int, d: int) -> bool:
     """Verify the size-lowering determinant recursion, up to sign.
 
     The d-defect open Gram determinant at size n factors as the
@@ -381,16 +330,13 @@ def gram_recursion_check(n: int, d: int, twists=None) -> bool:
 
     if d < 1 or d > n:
         raise ValueError("the recursion needs at least one defect")
-    if twists is None:
-        twists = [LaurentPoly.v_pow(k + 1) for k in range(d)]
+    twists = [LaurentPoly.v_pow(k + 1) for k in range(d)]
     power = standard_dim(n - 1, d + 1)
-    lhs = det_exact(gram_matrix(n, d, mode="open", twists=list(twists))) * _sine(d + 1) ** power
-    rhs = det_exact(gram_matrix(n - 1, d - 1, mode="open", twists=list(twists[1:])))
+    lhs = det_exact(gram_matrix(n, d, mode="open", twists=twists)) * _sine(d + 1) ** power
+    rhs = det_exact(gram_matrix(n - 1, d - 1, mode="open", twists=twists[1:]))
     rhs = rhs * _sine(d + 2) ** power
     if d + 1 <= n - 1:
-        rhs = rhs * det_exact(
-            gram_matrix(n - 1, d + 1, mode="open", twists=[ONE] + list(twists))
-        )
+        rhs = rhs * det_exact(gram_matrix(n - 1, d + 1, mode="open", twists=[ONE] + twists))
     return lhs == rhs or lhs == -rhs
 
 
@@ -401,11 +347,4 @@ def wj_matrix(p: int, n: int, d: int):
     P/den; every identity check then stays inside the polynomial ring.
     """
     proj = wenzl_jones(p)
-    basis = enumerate_states(n, d)
-    index = {w: k for k, w in enumerate(basis)}
-    size = len(basis)
-    ent = [[ZERO] * size for _ in range(size)]
-    for j, w in enumerate(basis):
-        for target, num in apply_tlword(proj, w).items():
-            ent[index[target]][j] = num
-    return RingMatrix(ent, list(basis), list(basis)), proj.den
+    return link_matrix(embed(proj, n, range(1, p + 1)), n, d), proj.den

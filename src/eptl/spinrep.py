@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linkrep import RingMatrix
-from .ring import ONE, ZERO
+from .ring import ONE
 from .states import module_dim
 
 
@@ -123,16 +123,17 @@ def spin_matrix(words, n: int, d: int) -> RingMatrix:
     """
     sec = spin_sector(n, d)
     words = [[_token_images(tok, sec) for tok in reversed(word)] for word in words]
-    ent = [[ZERO] * len(sec) for _ in sec.configs]
-    for col, mask in enumerate(sec.configs):
+    columns = []
+    for mask in sec.configs:
+        col: dict = {}
         for word in words:
             vec = {mask: ONE}
             for images in word:
                 vec = act(images, vec)
             for m2, c in vec.items():
-                row = ent[sec.index[m2]]
-                row[col] = row[col] + c if row[col] else c
-    return RingMatrix(ent, sec.labels(), sec.labels())
+                col[m2] = col[m2] + c if m2 in col else c
+        columns.append(col)
+    return RingMatrix.from_columns(columns, sec.index, sec.labels(), sec.labels())
 
 
 def ebar_matrix(i: int, n: int, d: int) -> RingMatrix:

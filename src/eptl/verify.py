@@ -353,7 +353,7 @@ def transfer_cases(n_max: int, d_filter=None, seed: int = 0):
                     return "commuting family"
                 if trf.translation_invariance_defect(n, d, lam, nu1, mu) > tol["translate_defect"]:
                     return "translation invariance"
-                if trf.crossing_defect(n, d, lam, nu1.real, mu) > tol["crossing_defect"]:
+                if trf.crossing_defect(n, d, lam, nu1, mu) > tol["crossing_defect"]:
                     return "crossing symmetry"
                 if trf.expansion_defect(n, d, lam, mu) > tol["expansion_defect"]:
                     return "anisotropy expansion"

@@ -13,7 +13,10 @@ route, and is kept only as a reference for the tests:
 * ``transfer_matrix_tilesum``: the sum over the 2^n tile fillings at one
   point, against the cached term table of ``transfer.transfer_matrix``;
 * ``transfer_table_per_config``: every tile filling acting on every
-  state, against the rotation-orbit build of ``transfer.transfer_table``.
+  state, against the rotation-orbit build of ``transfer.transfer_table``;
+* ``u_transform_state_reduced``: the projector acting on the reduced
+  cylinder of a state's defects and boundary-arc ends, against the
+  full-cylinder action of ``projectors.u_transform_state``.
 """
 
 from cmath import exp, sin
@@ -22,10 +25,10 @@ from collections import Counter
 import numpy as np
 
 from eptl.diagrams import AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
-from eptl.linkrep import RingMatrix
-from eptl.projectors import _sine
+from eptl.linkrep import RingMatrix, loop_weight
+from eptl.projectors import _sine, wenzl_jones
 from eptl.ring import ONE, ZERO, LaurentPoly, beta_poly
-from eptl.states import enumerate_states
+from eptl.states import LinkState, enumerate_states
 from eptl.transfer import tile_diagram
 
 
@@ -192,3 +195,44 @@ def transfer_table_per_config(n: int, d: int) -> tuple:
     keys = np.array(list(counts), dtype=np.int64).reshape(-1, 6)
     coeffs = np.array(list(counts.values()), dtype=np.int64)
     return keys, coeffs
+
+
+def u_transform_state_reduced(w: LinkState):
+    """The change-of-basis image of w, computed on the reduced cylinder;
+    oracle for ``projectors.u_transform_state``.
+
+    Strips the interior arcs of w, lets the projector act on the cylinder
+    of the m remaining sites (the defects and boundary-arc ends), maps
+    each displacement back to full positions (a wrap of the reduced seam
+    is a wrap of the full cylinder) and reinserts the interior arcs,
+    building every target as a validated LinkState.
+    """
+    n = w.n_sites
+    if w.boundary_arcs == 0:
+        return {w: ONE}, ONE
+    interior = [(i, j) for i, j in w.pairs if j <= n]
+    boundary = [(i, j) for i, j in w.pairs if j > n]
+    window = sorted(set(w.defects) | {i for i, _ in boundary} | {j - n for _, j in boundary})
+    idx = {q: t + 1 for t, q in enumerate(window)}
+    m = len(window)
+    reduced = LinkState(
+        m, [(idx[i], idx[j - n] + m) for i, j in boundary], [idx[p] for p in w.defects]
+    )
+    proj = wenzl_jones(m)
+    out: dict = {}
+    for diag, coeff in proj.diagrams.items():
+        res = act_on_link(diag, reduced)
+        if res is None:
+            continue
+        delta = sum(window[p - 1] - window[q - 1] + n * s for p, q, s in res.travel)
+        weight = loop_weight(res.nbeta, res.nalpha, delta, n)
+        pairs = list(interior)
+        for a, b in res.state.pairs:
+            if b <= m:
+                pairs.append((window[a - 1], window[b - 1]))
+            else:
+                pairs.append((window[a - 1], window[b - m - 1] + n))
+        defects = [window[a - 1] for a in res.state.defects]
+        target = LinkState(n, pairs, defects)
+        out[target] = out.get(target, ZERO) + coeff * weight
+    return {target: num for target, num in out.items() if num}, proj.den

@@ -138,7 +138,7 @@ class TestCriterion3GramDeterminant:
                 u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
                 sign, logdet = np.linalg.slogdet(g.to_numeric(u, v))
                 flog, fphase = itw.det_formula_log(n, d, "gram_tilde", u, v)
-                if not itw.logdet_matches(sign, logdet, flog, fphase, tol=1e-8):
+                if not itw.logdet_matches(sign, logdet, flog, fphase):
                     bad.append((n, d, lam, mu))
         report("criterion 3b: periodic Gram determinant numeric n=7..10", not bad, str(bad[:3]))
 
@@ -172,7 +172,7 @@ class TestCriterion4IntertwinerDeterminant:
                 u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
                 sign, logdet = np.linalg.slogdet(itw.i_matrix_numeric(n, d, u, v))
                 flog, fphase = itw.det_formula_log(n, d, "intertwiner", u, v)
-                if not itw.logdet_matches(sign, logdet, flog, fphase, tol=1e-8):
+                if not itw.logdet_matches(sign, logdet, flog, fphase):
                     bad.append((n, d, lam, mu))
         report("criterion 4b: intertwiner determinant numeric n=7..10", not bad, str(bad[:3]))
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import re
+import warnings
 
 import pytest
 
@@ -142,6 +143,17 @@ class TestChecks:
         )
         assert code == 0
         assert json.loads(out)["ok"] is True
+
+    def test_transfer_cross_reads_complex_nu(self, capsys):
+        argv = ["transfer", "--n", "4", "--d", "0", "--lambda", "1.1", "--check", "cross"]
+
+        def defect(nu):
+            code, out = run_cli(capsys, *argv, "--nu", nu)
+            assert code == 0
+            return float(json.loads(out)["crossing_defect"])
+
+        real, complex_ = defect("0.3"), defect("0.3+0.5j")
+        assert complex_ != real and complex_ <= 1e-9
 
     def test_scan_critical_csv(self, capsys):
         code, out = run_cli(
@@ -408,6 +420,20 @@ class TestSurface:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "is not a finite number" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--lambda-range", "--mu-range"])
+    @pytest.mark.parametrize("spec", ["1:inf:2", "nan:nan:1"])
+    def test_non_finite_scan_range_exits_two_without_warnings(self, flag, spec, capsys):
+        ranges = {"--lambda-range": "1:2:2", "--mu-range": "0:1:2", flag: spec}
+        argv = ["scan-critical", "--n", "4", "--d", "0"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv, *(x for item in ranges.items() for x in item)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "is not a finite number" in captured.err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in captured.err
 
     @pytest.mark.parametrize("lam", ["0", "3.141592653589793"])
     def test_expansion_where_sin_lambda_vanishes_exits_two(self, lam, capsys):

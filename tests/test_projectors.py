@@ -1,16 +1,16 @@
 import pytest
 
-from eptl.diagrams import identity_diagram
+from eptl.diagrams import generator_diagram, identity_diagram
 from eptl.intertwiner import det_exact, gram_det_exact, i_matrix
-from eptl.linkrep import RingMatrix, gram_matrix, gram_pair
+from eptl.linkrep import RingMatrix, gram_matrix, gram_pair, link_image
 from eptl.projectors import (
-        apply_tlword,
+    embed,
     gamma_block_report,
     gamma_matrix,
     gram_recursion_check,
     k_factor,
     same_ratio,
-        u_transform,
+    u_transform,
     u_transform_state,
     wenzl_jones,
     wj_matrix,
@@ -89,21 +89,13 @@ class TestProjectorCombination:
         # applying the 2-strand projector then a cup across its window kills
         # every state: id + (S1/S2) e with e^2 = beta*e and beta = -S2/S1
         n = 4
-        wj = wenzl_jones(2)
+        wj = embed(wenzl_jones(2), n, [1, 2])
+        cup = {generator_diagram("e", n, 1): ONE}
         for w in enumerate_states(n, 0):
-            image = apply_tlword(wj, w)
-            from eptl.diagrams import act_on_link, generator_diagram
-
-            diag = generator_diagram("e", n, 1)
             total = {}
-            for s, c in image.items():
-                res = act_on_link(diag, s)
-                if res is None:
-                    continue
-                from eptl.linkrep import act_weight
-
-                cc = c * act_weight(res, n)
-                total[res.state] = total.get(res.state, ZERO) + cc
+            for s, c in link_image(wj, w).items():
+                for t, cc in link_image(cup, s).items():
+                    total[t] = total.get(t, ZERO) + c * cc
             assert all(v.is_zero() for v in total.values())
 
 
@@ -149,6 +141,16 @@ class TestChangeOfBasis:
             for j, wj in enumerate(basis):
                 if wi.boundary_arcs >= wj.boundary_arcs and i != j:
                     assert u[i, j].is_zero(), (i, j)
+
+    @pytest.mark.parametrize("n,d", sectors(range(1, 8)))
+    def test_matches_reduced_cylinder_oracle(self, n, d):
+        from oracles import u_transform_state_reduced
+
+        u, dens = u_transform(n, d)
+        basis = enumerate_states(n, d)
+        for j, w in enumerate(basis):
+            column = {x: u[i, j] for i, x in enumerate(basis) if u[i, j]}
+            assert (column, dens[j]) == u_transform_state_reduced(w), w
 
     def test_boundary_free_states_fixed(self):
         for w in enumerate_states(6, 2):
