@@ -7,8 +7,14 @@ state to the product over arcs of the two-term lowering operators
 
 applied to the all-up spin state.  The factors for different arcs
 commute, so the order is irrelevant.  The module also provides exact
-determinants (fraction-free elimination), the closed-form determinant
-products, and the numeric criticality scan.
+determinants, the closed-form determinant products, and the numeric
+criticality scan.
+
+``det_exact`` is a fraction-free (Bareiss) elimination on plain Python
+ints: each entry becomes a dict from the packed key ``eu * 2^32 + ev``
+to its integer coefficient, and divisions go by lex-leading terms.  It
+takes integer coefficients only, which every matrix it sees has (``I``,
+the loop-variable and the open Gram matrices).
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from math import comb, pi, sin
 import numpy as np
 
 from .linkrep import RingMatrix, gram_matrix, loop_variables_to_uv
-from .ring import GR_I, ONE, ZERO, LaurentPoly, bracket, trig_sin
+from .ring import GR_I, ONE, ZERO, GaussianInt, LaurentPoly, bracket, trig_sin
 from .spinrep import act, spin_sector
 from .states import LinkState, enumerate_states, module_dim, standard_dim
 
@@ -89,14 +95,109 @@ def factorization_check(n: int, d: int):
 # exact determinants
 # ---------------------------------------------------------------------
 
+# A monomial u^eu v^ev with integer coefficient is packed as the key
+# eu * 2^32 + ev, so adding keys multiplies monomials and the int order of
+# the keys is the lex order on (eu, ev), as long as every v exponent stays
+# in [-2^31, 2^31).
+_SHIFT = 32
+_HALF = 1 << (_SHIFT - 1)
+
+
+def _pack(p: LaurentPoly) -> dict:
+    out = {}
+    for (eu, ev), c in p.terms.items():
+        if c.im:
+            raise ValueError(f"det_exact takes integer coefficients only, got {c!r}")
+        out[(eu << _SHIFT) + ev] = c.re
+    return out
+
+
+def _unpack(a: dict) -> LaurentPoly:
+    terms = {}
+    for k, c in a.items():
+        ev = ((k + _HALF) & ((1 << _SHIFT) - 1)) - _HALF
+        terms[((k - ev) >> _SHIFT, ev)] = GaussianInt(c)
+    return LaurentPoly(terms)
+
+
+def _mul(a: dict, b: dict) -> dict:
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        ((ka, ca),) = a.items()
+        return {ka + k: ca * c for k, c in b.items()}
+    out: dict = {}
+    get = out.get
+    for ka, ca in a.items():
+        for k, c in b.items():
+            k += ka
+            out[k] = get(k, 0) + ca * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _sub(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        s = out.pop(k, 0) - c
+        if s:
+            out[k] = s
+    return out
+
+
+def _div(a: dict, b: dict) -> dict:
+    """Exact quotient a / b by lex-leading terms; raises ValueError when b
+    does not divide a."""
+    if len(b) == 1:
+        ((kb, cb),) = b.items()
+        out = {}
+        for k, c in a.items():
+            q, r = divmod(c, cb)
+            if r:
+                raise ValueError("division is not exact")
+            out[k - kb] = q
+        return out
+    rem = dict(a)
+    lead = max(b)
+    lead_c = b[lead]
+    # lex is a monomial order: an exact quotient has no key below this
+    floor = min(a) - min(b)
+    quot = {}
+    get = rem.get
+    while rem:
+        top = max(rem)
+        qk = top - lead
+        qc, r = divmod(rem[top], lead_c)
+        if r or qk < floor:
+            raise ValueError("division is not exact")
+        quot[qk] = qc
+        for k, c in b.items():
+            k += qk
+            s = get(k, 0) - c * qc
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return quot
+
+
 def det_exact(m: RingMatrix) -> LaurentPoly:
-    """Fraction-free (Bareiss) determinant of a Laurent-polynomial matrix."""
+    """Fraction-free (Bareiss) determinant of a Laurent-polynomial matrix
+    with integer coefficients.
+
+    The elimination runs on packed-exponent dicts of Python ints.  A
+    non-real coefficient, or exponents so large that a product of two
+    minors could leave the packed range, raise ValueError up front.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return ONE
-    a = [list(row) for row in m.entries]
+    a = [[_pack(e) for e in row] for row in m.entries]
+    # every intermediate is a minor, and a product of two minors is formed
+    emax = max((abs(x) for row in m.entries for e in row for ex in e.terms for x in ex), default=0)
+    if 2 * n * emax >= _HALF:
+        raise ValueError(f"exponent {emax} too large for a packed {n}x{n} determinant")
     sign = 1
     prev = None
     for k in range(n - 1):
@@ -109,15 +210,18 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
             else:
                 return ZERO
         piv = a[k][k]
+        row_k = a[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
+            row_i = a[i]
+            aik = row_i[k]
             for j in range(k + 1, n):
-                t = row_i[j] * piv - aik * row_k[j]
-                row_i[j] = t.exact_div(prev) if prev is not None else t
-            row_i[k] = ZERO
+                t = _mul(row_i[j], piv) if row_i[j] else {}
+                if aik and row_k[j]:
+                    t = _sub(t, _mul(aik, row_k[j]))
+                row_i[j] = _div(t, prev) if prev is not None and t else t
+            row_i[k] = {}
         prev = piv
-    det = a[n - 1][n - 1]
+    det = _unpack(a[n - 1][n - 1])
     return -det if sign < 0 else det
 
 

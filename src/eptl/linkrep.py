@@ -126,10 +126,6 @@ class RingMatrix:
             [self.col_labels[j] for j in col_idx],
         )
 
-    def permuted(self, row_perm, col_perm) -> "RingMatrix":
-        """Reindex so new entry (i,j) = old entry (row_perm[i], col_perm[j])."""
-        return self.submatrix(row_perm, col_perm)
-
     def to_numeric(self, u: complex, v: complex) -> np.ndarray:
         """Evaluate every entry at (u, v); u and v must be nonzero.
 

@@ -222,9 +222,17 @@ def gram_cases(n_max: int, d_filter=None, seed: int = 0):
         yield "gram/twist-vector-independence/n5d1", twist_vector_independence
 
 
+# exact determinant sectors past n = 6; (7,1) and (8,2) stay out, their
+# Gram determinants take minutes
+EXACT_DET_EXTRA = ((7, 3), (7, 5), (8, 4), (8, 6))
+
+
 def determinant_cases(n_max: int, d_filter=None, seed: int = 0):
     rng = random.Random(seed)
-    for n, d in _sectors(min(n_max, 6), 2, d_filter):
+    extra = [
+        (n, d) for n, d in EXACT_DET_EXTRA if n <= n_max and (d_filter is None or d in d_filter)
+    ]
+    for n, d in [*_sectors(min(n_max, 6), 2, d_filter), *extra]:
 
         def make_exact(n=n, d=d):
             def run():

@@ -4,6 +4,8 @@ Each oracle builds the same object as a library function by a different
 route, and is kept only as a reference for the tests:
 
 * ``det_cofactor``: cofactor expansion, against Bareiss ``det_exact``;
+* ``det_bareiss_laurent``: the Bareiss elimination over ``LaurentPoly``,
+  against the packed-int kernel of ``det_exact``;
 * ``_wenzl_diagrams_reference``: the two-sided idempotent recursion,
   against the one-sided product in ``projectors._wenzl_diagrams``;
 * ``_tile_diagram_sequential``: a left-to-right tile sweep, against
@@ -57,6 +59,38 @@ def det_cofactor(m: RingMatrix) -> LaurentPoly:
     if n == 0:
         return ONE
     return rec(list(range(n)), list(range(n)))
+
+
+def det_bareiss_laurent(m: RingMatrix) -> LaurentPoly:
+    """Fraction-free (Bareiss) determinant with every entry a
+    ``LaurentPoly`` and every division ``LaurentPoly.exact_div``; oracle
+    for the packed-int elimination of ``det_exact``."""
+    n = m.rows
+    if n == 0:
+        return ONE
+    a = [list(row) for row in m.entries]
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if not a[k][k]:
+            for r in range(k + 1, n):
+                if a[r][k]:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return ZERO
+        piv = a[k][k]
+        for i in range(k + 1, n):
+            aik = a[i][k]
+            row_i, row_k = a[i], a[k]
+            for j in range(k + 1, n):
+                t = row_i[j] * piv - aik * row_k[j]
+                row_i[j] = t.exact_div(prev) if prev is not None else t
+            row_i[k] = ZERO
+        prev = piv
+    det = a[n - 1][n - 1]
+    return -det if sign < 0 else det
 
 
 def _wenzl_diagrams_reference(p: int):

@@ -247,9 +247,17 @@ class TestVerify:
         for case, size in (
             ("projectors/wenzl-properties", 5),
             ("projectors/k-factors", 6),
+            ("determinants/exact/n7d3", 7),
+            ("determinants/exact/n7d5", 7),
+            ("determinants/exact/n8d4", 8),
+            ("determinants/exact/n8d6", 8),
         ):
             assert case not in names(size - 1)
             assert case in names(size)
+
+    @pytest.mark.parametrize("n,d", vfy.EXACT_DET_EXTRA)
+    def test_exact_determinant_cases_past_six_sites_pass(self, n, d):
+        assert dict(vfy.determinant_cases(8))[f"determinants/exact/n{n}d{d}"]() is None
 
     @pytest.mark.parametrize("d_filter", [[0], [1], [2], [0, 2], [3, 5]])
     def test_d_filter_is_honoured(self, d_filter):

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import eptl.intertwiner as itw
 from eptl.diagrams import act_on_link, generator_diagram
 from eptl.intertwiner import (
     bracket_values,
@@ -25,10 +26,10 @@ from eptl.intertwiner import (
 )
 from eptl.linkrep import RingMatrix, act_weight, gram_matrix
 from eptl.projectors import same_ratio
-from eptl.ring import ONE, ZERO, LaurentPoly, beta_poly
+from eptl.ring import GR_I, ONE, ZERO, LaurentPoly, beta_poly
 from eptl.spinrep import spin_sector, tau_matrix
 from eptl.states import LinkState, enumerate_states
-from oracles import det_cofactor, to_numeric_entrywise
+from oracles import det_bareiss_laurent, det_cofactor, to_numeric_entrywise
 
 
 def mono(eu, ev):
@@ -102,7 +103,7 @@ class TestMatrix:
         m = i_matrix(4, 0)
         col_perm = [list(m.col_labels).index(w) for w in REF_LINK_ORDER_4_0]
         row_perm = [list(m.row_labels).index(s) for s in REF_SPIN_ORDER_4_0]
-        m = m.permuted(row_perm, col_perm)
+        m = m.submatrix(row_perm, col_perm)
         expect = ref_i_4_0()
         for i in range(6):
             for j in range(6):
@@ -174,6 +175,40 @@ class TestDeterminants:
             ]
             m = RingMatrix(ent)
             assert det_exact(m) == det_cofactor(m)
+
+    @pytest.mark.parametrize("n,d", sectors(7))
+    def test_kernel_matches_laurent_oracle_on_i(self, n, d):
+        m = i_matrix(n, d)
+        assert det_exact(m) == det_bareiss_laurent(m)
+
+    # (6,0) is left out: the oracle alone takes about 22 s there, and
+    # gram_det_exact(6, 0) is checked against its closed form
+    @pytest.mark.parametrize("n,d", [s for s in sectors(6) if s != (6, 0)] + [(7, 3), (7, 5)])
+    def test_kernel_matches_laurent_oracle_on_loop_variable_gram(self, n, d):
+        m = gram_matrix(n, d, loop_variables=True)
+        assert det_exact(m) == det_bareiss_laurent(m)
+
+    def test_non_real_coefficient_is_refused(self):
+        m = RingMatrix([[ONE, ZERO], [ZERO, LaurentPoly.const(GR_I)]])
+        with pytest.raises(ValueError, match="integer coefficients"):
+            det_exact(m)
+
+    def test_exponent_outside_packed_range_is_refused(self):
+        m = RingMatrix([[mono(0, 1 << 29), ZERO], [ZERO, ONE]])
+        with pytest.raises(ValueError, match="too large"):
+            det_exact(m)
+
+    @pytest.mark.parametrize(
+        "num,den",
+        [
+            (mono(2, 0) + ONE, mono(1, 0) + ONE),  # remainder 2: quotient runs below u^0
+            (mono(1, 1) + ONE, mono(1, 1) * LaurentPoly.const(2) + ONE),  # 1 / 2
+            (mono(0, 3), LaurentPoly.const(2)),  # monomial divisor, 1 / 2
+        ],
+    )
+    def test_inexact_division_raises(self, num, den):
+        with pytest.raises(ValueError, match="not exact"):
+            itw._div(itw._pack(num), itw._pack(den))
 
     def test_open_five_one_det(self):
         for twists in ([LaurentPoly.v_pow(1)], [ONE], [LaurentPoly.monomial(1, 2)]):
