@@ -24,7 +24,7 @@ from . import intertwiner as itw
 from . import projectors as prj
 from . import transfer as trf
 from . import verify as vfy
-from .linkrep import gram_matrix
+from .linkrep import _label_str, gram_matrix
 from .ring import ONE, LaurentPoly
 from .spinrep import ebar_matrix, hamiltonian, omegabar_matrix
 from .states import enumerate_states
@@ -79,15 +79,13 @@ def _emit_matrix(m, fmt: str, out):
         out.write("row,col,row_label,col_label,entry\n")
         for i in range(m.rows):
             for j in range(m.cols):
-                from .linkrep import _label_str
-
                 out.write(
                     f'{i},{j},"{_label_str(m.row_labels[i])}",'
-                    f'"{_label_str(m.col_labels[j])}","{m.entries[i][j]!r}"\n'
+                    f'"{_label_str(m.col_labels[j])}","{m[i, j]!r}"\n'
                 )
     else:
         for i in range(m.rows):
-            out.write(" | ".join(repr(m.entries[i][j]) for j in range(m.cols)) + "\n")
+            out.write(" | ".join(repr(m[i, j]) for j in range(m.cols)) + "\n")
 
 
 def cmd_enumerate(args, out) -> int:

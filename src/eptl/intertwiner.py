@@ -193,9 +193,10 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
     n = m.rows
     if n == 0:
         return ONE
-    a = [[_pack(e) for e in row] for row in m.entries]
+    a = [[_pack(m[i, j]) for j in range(n)] for i in range(n)]
     # every intermediate is a minor, and a product of two minors is formed
-    emax = max((abs(x) for row in m.entries for e in row for ex in e.terms for x in ex), default=0)
+    exps = (abs(x) for col in m.columns for e in col.values() for ex in e.terms for x in ex)
+    emax = max(exps, default=0)
     if 2 * n * emax >= _HALF:
         raise ValueError(f"exponent {emax} too large for a packed {n}x{n} determinant")
     sign = 1

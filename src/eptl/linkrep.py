@@ -22,106 +22,105 @@ from .states import LinkState, enumerate_states, standard_states
 
 
 class RingMatrix:
-    """Dense labeled matrix of Laurent polynomials."""
+    """Labeled matrix of Laurent polynomials, stored as sparse columns:
+    ``columns[j]`` maps a row index to the nonzero entry (i, j)."""
 
-    __slots__ = ("rows", "cols", "entries", "row_labels", "col_labels", "_terms")
+    __slots__ = ("rows", "cols", "columns", "row_labels", "col_labels", "_terms")
 
-    def __init__(self, entries, row_labels=None, col_labels=None):
-        self.entries = entries
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else 0
-        self.row_labels = row_labels if row_labels is not None else list(range(self.rows))
-        self.col_labels = col_labels if col_labels is not None else list(range(self.cols))
-        if len(self.row_labels) != self.rows or len(self.col_labels) != self.cols:
+    def __init__(self, columns, row_labels, col_labels):
+        if len(columns) != len(col_labels):
             raise ValueError("label count does not match matrix shape")
+        self.columns = columns
+        self.rows = len(row_labels)
+        self.cols = len(col_labels)
+        self.row_labels = row_labels
+        self.col_labels = col_labels
         self._terms = None
 
     @staticmethod
     def identity(n, labels=None):
-        ent = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-        return RingMatrix(ent, labels, labels)
+        labels = labels if labels is not None else list(range(n))
+        return RingMatrix([{j: ONE} for j in range(n)], labels, labels)
 
     @staticmethod
     def from_columns(columns, row_keys, row_labels, col_labels) -> "RingMatrix":
         """The matrix whose column j is the sparse vector ``columns[j]``,
-        key -> entry; ``row_keys`` maps each key to its row index."""
-        ent = [[ZERO] * len(col_labels) for _ in row_labels]
-        for j, col in enumerate(columns):
-            for key, c in col.items():
-                ent[row_keys[key]][j] = c
-        return RingMatrix(ent, row_labels, col_labels)
+        key -> nonzero entry; ``row_keys`` maps each key to its row index."""
+        cols = [{row_keys[key]: c for key, c in col.items()} for col in columns]
+        return RingMatrix(cols, row_labels, col_labels)
+
+    @property
+    def entries(self) -> list:
+        """Dense rows, zeros included, built afresh on every access."""
+        ent = [[ZERO] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, e in col.items():
+                ent[i][j] = e
+        return ent
 
     def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
+        return self.columns[ij[1]].get(ij[0], ZERO)
 
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
+        # column j of the product pushes column j of other through our columns
+        left = self.columns
         out = []
-        for i in range(self.rows):
-            row_i = self.entries[i]
-            out_row = []
-            for j in range(other.cols):
-                acc = None
-                for k in range(self.cols):
-                    a = row_i[k]
-                    if not a:
-                        continue
-                    b = other.entries[k][j]
-                    if not b:
-                        continue
-                    t = a * b
-                    acc = t if acc is None else acc + t
-                out_row.append(ZERO if acc is None else acc)
-            out.append(out_row)
+        for col in other.columns:
+            acc: dict = {}
+            get = acc.get
+            for k, b in col.items():
+                for i, a in left[k].items():
+                    s = get(i)
+                    acc[i] = a * b if s is None else s + a * b
+            out.append({i: e for i, e in acc.items() if e})
         return RingMatrix(out, self.row_labels, other.col_labels)
 
     def transpose(self) -> "RingMatrix":
-        ent = [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return RingMatrix(ent, self.col_labels, self.row_labels)
+        out = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, e in col.items():
+                out[i][j] = e
+        return RingMatrix(out, self.col_labels, self.row_labels)
 
     def map(self, fn) -> "RingMatrix":
-        ent = [[fn(e) for e in row] for row in self.entries]
-        return RingMatrix(ent, self.row_labels, self.col_labels)
+        """Apply ``fn`` to every entry; ``fn`` must send zero to zero."""
+        out = [{i: y for i, e in col.items() if (y := fn(e))} for col in self.columns]
+        return RingMatrix(out, self.row_labels, self.col_labels)
 
     def scale(self, c) -> "RingMatrix":
-        return self.map(lambda e: e * c if e else ZERO)
+        return self.map(lambda e: e * c)
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
-        ent = [
-            [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-        return RingMatrix(ent, self.row_labels, self.col_labels)
-
-    def __sub__(self, other: "RingMatrix") -> "RingMatrix":
-        ent = [
-            [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-            for i in range(self.rows)
-        ]
-        return RingMatrix(ent, self.row_labels, self.col_labels)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch")
+        out = []
+        for a, b in zip(self.columns, other.columns):
+            col = dict(a)
+            for i, e in b.items():
+                s = col.pop(i, ZERO) + e
+                if s:
+                    col[i] = s
+            out.append(col)
+        return RingMatrix(out, self.row_labels, self.col_labels)
 
     def __eq__(self, other):
         if not isinstance(other, RingMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            self.entries[i][j] == other.entries[i][j]
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.columns == other.columns
 
     def __hash__(self):
         raise TypeError("RingMatrix is not hashable")
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.entries for e in row)
+        return not any(self.columns)
 
     def submatrix(self, row_idx, col_idx) -> "RingMatrix":
-        ent = [[self.entries[i][j] for j in col_idx] for i in row_idx]
+        picked = (self.columns[j] for j in col_idx)
+        out = [{t: col[i] for t, i in enumerate(row_idx) if i in col} for col in picked]
         return RingMatrix(
-            ent,
+            out,
             [self.row_labels[i] for i in row_idx],
             [self.col_labels[j] for j in col_idx],
         )
@@ -135,9 +134,8 @@ class RingMatrix:
         if self._terms is None:
             terms = [
                 (i, j, c.to_complex(), eu, ev)
-                for i, row in enumerate(self.entries)
-                for j, e in enumerate(row)
-                if e
+                for j, col in enumerate(self.columns)
+                for i, e in col.items()
                 for (eu, ev), c in e.terms.items()
             ]
             self._terms = tuple(np.array(col) for col in zip(*terms)) if terms else ()
@@ -302,7 +300,8 @@ def gram_matrix(
     ``loop_variables=True`` returns entries as monomials in compressed
     variables instead of (u, v): exponent pair (contractible loops,
     non-contractible loops) when d = 0 and (contractible loops, net
-    defect displacement) when d > 0.  Useful for exact determinants.
+    defect displacement) when d > 0.  Useful for exact determinants;
+    it takes no twists.
     """
     if mode == "tilde":
         basis = enumerate_states(n, d)
@@ -312,21 +311,20 @@ def gram_matrix(
         basis = standard_states(n, d)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    if loop_variables and twists is not None:
+        raise ValueError("twist vectors do not apply to loop variables")
 
-    closings = {w: state_diagram(w) for w in basis}
-    ent = []
-    for wr in basis:
-        row = []
-        for wc in basis:
-            res = act_on_link(closings[wr], wc)
-            if not loop_variables:
-                row.append(_pair_weight(res, n, twists))
-            elif res is None:
-                row.append(ZERO)
-            else:
-                row.append(LaurentPoly.monomial(res.nbeta, res.nalpha if d == 0 else res.twist))
-        ent.append(row)
-    return RingMatrix(ent, list(basis), list(basis))
+    def weight(res):
+        if loop_variables:
+            return LaurentPoly.monomial(res.nbeta, res.nalpha if d == 0 else res.twist)
+        return _pair_weight(res, n, twists)
+
+    closings = [state_diagram(w) for w in basis]
+    columns = [
+        {i: weight(res) for i, c in enumerate(closings) if (res := act_on_link(c, wc)) is not None}
+        for wc in basis
+    ]
+    return RingMatrix(columns, list(basis), list(basis))
 
 
 def loop_variables_to_uv(p: LaurentPoly, n: int, d: int) -> LaurentPoly:

@@ -12,6 +12,8 @@ route, and is kept only as a reference for the tests:
   ``transfer.tile_diagram``;
 * ``to_numeric_entrywise``: ``LaurentPoly.eval_numeric`` entry by entry,
   against the vectorized ``RingMatrix.to_numeric``;
+* ``matmul_dense``: the row-by-column product over dense rows, against
+  the sparse column push of ``RingMatrix.__matmul__``;
 * ``transfer_matrix_tilesum``: the sum over the 2^n tile fillings at one
   point, against the cached term table of ``transfer.transfer_matrix``;
 * ``transfer_table_per_config``: every tile filling acting on every
@@ -19,6 +21,8 @@ route, and is kept only as a reference for the tests:
 * ``u_transform_state_reduced``: the projector acting on the reduced
   cylinder of a state's defects and boundary-arc ends, against the
   full-cylinder action of ``projectors.u_transform_state``.
+
+``dense`` builds a ``RingMatrix`` from a literal list of rows.
 """
 
 from cmath import exp, sin
@@ -32,6 +36,45 @@ from eptl.projectors import _sine, wenzl_jones
 from eptl.ring import ONE, ZERO, LaurentPoly, beta_poly
 from eptl.states import LinkState, enumerate_states
 from eptl.transfer import tile_diagram
+
+
+def dense(rows, row_labels=None, col_labels=None) -> RingMatrix:
+    """The matrix with the given dense rows, zeros included; labels
+    default to the row and column indices."""
+    n_cols = len(rows[0]) if rows else 0
+    if row_labels is None:
+        row_labels = list(range(len(rows)))
+    if col_labels is None:
+        col_labels = list(range(n_cols))
+    if len(row_labels) != len(rows):
+        raise ValueError("label count does not match matrix shape")
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n_cols)]
+    return RingMatrix(columns, row_labels, col_labels)
+
+
+def matmul_dense(a: RingMatrix, b: RingMatrix) -> RingMatrix:
+    """Row-by-column product over the dense rows, skipping zero factors;
+    oracle for ``RingMatrix.__matmul__``."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch")
+    left, right = a.entries, b.entries
+    out = []
+    for row_i in left:
+        out_row = []
+        for j in range(b.cols):
+            acc = None
+            for k in range(a.cols):
+                x = row_i[k]
+                if not x:
+                    continue
+                y = right[k][j]
+                if not y:
+                    continue
+                t = x * y
+                acc = t if acc is None else acc + t
+            out_row.append(ZERO if acc is None else acc)
+        out.append(out_row)
+    return dense(out, a.row_labels, b.col_labels)
 
 
 def det_cofactor(m: RingMatrix) -> LaurentPoly:
@@ -175,8 +218,8 @@ def _tile_diagram_sequential(n: int, config: int) -> AffineDiagram:
 def to_numeric_entrywise(m: RingMatrix, u: complex, v: complex) -> np.ndarray:
     """Scalar evaluation of every nonzero entry; oracle for ``to_numeric``."""
     out = np.zeros((m.rows, m.cols), dtype=complex)
-    for i in range(m.rows):
-        for j, e in enumerate(m.entries[i]):
+    for i, row in enumerate(m.entries):
+        for j, e in enumerate(row):
             if e:
                 out[i, j] = e.eval_numeric(u, v)
     return out

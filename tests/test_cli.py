@@ -307,14 +307,15 @@ class TestVerify:
     def test_intertwine_case_detects_a_changed_entry(self, monkeypatch):
         from eptl import intertwiner as itw
         from eptl.ring import LaurentPoly
+        from oracles import dense
 
         original = itw.i_matrix
 
         def changed(n, d):
             m = original(n, d)
-            entries = [list(row) for row in m.entries]
+            entries = m.entries
             entries[1][2] = entries[1][2] + LaurentPoly.one()
-            return type(m)(entries, m.row_labels, m.col_labels)
+            return dense(entries, m.row_labels, m.col_labels)
 
         cases = dict(vfy.intertwine_cases(4, [2]))
         assert cases["intertwine/n4d2"]() is None

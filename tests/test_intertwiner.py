@@ -29,7 +29,7 @@ from eptl.projectors import same_ratio
 from eptl.ring import GR_I, ONE, ZERO, LaurentPoly, beta_poly
 from eptl.spinrep import spin_sector, tau_matrix
 from eptl.states import LinkState, enumerate_states
-from oracles import det_bareiss_laurent, det_cofactor, to_numeric_entrywise
+from oracles import dense, det_bareiss_laurent, det_cofactor, to_numeric_entrywise
 
 
 def mono(eu, ev):
@@ -173,7 +173,7 @@ class TestDeterminants:
                 ]
                 for _ in range(size)
             ]
-            m = RingMatrix(ent)
+            m = dense(ent)
             assert det_exact(m) == det_cofactor(m)
 
     @pytest.mark.parametrize("n,d", sectors(7))
@@ -189,12 +189,12 @@ class TestDeterminants:
         assert det_exact(m) == det_bareiss_laurent(m)
 
     def test_non_real_coefficient_is_refused(self):
-        m = RingMatrix([[ONE, ZERO], [ZERO, LaurentPoly.const(GR_I)]])
+        m = dense([[ONE, ZERO], [ZERO, LaurentPoly.const(GR_I)]])
         with pytest.raises(ValueError, match="integer coefficients"):
             det_exact(m)
 
     def test_exponent_outside_packed_range_is_refused(self):
-        m = RingMatrix([[mono(0, 1 << 29), ZERO], [ZERO, ONE]])
+        m = dense([[mono(0, 1 << 29), ZERO], [ZERO, ONE]])
         with pytest.raises(ValueError, match="too large"):
             det_exact(m)
 

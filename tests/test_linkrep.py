@@ -17,7 +17,7 @@ from eptl.linkrep import (
 from eptl.ring import ZERO, LaurentPoly, alpha_poly, beta_poly
 from eptl.spinrep import hamiltonian
 from eptl.states import LinkState, enumerate_states
-from oracles import to_numeric_entrywise
+from oracles import dense, matmul_dense, to_numeric_entrywise
 
 B = beta_poly()
 
@@ -233,7 +233,7 @@ class TestNumericEvaluation:
             assert np.allclose(m.to_numeric(u, v), to_numeric_entrywise(m, u, v), rtol=1e-12, atol=0)
 
     def test_all_zero_matrix(self):
-        m = RingMatrix([[ZERO] * 3 for _ in range(2)])
+        m = dense([[ZERO] * 3 for _ in range(2)])
         assert np.array_equal(m.to_numeric(0.5 + 0.5j, 2.0), np.zeros((2, 3)))
         assert np.array_equal(m.to_numeric(0, 0), np.zeros((2, 3)))
 
@@ -250,3 +250,88 @@ class TestNumericEvaluation:
         for i in range(2, n + 1):
             total = total + omega_matrix([("e", i)], n, d)
         assert hamiltonian_link(n, d) == total
+
+
+def _stores_a_zero(m):
+    return any(not e for col in m.columns for e in col.values())
+
+
+class TestSparseColumns:
+    def _random(self, rng, rows, cols):
+        # entries +-1 and +-u, so the sums in a product often cancel
+        def entry():
+            if rng.random() < 0.5:
+                return ZERO
+            return LaurentPoly.monomial(rng.randint(0, 1), 0, rng.choice((1, -1)))
+
+        return dense([[entry() for _ in range(cols)] for _ in range(rows)])
+
+    def test_product_matches_dense_oracle_on_cancelling_products(self):
+        rng = random.Random(13)
+        cancelled = 0
+        for _ in range(40):
+            r, k, c = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+            a, b = self._random(rng, r, k), self._random(rng, k, c)
+            got = a @ b
+            assert got == matmul_dense(a, b)
+            assert not _stores_a_zero(got)
+            left, right = a.entries, b.entries
+            cancelled += sum(
+                1
+                for i in range(r)
+                for j in range(c)
+                if not got[i, j] and any(left[i][t] and right[t][j] for t in range(k))
+            )
+        assert cancelled > 0
+
+    @pytest.mark.parametrize("n,d", sector_pairs(6))
+    def test_product_matches_dense_oracle_on_the_factorization(self, n, d):
+        from eptl.projectors import u_transform
+
+        imat = i_matrix(n, d)
+        flipped = imat.map(LaurentPoly.flip_v).transpose()
+        assert flipped @ imat == matmul_dense(flipped, imat)
+        u, _ = u_transform(n, d)
+        g = gram_matrix(n, d)
+        u_flip = u.map(LaurentPoly.flip_v).transpose()
+        assert u_flip @ g @ u == matmul_dense(matmul_dense(u_flip, g), u)
+
+    def test_no_stored_zero_after_any_operation(self):
+        one = LaurentPoly.one()
+        m = dense([[one, ZERO, mono(1, 0)], [ZERO, mono(0, 1), ZERO]])
+        results = {
+            "map": m.map(lambda e: ZERO if e == one else e),
+            "scale": m.scale(ZERO),
+            "add": m + m.scale(-one),
+            "matmul": dense([[one, one]]) @ dense([[one], [-one]]),
+            "transpose": m.transpose(),
+            "submatrix": m.submatrix([1, 0], [2, 1]),
+        }
+        for name, r in results.items():
+            assert not _stores_a_zero(r), name
+        assert results["scale"].is_zero() and results["add"].is_zero()
+        assert results["matmul"].is_zero() and results["matmul"].rows == 1
+        assert results["map"][0, 0] == ZERO and results["map"][0, 2] == mono(1, 0)
+        assert results["transpose"].entries == [list(col) for col in zip(*m.entries)]
+        assert results["submatrix"].entries == [[ZERO, mono(0, 1)], [mono(1, 0), ZERO]]
+        assert m.submatrix([1, 1], [1]).entries == [[mono(0, 1)], [mono(0, 1)]]
+
+    @pytest.mark.parametrize("n,d", sector_pairs(5))
+    def test_builders_store_no_zero(self, n, d):
+        from eptl.projectors import u_transform
+
+        built = [
+            hamiltonian_link(n, d),
+            hamiltonian(n, d),
+            i_matrix(n, d),
+            u_transform(n, d)[0],
+            gram_matrix(n, d),
+            gram_matrix(n, d, loop_variables=True),
+            gram_matrix(n, d, mode="open"),
+        ]
+        for m in built:
+            assert not _stores_a_zero(m)
+
+    def test_open_loop_variables_refuse_twists(self):
+        with pytest.raises(ValueError, match="loop variables"):
+            gram_matrix(5, 1, mode="open", twists=[LaurentPoly.v_pow(1)], loop_variables=True)

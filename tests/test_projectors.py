@@ -2,7 +2,7 @@ import pytest
 
 from eptl.diagrams import generator_diagram, identity_diagram
 from eptl.intertwiner import det_exact, gram_det_exact, i_matrix
-from eptl.linkrep import RingMatrix, gram_matrix, gram_pair, link_image
+from eptl.linkrep import gram_matrix, gram_pair, link_image
 from eptl.projectors import (
     embed,
     gamma_block_report,
@@ -25,6 +25,7 @@ from eptl.ring import (
     trig_sin,
 )
 from eptl.states import LinkState, enumerate_states
+from oracles import dense
 
 B = beta_poly()
 UNIT = (ONE, ONE)
@@ -277,7 +278,7 @@ def _block_det_product(n, d):
             [gram_pair(bijection_C(wj), bijection_C(wi), twists) for wj in block_states]
             for wi in block_states
         ]
-        num = num * k_num ** len(block_states) * det_exact(RingMatrix(ent))
+        num = num * k_num ** len(block_states) * det_exact(dense(ent))
         den = den * k_den ** len(block_states)
     return num, den
 
