@@ -12,9 +12,10 @@ criticality scan.
 
 ``det_exact`` is a fraction-free (Bareiss) elimination on plain Python
 ints: each entry becomes a dict from the packed key ``eu * 2^32 + ev``
-to its integer coefficient, and divisions go by lex-leading terms.  It
-takes integer coefficients only, which every matrix it sees has (``I``,
-the loop-variable and the open Gram matrices).
+of :func:`eptl.ring.packed` to its integer coefficient, and divisions
+go by lex-leading terms.  It takes integer coefficients only, which
+every matrix it sees has (``I``, the loop-variable and the open Gram
+matrices).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import comb, pi, sin
 import numpy as np
 
 from .linkrep import RingMatrix, gram_matrix, loop_variables_to_uv
-from .ring import GR_I, ONE, ZERO, GaussianInt, LaurentPoly, bracket, trig_sin
+from .ring import GR_I, KEY_RANGE, ONE, ZERO, LaurentPoly, bracket, packed, trig_sin, unpacked
 from .spinrep import act, spin_sector
 from .states import LinkState, enumerate_states, module_dim, standard_dim
 
@@ -95,29 +96,11 @@ def factorization_check(n: int, d: int):
 # exact determinants
 # ---------------------------------------------------------------------
 
-# A monomial u^eu v^ev with integer coefficient is packed as the key
-# eu * 2^32 + ev, so adding keys multiplies monomials and the int order of
-# the keys is the lex order on (eu, ev), as long as every v exponent stays
-# in [-2^31, 2^31).
-_SHIFT = 32
-_HALF = 1 << (_SHIFT - 1)
-
-
 def _pack(p: LaurentPoly) -> dict:
-    out = {}
-    for (eu, ev), c in p.terms.items():
+    for c in p.terms.values():
         if c.im:
             raise ValueError(f"det_exact takes integer coefficients only, got {c!r}")
-        out[(eu << _SHIFT) + ev] = c.re
-    return out
-
-
-def _unpack(a: dict) -> LaurentPoly:
-    terms = {}
-    for k, c in a.items():
-        ev = ((k + _HALF) & ((1 << _SHIFT) - 1)) - _HALF
-        terms[((k - ev) >> _SHIFT, ev)] = GaussianInt(c)
-    return LaurentPoly(terms)
+    return {k: re for k, re, _ in packed(p)}
 
 
 def _mul(a: dict, b: dict) -> dict:
@@ -193,12 +176,12 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
     n = m.rows
     if n == 0:
         return ONE
-    a = [[_pack(m[i, j]) for j in range(n)] for i in range(n)]
     # every intermediate is a minor, and a product of two minors is formed
     exps = (abs(x) for col in m.columns for e in col.values() for ex in e.terms for x in ex)
     emax = max(exps, default=0)
-    if 2 * n * emax >= _HALF:
+    if 2 * n * emax >= KEY_RANGE:
         raise ValueError(f"exponent {emax} too large for a packed {n}x{n} determinant")
+    a = [[_pack(m[i, j]) for j in range(n)] for i in range(n)]
     sign = 1
     prev = None
     for k in range(n - 1):
@@ -222,7 +205,7 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
                 row_i[j] = _div(t, prev) if prev is not None and t else t
             row_i[k] = {}
         prev = piv
-    det = _unpack(a[n - 1][n - 1])
+    det = unpacked(a[n - 1][n - 1], {})
     return -det if sign < 0 else det
 
 
@@ -230,9 +213,8 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
 def gram_det_exact(n: int, d: int) -> LaurentPoly:
     """Exact determinant of the periodic Gram matrix, computed through the
     compressed loop-variable encoding and substituted back to (u, v)."""
-    packed = gram_matrix(n, d, loop_variables=True)
-    det = det_exact(packed)
-    return loop_variables_to_uv(det, n, d)
+    compressed = gram_matrix(n, d, loop_variables=True)
+    return loop_variables_to_uv(det_exact(compressed), n, d)
 
 
 # ---------------------------------------------------------------------

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .diagrams import AffineDiagram, act_on_link, generator_diagram, word_diagram
-from .ring import ONE, ZERO, LaurentPoly, alpha_poly, beta_poly
+from .ring import ONE, ZERO, LaurentPoly, alpha_poly, beta_poly, mul_into, packed, unpacked
 from .states import LinkState, enumerate_states, standard_states
 
 
@@ -64,17 +64,34 @@ class RingMatrix:
     def __matmul__(self, other: "RingMatrix") -> "RingMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        # column j of the product pushes column j of other through our columns
+        # column j of the product pushes column j of other through our
+        # columns, gathering the products of each entry; an entry with more
+        # than one sums them on packed ints and is unpacked once, and a lone
+        # product keeps the monomial path of LaurentPoly.__mul__
         left = self.columns
         out = []
         for col in other.columns:
-            acc: dict = {}
-            get = acc.get
+            products: dict = {}
             for k, b in col.items():
                 for i, a in left[k].items():
-                    s = get(i)
-                    acc[i] = a * b if s is None else s + a * b
-            out.append({i: e for i, e in acc.items() if e})
+                    pairs = products.get(i)
+                    if pairs is None:
+                        products[i] = [(a, b)]
+                    else:
+                        pairs.append((a, b))
+            column = {}
+            for i, pairs in products.items():
+                if len(pairs) == 1:
+                    column[i] = pairs[0][0] * pairs[0][1]
+                    continue
+                re: dict = {}
+                im: dict = {}
+                for a, b in pairs:
+                    mul_into(re, im, packed(a), packed(b))
+                e = unpacked(re, im)
+                if e.terms:
+                    column[i] = e
+            out.append(column)
         return RingMatrix(out, self.row_labels, other.col_labels)
 
     def transpose(self) -> "RingMatrix":
@@ -329,9 +346,10 @@ def gram_matrix(
 
 def loop_variables_to_uv(p: LaurentPoly, n: int, d: int) -> LaurentPoly:
     """Undo the compressed encoding of :func:`gram_matrix`."""
-    out = ZERO
+    re: dict = {}
+    im: dict = {}
     for (a, b), c in p.terms.items():
         # beta^a and alpha^b (or v^b) are cached apart: few distinct a and b, many pairs
         other = loop_weight(0, b, 0, n) if d == 0 else loop_weight(0, 0, b, n)
-        out = out + LaurentPoly.const(c) * loop_weight(a, 0, 0, n) * other
-    return out
+        mul_into(re, im, packed(LaurentPoly.const(c) * other), packed(loop_weight(a, 0, 0, n)))
+    return unpacked(re, im)

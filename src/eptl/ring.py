@@ -12,6 +12,12 @@ types live here:
     ``(eu, ev)`` to nonzero ``GaussianInt`` coefficients.  The zero
     polynomial has an empty term map.
 
+Every multi-term product runs on plain ints: :func:`packed` turns a
+polynomial into ``(key, re, im)`` triples with the key
+``eu * 2^32 + ev``, :func:`mul_into` adds a product into two dicts
+key -> int, and :func:`unpacked` builds the result, one ``GaussianInt``
+per term.
+
 There is no fraction type: every quotient downstream is a pair
 (numerator, denominator) of Laurent polynomials whose denominator is
 known before the arithmetic starts, and two pairs are compared by
@@ -139,10 +145,11 @@ class LaurentPoly:
         {(2, 0): 1, (0, 0): 2, (0, -3): -i}
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_packed")
 
     def __init__(self, terms=None):
         self.terms = {} if terms is None else terms
+        self._packed = None  # the triples of packed(), made on first use
 
     # -- constructors ------------------------------------------------
 
@@ -209,21 +216,10 @@ class LaurentPoly:
             if c == GR_ONE:
                 return LaurentPoly({(x + eu, y + ev): d for (x, y), d in b.items()})
             return LaurentPoly({(x + eu, y + ev): c * d for (x, y), d in b.items()})
-        out: dict = {}
-        for (x1, y1), c1 in a.items():
-            for (x2, y2), c2 in b.items():
-                e = (x1 + x2, y1 + y2)
-                p = c1 * c2
-                s = out.get(e)
-                if s is None:
-                    out[e] = p
-                else:
-                    s = s + p
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return LaurentPoly(out)
+        re: dict = {}
+        im: dict = {}
+        mul_into(re, im, packed(self), packed(other))
+        return unpacked(re, im)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
@@ -367,6 +363,86 @@ class LaurentPoly:
             else:
                 parts.append(f"({c!r})*{mono}")
         return " + ".join(parts)
+
+
+# ---------------------------------------------------------------------
+# the packed product kernel
+# ---------------------------------------------------------------------
+
+# A term u^eu v^ev is keyed eu * 2^32 + ev: adding two keys multiplies the
+# monomials, and the int order of the keys is the lex order on (eu, ev),
+# as long as every v exponent lies in [-KEY_RANGE, KEY_RANGE).  packed()
+# admits half that range, so the sum of two keys always decodes.
+_SHIFT = 32
+KEY_RANGE = 1 << (_SHIFT - 1)
+_MASK = (1 << _SHIFT) - 1
+_V_LIMIT = KEY_RANGE >> 1
+
+# shared coefficients for small real results; GaussianInt is immutable
+_SMALL = {k: GaussianInt._fast(k, 0) for k in range(-64, 65)}
+
+
+def packed(p: LaurentPoly) -> tuple:
+    """The terms of ``p`` as ``(eu * 2^32 + ev, re, im)`` triples.
+
+    Cached on ``p`` at first use.  A v exponent outside [-2^30, 2^30)
+    raises ValueError.
+    """
+    out = p._packed
+    if out is None:
+        out = []
+        for (eu, ev), c in p.terms.items():
+            if not -_V_LIMIT <= ev < _V_LIMIT:
+                raise ValueError(f"v exponent {ev} outside the packed range [-2^30, 2^30)")
+            out.append(((eu << _SHIFT) + ev, c.re, c.im))
+        out = p._packed = tuple(out)
+    return out
+
+
+def mul_into(re: dict, im: dict, a, b) -> None:
+    """Add the product of the packed terms ``a`` and ``b`` into ``re`` and
+    ``im``, dicts from a packed key to the real and imaginary parts.
+
+    Every key written to ``im`` is written to ``re`` too; sums that
+    cancel stay in the dicts as zeros.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    rget = re.get
+    iget = im.get
+    for ka, ra, ia in a:
+        if ia:
+            for kb, rb, ib in b:
+                k = ka + kb
+                re[k] = rget(k, 0) + ra * rb - ia * ib
+                im[k] = iget(k, 0) + ra * ib + ia * rb
+        else:
+            for kb, rb, ib in b:
+                k = ka + kb
+                re[k] = rget(k, 0) + ra * rb
+                if ib:
+                    im[k] = iget(k, 0) + ra * ib
+
+
+def unpacked(re: dict, im: dict) -> LaurentPoly:
+    """The polynomial with the parts accumulated by :func:`mul_into`,
+    whose keys are all in ``re``; zero sums are dropped."""
+    terms = {}
+    small = _SMALL.get
+    iget = im.get
+    for k, r in re.items():
+        i = iget(k) if im else None
+        if i:
+            c = GaussianInt._fast(r, i)
+        elif r:
+            c = small(r)
+            if c is None:
+                c = GaussianInt._fast(r, 0)
+        else:
+            continue
+        k += KEY_RANGE
+        terms[(k >> _SHIFT, (k & _MASK) - KEY_RANGE)] = c
+    return LaurentPoly(terms)
 
 
 def _coeff_inv_pow(c: GaussianInt, n: int) -> GaussianInt:

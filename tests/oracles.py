@@ -12,8 +12,12 @@ route, and is kept only as a reference for the tests:
   ``transfer.tile_diagram``;
 * ``to_numeric_entrywise``: ``LaurentPoly.eval_numeric`` entry by entry,
   against the vectorized ``RingMatrix.to_numeric``;
-* ``matmul_dense``: the row-by-column product over dense rows, against
-  the sparse column push of ``RingMatrix.__matmul__``;
+* ``mul_terms``: the term-by-term product on ``(eu, ev)`` keys in
+  ``GaussianInt`` arithmetic, against the packed-int kernel of
+  ``LaurentPoly.__mul__``;
+* ``matmul_dense``: the row-by-column product over dense rows, each
+  entry product by ``mul_terms``, against the sparse column push of
+  ``RingMatrix.__matmul__``;
 * ``transfer_matrix_tilesum``: the sum over the 2^n tile fillings at one
   point, against the cached term table of ``transfer.transfer_matrix``;
 * ``transfer_table_per_config``: every tile filling acting on every
@@ -52,9 +56,30 @@ def dense(rows, row_labels=None, col_labels=None) -> RingMatrix:
     return RingMatrix(columns, row_labels, col_labels)
 
 
+def mul_terms(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Product term by term on ``(eu, ev)`` keys, one ``GaussianInt`` per
+    partial product and partial sum; oracle for ``LaurentPoly.__mul__``."""
+    out: dict = {}
+    for (x1, y1), c1 in a.terms.items():
+        for (x2, y2), c2 in b.terms.items():
+            e = (x1 + x2, y1 + y2)
+            p = c1 * c2
+            s = out.get(e)
+            if s is None:
+                out[e] = p
+            else:
+                s = s + p
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+    return LaurentPoly(out)
+
+
 def matmul_dense(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    """Row-by-column product over the dense rows, skipping zero factors;
-    oracle for ``RingMatrix.__matmul__``."""
+    """Row-by-column product over the dense rows, skipping zero factors,
+    each entry product by :func:`mul_terms`; oracle for
+    ``RingMatrix.__matmul__``."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch")
     left, right = a.entries, b.entries
@@ -70,7 +95,7 @@ def matmul_dense(a: RingMatrix, b: RingMatrix) -> RingMatrix:
                 y = right[k][j]
                 if not y:
                     continue
-                t = x * y
+                t = mul_terms(x, y)
                 acc = t if acc is None else acc + t
             out_row.append(ZERO if acc is None else acc)
         out.append(out_row)

@@ -14,10 +14,10 @@ from eptl.linkrep import (
     loop_variables_to_uv,
     omega_matrix,
 )
-from eptl.ring import ZERO, LaurentPoly, alpha_poly, beta_poly
+from eptl.ring import ZERO, GaussianInt, LaurentPoly, alpha_poly, beta_poly
 from eptl.spinrep import hamiltonian
 from eptl.states import LinkState, enumerate_states
-from oracles import dense, matmul_dense, to_numeric_entrywise
+from oracles import dense, matmul_dense, mul_terms, to_numeric_entrywise
 
 B = beta_poly()
 
@@ -190,6 +190,26 @@ class TestGramInvariants:
         packed = gram_matrix(n, d, loop_variables=True)
         unpacked = packed.map(lambda p: loop_variables_to_uv(p, n, d))
         assert unpacked == direct
+
+    @pytest.mark.parametrize("n,d", [(6, 0), (5, 1), (6, 2)])
+    def test_loop_variables_to_uv_sums_each_term_substituted(self, n, d):
+        # a multi-term input with Gaussian coefficients, so the substituted
+        # terms overlap and partly cancel; loop counts are nonnegative
+        rng = random.Random(n + 10 * d)
+        low = 0 if d == 0 else -3
+        p = LaurentPoly(
+            {
+                (rng.randint(0, 4), rng.randint(low, 3)): GaussianInt(
+                    rng.randint(-4, 4) or 1, rng.randint(-2, 2)
+                )
+                for _ in range(12)
+            }
+        )
+        expect = ZERO
+        for (a, b), c in p.terms.items():
+            weight = mul_terms(beta_poly() ** a, alpha_poly(n) ** b if d == 0 else LaurentPoly.v_pow(b))
+            expect = expect + LaurentPoly.const(c) * weight
+        assert loop_variables_to_uv(p, n, d) == expect
 
     @pytest.mark.parametrize("n,d", [(n, d) for n in (4, 5, 6) for d in range(n % 2, n + 1, 2)])
     def test_open_det_twist_vector_independence(self, n, d):

@@ -10,15 +10,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import eptl
+from eptl.linkrep import RingMatrix, loop_weight
 from eptl.ring import (
+    ONE,
     GaussianInt,
     LaurentPoly,
     alpha_poly,
     beta_poly,
     bracket,
+    packed,
     trig_cos,
     trig_sin,
 )
+from oracles import dense, matmul_dense, mul_terms
 
 
 def _coeffs():
@@ -88,6 +92,91 @@ class TestArithmetic:
         assert b ** 0 == LaurentPoly.one()
         assert b ** 3 == b * b * b
         assert LaurentPoly.v_pow(2) ** -3 == LaurentPoly.v_pow(-6)
+
+
+def long_gaussian_poly(rng, n_terms=24, span=9):
+    """A polynomial with exactly ``n_terms`` terms, mostly non-real."""
+    keys = set()
+    while len(keys) < n_terms:
+        keys.add((rng.randint(-span, span), rng.randint(-span, span)))
+    return LaurentPoly(
+        {e: GaussianInt(rng.choice((-3, -1, 1, 2, 70)), rng.randint(-5, 5) or 1) for e in keys}
+    )
+
+
+def fresh_packing(p):
+    return packed(LaurentPoly(dict(p.terms)))
+
+
+class TestPackedKernel:
+    @given(_polys(), _polys())
+    @settings(max_examples=80, deadline=None)
+    def test_product_matches_tuple_oracle(self, a, b):
+        assert a * b == mul_terms(a, b)
+
+    def test_product_matches_tuple_oracle_on_long_gaussian_polys(self):
+        rng = random.Random(15)
+        for _ in range(30):
+            a, b = long_gaussian_poly(rng), long_gaussian_poly(rng, n_terms=rng.randint(2, 30))
+            assert len(a.terms) >= 20
+            assert a * b == mul_terms(a, b)
+
+    def test_product_matches_tuple_oracle_with_wide_exponents(self):
+        big = 1 << 40  # u exponents are not bounded by the packing
+        a = LaurentPoly({(big, 3): GaussianInt(2, -1), (-big, -(1 << 29)): GaussianInt(0, 5)})
+        b = LaurentPoly({(7, (1 << 30) - 1): GaussianInt(-4), (-7, -(1 << 30)): GaussianInt(1, 1)})
+        assert a * b == mul_terms(a, b)
+        assert b * b == mul_terms(b, b)
+
+    def test_matmul_matches_dense_oracle_on_gaussian_entries(self):
+        rng = random.Random(16)
+
+        def entry():
+            if rng.random() < 0.3:
+                return LaurentPoly.zero()
+            return long_gaussian_poly(rng, n_terms=rng.randint(1, 6), span=3)
+
+        for _ in range(12):
+            r, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            a = dense([[entry() for _ in range(k)] for _ in range(r)])
+            b = dense([[entry() for _ in range(c)] for _ in range(k)])
+            assert a @ b == matmul_dense(a, b)
+
+    def test_cache_matches_a_fresh_packing_and_leaves_terms_alone(self):
+        shared = [ONE, loop_weight(2, 1, 3, 4), loop_weight(0, 2, -1, 5), beta_poly()]
+        before = [dict(p.terms) for p in shared]
+        m = dense([shared])
+        m @ m.transpose()  # one entry summing four products packs every factor
+        for p in shared[1:]:
+            p * shared[1]
+        for p, terms in zip(shared, before):
+            assert p._packed is not None
+            assert packed(p) == fresh_packing(p)
+            assert p.terms == terms
+        assert packed(ONE) == ((0, 1, 0),)
+
+    def test_eq_and_hash_ignore_the_cache(self):
+        p = long_gaussian_poly(random.Random(17))
+        q = LaurentPoly(dict(p.terms))
+        p * p
+        assert p._packed is not None and q._packed is None
+        assert p == q and hash(p) == hash(q)
+
+    @pytest.mark.parametrize("ev", [1 << 30, -(1 << 30) - 1, 1 << 40])
+    def test_v_exponent_outside_packed_range_raises(self, ev):
+        far = LaurentPoly({(0, ev): GaussianInt(1), (1, 0): GaussianInt(1)})
+        with pytest.raises(ValueError, match="packed range"):
+            far * beta_poly()
+        m = dense([[far]])
+        with pytest.raises(ValueError, match="packed range"):
+            m @ m
+
+    @pytest.mark.parametrize("ev", [(1 << 30) - 1, -(1 << 30)])
+    def test_v_exponent_at_the_edge_of_the_range_decodes(self, ev):
+        edge = LaurentPoly({(0, ev): GaussianInt(1), (1, 0): GaussianInt(0, 1)})
+        square = edge * edge
+        assert square == mul_terms(edge, edge)
+        assert (0, 2 * ev) in square.terms
 
 
 class TestEval:
