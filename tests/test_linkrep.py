@@ -194,7 +194,7 @@ class TestGramInvariants:
     @pytest.mark.parametrize("n,d", [(6, 0), (5, 1), (6, 2)])
     def test_loop_variables_to_uv_sums_each_term_substituted(self, n, d):
         # a multi-term input with Gaussian coefficients, so the substituted
-        # terms overlap and partly cancel; loop counts are nonnegative
+        # terms overlap; loop counts are nonnegative
         rng = random.Random(n + 10 * d)
         low = 0 if d == 0 else -3
         p = LaurentPoly(
