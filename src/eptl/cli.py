@@ -3,7 +3,8 @@
 Subcommands: enumerate, gram, spin, intertwiner, projector, transfer,
 scan-critical, spectrum, verify, export.  Exit codes: 0 all checks pass,
 1 verification failure, 2 usage or domain error (including a size above
-MAX_SITES, a --d that is no defect count on --n sites, a non-finite
+MAX_SITES, a --d that is no defect count on --n sites, an intertwiner
+--check det with more than DET_MAX_ARCS = 3 arcs (n - d)/2, a non-finite
 --lambda, --mu, --nu, --tol or --lambda-range/--mu-range bound, a
 transfer expansion check where sin(lambda) vanishes, a verify run that
 selects no case, and an unwritable --out).  All floating numbers are
@@ -32,6 +33,10 @@ from .states import enumerate_states
 # the largest --n / --n-max accepted: the README's desk budget of the one-time
 # transfer table build; larger sizes exit 2 before any work starts
 MAX_SITES = 12
+
+# the most arcs (n - d)/2 for intertwiner --check det: det_exact(I) takes
+# 82 CPU s at (12,6), three arcs, and over ten minutes at (8,0), four
+DET_MAX_ARCS = 3
 
 
 def _fmt(x: float) -> str:
@@ -440,6 +445,14 @@ def _check_size(args):
             raise ValueError(f"--{flag.replace('_', '-')} {size} exceeds MAX_SITES = {MAX_SITES}")
 
 
+def _check_det_budget(args):
+    if getattr(args, "check", None) == "det" and (args.n - args.d) // 2 > DET_MAX_ARCS:
+        raise ValueError(
+            f"--check det at --n {args.n} --d {args.d} has {(args.n - args.d) // 2} arcs,"
+            f" more than the desk budget of {DET_MAX_ARCS}"
+        )
+
+
 def _check_finite(args):
     for flag in ("lam", "mu", "nu", "tol"):
         x = getattr(args, flag, None)
@@ -460,6 +473,7 @@ def main(argv=None) -> int:
         _check_size(args)
         _check_finite(args)
         _check_sector(args)
+        _check_det_budget(args)
         if args.out is None:
             return args.fn(args, sys.stdout)
         with open(args.out, "w") as out:

@@ -10,12 +10,13 @@ commute, so the order is irrelevant.  The module also provides exact
 determinants, the closed-form determinant products, and the numeric
 criticality scan.
 
-``det_exact`` is a fraction-free (Bareiss) elimination on plain Python
-ints: each entry becomes a dict from the packed key ``eu * 2^32 + ev``
-of :func:`eptl.ring.packed` to its integer coefficient, and divisions
-go by lex-leading terms.  It takes integer coefficients only, which
-every matrix it sees has (``I``, the loop-variable and the open Gram
-matrices).
+``det_exact`` is a fraction-free (Bareiss) elimination on the packed
+kernel of :mod:`eptl.ring`: each entry is the tuple of
+``(eu * 2^32 + ev, coefficient, 0)`` triples of :func:`eptl.ring.packed`,
+each update a_ij*piv - a_ik*a_kj is two :func:`eptl.ring.mul_into` calls
+into one accumulator, and :func:`eptl.ring.quotient` divides it by the
+previous pivot.  It takes integer coefficients only, which every matrix
+it sees has (``I``, the loop-variable and the open Gram matrices).
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from math import comb, pi, sin
 import numpy as np
 
 from .linkrep import RingMatrix, gram_matrix, loop_variables_to_uv
-from .ring import GR_I, KEY_RANGE, ONE, ZERO, LaurentPoly, bracket, packed, trig_sin, unpacked
+from .ring import (
+    GR_I, KEY_RANGE, ONE, ZERO, LaurentPoly, bracket, mul_into, packed, quotient, trig_sin, unpacked
+)
 from .spinrep import act, spin_sector
 from .states import LinkState, enumerate_states, module_dim, standard_dim
 
@@ -79,11 +82,12 @@ def factorization_check(n: int, d: int):
     imat = i_matrix(n, d)
     product = imat.map(LaurentPoly.flip_v).transpose() @ imat
     gram = gram_matrix(n, d)
-    mismatches = []
-    for i in range(gram.rows):
-        for j in range(gram.cols):
-            if product[i, j] != gram[i, j]:
-                mismatches.append((i, j))
+    mismatches = sorted(
+        (i, j)
+        for j, (p, g) in enumerate(zip(product.columns, gram.columns))
+        for i in p.keys() | g.keys()
+        if p.get(i) != g.get(i)
+    )
     return not mismatches, {
         "n": n,
         "d": d,
@@ -96,78 +100,11 @@ def factorization_check(n: int, d: int):
 # exact determinants
 # ---------------------------------------------------------------------
 
-def _pack(p: LaurentPoly) -> dict:
-    for c in p.terms.values():
-        if c.im:
-            raise ValueError(f"det_exact takes integer coefficients only, got {c!r}")
-    return {k: re for k, re, _ in packed(p)}
-
-
-def _mul(a: dict, b: dict) -> dict:
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:
-        ((ka, ca),) = a.items()
-        return {ka + k: ca * c for k, c in b.items()}
-    out: dict = {}
-    get = out.get
-    for ka, ca in a.items():
-        for k, c in b.items():
-            k += ka
-            out[k] = get(k, 0) + ca * c
-    return {k: c for k, c in out.items() if c}
-
-
-def _sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.pop(k, 0) - c
-        if s:
-            out[k] = s
-    return out
-
-
-def _div(a: dict, b: dict) -> dict:
-    """Exact quotient a / b by lex-leading terms; raises ValueError when b
-    does not divide a."""
-    if len(b) == 1:
-        ((kb, cb),) = b.items()
-        out = {}
-        for k, c in a.items():
-            q, r = divmod(c, cb)
-            if r:
-                raise ValueError("division is not exact")
-            out[k - kb] = q
-        return out
-    rem = dict(a)
-    lead = max(b)
-    lead_c = b[lead]
-    # lex is a monomial order: an exact quotient has no key below this
-    floor = min(a) - min(b)
-    quot = {}
-    get = rem.get
-    while rem:
-        top = max(rem)
-        qk = top - lead
-        qc, r = divmod(rem[top], lead_c)
-        if r or qk < floor:
-            raise ValueError("division is not exact")
-        quot[qk] = qc
-        for k, c in b.items():
-            k += qk
-            s = get(k, 0) - c * qc
-            if s:
-                rem[k] = s
-            else:
-                del rem[k]
-    return quot
-
-
 def det_exact(m: RingMatrix) -> LaurentPoly:
     """Fraction-free (Bareiss) determinant of a Laurent-polynomial matrix
     with integer coefficients.
 
-    The elimination runs on packed-exponent dicts of Python ints.  A
+    The elimination runs on the packed triples of :mod:`eptl.ring`.  A
     non-real coefficient, or exponents so large that a product of two
     minors could leave the packed range, raise ValueError up front.
     """
@@ -181,9 +118,13 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
     emax = max(exps, default=0)
     if 2 * n * emax >= KEY_RANGE:
         raise ValueError(f"exponent {emax} too large for a packed {n}x{n} determinant")
-    a = [[_pack(m[i, j]) for j in range(n)] for i in range(n)]
+    non_real = [c for col in m.columns for e in col.values() for c in e.terms.values() if c.im]
+    if non_real:
+        raise ValueError(f"det_exact takes integer coefficients only, got {non_real[0]!r}")
+    a = [[packed(m[i, j]) for j in range(n)] for i in range(n)]
     sign = 1
-    prev = None
+    prev = packed(ONE)
+    im: dict = {}  # stays empty: every entry is real
     for k in range(n - 1):
         if not a[k][k]:
             for r in range(k + 1, n):
@@ -194,18 +135,20 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
             else:
                 return ZERO
         piv = a[k][k]
-        row_k = a[k]
+        neg_row_k = [tuple((key, -c, 0) for key, c, _ in e) for e in a[k]]
         for i in range(k + 1, n):
             row_i = a[i]
             aik = row_i[k]
             for j in range(k + 1, n):
-                t = _mul(row_i[j], piv) if row_i[j] else {}
-                if aik and row_k[j]:
-                    t = _sub(t, _mul(aik, row_k[j]))
-                row_i[j] = _div(t, prev) if prev is not None and t else t
-            row_i[k] = {}
+                t: dict = {}
+                if row_i[j]:
+                    mul_into(t, im, row_i[j], piv)
+                if aik:
+                    mul_into(t, im, aik, neg_row_k[j])
+                row_i[j] = quotient(t, prev) if t else ()
+            row_i[k] = ()
         prev = piv
-    det = unpacked(a[n - 1][n - 1], {})
+    det = unpacked({key: c for key, c, _ in a[n - 1][n - 1]}, im)
     return -det if sign < 0 else det
 
 

@@ -12,11 +12,13 @@ types live here:
     ``(eu, ev)`` to nonzero ``GaussianInt`` coefficients.  The zero
     polynomial has an empty term map.
 
-Every multi-term product runs on plain ints: :func:`packed` turns a
-polynomial into ``(key, re, im)`` triples with the key
+All exact arithmetic past a sum runs on plain ints: :func:`packed`
+turns a polynomial into ``(key, re, im)`` triples with the key
 ``eu * 2^32 + ev``, :func:`mul_into` adds a product into two dicts
-key -> int, and :func:`unpacked` builds the result, one ``GaussianInt``
-per term.
+key -> int, :func:`quotient` divides such a dict exactly by real triples,
+and :func:`unpacked` builds the result, one ``GaussianInt`` per term.
+``LaurentPoly.__mul__``, ``exact_div``, ``RingMatrix @`` and the Bareiss
+determinant ``det_exact`` all run on these four.
 
 There is no fraction type: every quotient downstream is a pair
 (numerator, denominator) of Laurent polynomials whose denominator is
@@ -119,7 +121,6 @@ class GaussianInt:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-GR_ZERO = GaussianInt(0)
 GR_ONE = GaussianInt(1)
 GR_I = GaussianInt(0, 1)
 
@@ -282,40 +283,26 @@ class LaurentPoly:
     # -- exact division ----------------------------------------------
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / divisor; raises ValueError if not exact."""
+        """Exact quotient self / divisor; raises ValueError if not exact.
+
+        Both sides must lie in the packed v range [-2^30, 2^30) of ``*``.
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero()
-        if len(divisor.terms) == 1:
-            (eu, ev), c = next(iter(divisor.terms.items()))
-            return LaurentPoly({(x - eu, y - ev): k / c for (x, y), k in self.terms.items()})
-        rem = dict(self.terms)
-        div_lead = max(divisor.terms)
-        div_lead_c = divisor.terms[div_lead]
-        quot: dict = {}
-        # quotient exponent widths are bounded by the widths of self
-        nu, nv = self.min_exponents()
-        xu, xv = self.max_exponents()
-        max_steps = (xu - nu + 1) * (xv - nv + 1) + 1
-        # lex-leading-term division; exactness guarantees each step divides
-        steps = 0
-        while rem:
-            steps += 1
-            if steps > max_steps:
-                raise ValueError("division is not exact")
-            lead = max(rem)
-            qe = (lead[0] - div_lead[0], lead[1] - div_lead[1])
-            qc = rem[lead] / div_lead_c
-            quot[qe] = qc
-            for (x, y), c in divisor.terms.items():
-                e = (x + qe[0], y + qe[1])
-                s = rem.get(e, GR_ZERO) - c * qc
-                if s:
-                    rem[e] = s
-                else:
-                    rem.pop(e, None)
-        return LaurentPoly(quot)
+        # p/q = (p qbar)/(q qbar) with q qbar real: Re and Im divide exactly iff q divides p
+        q = packed(divisor)
+        bar = tuple((k, r, -i) for k, r, i in q)
+        re: dict = {}
+        im: dict = {}
+        mul_into(re, im, packed(self), bar)
+        qq: dict = {}
+        mul_into(qq, {}, q, bar)
+        norm = tuple((k, c, 0) for k, c in qq.items() if c)
+        re = {k: c for k, c, _ in quotient(re, norm)}
+        im = {k: c for k, c, _ in quotient(im, norm)}
+        for k in im:
+            re.setdefault(k, 0)
+        return unpacked(re, im)
 
     # -- numerics and serialization ----------------------------------
 
@@ -422,6 +409,59 @@ def mul_into(re: dict, im: dict, a, b) -> None:
                 re[k] = rget(k, 0) + ra * rb
                 if ib:
                     im[k] = iget(k, 0) + ra * ib
+
+
+def _box(keys) -> tuple:
+    """(min u, max u, min v, max v) over packed keys."""
+    vs = [((k + KEY_RANGE) & _MASK) - KEY_RANGE for k in keys]
+    return (min(keys) + KEY_RANGE) >> _SHIFT, (max(keys) + KEY_RANGE) >> _SHIFT, min(vs), max(vs)
+
+
+def quotient(a: dict, b) -> tuple:
+    """The exact quotient of ``a``, a dict from a packed key to an int
+    (zero sums allowed), by the nonzero real packed terms ``b``, as packed
+    triples.
+
+    The division goes by lex-leading terms, each step removing the largest
+    key left.  A nonzero remainder, or a quotient term outside the box
+    [min(a) - min(b), max(a) - max(b)] in u and in v, where every exact
+    quotient lies, raises ValueError; the box is what ends an inexact
+    division.
+    """
+    rem = {k: c for k, c in a.items() if c}
+    if not rem:
+        return ()
+    if len(b) == 1:
+        ((kb, cb, _),) = b
+        out = []
+        for k, c in rem.items():
+            q, r = divmod(c, cb)
+            if r:
+                raise ValueError("division is not exact")
+            out.append((k - kb, q, 0))
+        return tuple(out)
+    au, xu, av, xv = _box(rem)
+    bu, yu, bv, yv = _box([k for k, _, _ in b])
+    lo_u, hi_u, lo_v, hi_v = au - bu, xu - yu, av - bv, xv - yv
+    lead, lead_c, _ = max(b)
+    quot = []
+    get = rem.get
+    while rem:
+        top = max(rem)
+        qk = top - lead
+        qc, r = divmod(rem[top], lead_c)
+        x = qk + KEY_RANGE
+        if r or not (lo_u <= x >> _SHIFT <= hi_u and lo_v <= (x & _MASK) - KEY_RANGE <= hi_v):
+            raise ValueError("division is not exact")
+        quot.append((qk, qc, 0))
+        for k, c, _ in b:
+            k += qk
+            s = get(k, 0) - c * qc
+            if s:
+                rem[k] = s
+            else:
+                del rem[k]
+    return tuple(quot)
 
 
 def unpacked(re: dict, im: dict) -> LaurentPoly:

@@ -168,7 +168,7 @@ def intertwine_cases(n_max: int, d_filter=None, seed: int = 0):
                     lhs = tau_matrix([tok], n, d) @ i_mat
                     rhs = i_mat @ omega_matrix([tok], n, d)
                     for j, w in enumerate(i_mat.col_labels):
-                        if any(lhs[i, j] != rhs[i, j] for i in range(lhs.rows)):
+                        if lhs.columns[j] != rhs.columns[j]:
                             return f"generator {tok} on {w.ascii()}"
                 return None
 

@@ -15,6 +15,9 @@ route, and is kept only as a reference for the tests:
 * ``mul_terms``: the term-by-term product on ``(eu, ev)`` keys in
   ``GaussianInt`` arithmetic, against the packed-int kernel of
   ``LaurentPoly.__mul__``;
+* ``div_terms``: the lex-leading long division on ``(eu, ev)`` keys in
+  ``GaussianInt`` arithmetic, against the two real packed divisions of
+  ``LaurentPoly.exact_div``;
 * ``matmul_dense``: the row-by-column product over dense rows, each
   entry product by ``mul_terms``, against the sparse column push of
   ``RingMatrix.__matmul__``;
@@ -37,7 +40,7 @@ import numpy as np
 from eptl.diagrams import AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
 from eptl.linkrep import RingMatrix, loop_weight
 from eptl.projectors import _sine, wenzl_jones
-from eptl.ring import ONE, ZERO, LaurentPoly, beta_poly
+from eptl.ring import ONE, ZERO, GaussianInt, LaurentPoly, beta_poly
 from eptl.states import LinkState, enumerate_states
 from eptl.transfer import tile_diagram
 
@@ -74,6 +77,43 @@ def mul_terms(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 else:
                     del out[e]
     return LaurentPoly(out)
+
+
+def div_terms(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    """Exact quotient p / q by lex-leading terms on ``(eu, ev)`` keys in
+    ``GaussianInt`` arithmetic, bounded by the exponent widths of p;
+    oracle for ``LaurentPoly.exact_div``.  Raises ValueError if not exact."""
+    if q.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if p.is_zero():
+        return ZERO
+    if len(q.terms) == 1:
+        (eu, ev), c = next(iter(q.terms.items()))
+        return LaurentPoly({(x - eu, y - ev): k / c for (x, y), k in p.terms.items()})
+    rem = dict(p.terms)
+    div_lead = max(q.terms)
+    div_lead_c = q.terms[div_lead]
+    quot: dict = {}
+    nu, nv = p.min_exponents()
+    xu, xv = p.max_exponents()
+    max_steps = (xu - nu + 1) * (xv - nv + 1) + 1
+    steps = 0
+    while rem:
+        steps += 1
+        if steps > max_steps:
+            raise ValueError("division is not exact")
+        lead = max(rem)
+        qe = (lead[0] - div_lead[0], lead[1] - div_lead[1])
+        qc = rem[lead] / div_lead_c
+        quot[qe] = qc
+        for (x, y), c in q.terms.items():
+            e = (x + qe[0], y + qe[1])
+            s = rem.get(e, GaussianInt(0)) - c * qc
+            if s:
+                rem[e] = s
+            else:
+                rem.pop(e, None)
+    return LaurentPoly(quot)
 
 
 def matmul_dense(a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -131,8 +171,8 @@ def det_cofactor(m: RingMatrix) -> LaurentPoly:
 
 def det_bareiss_laurent(m: RingMatrix) -> LaurentPoly:
     """Fraction-free (Bareiss) determinant with every entry a
-    ``LaurentPoly`` and every division ``LaurentPoly.exact_div``; oracle
-    for the packed-int elimination of ``det_exact``."""
+    ``LaurentPoly`` and every division :func:`div_terms`; oracle for the
+    packed-int elimination of ``det_exact``."""
     n = m.rows
     if n == 0:
         return ONE
@@ -154,7 +194,7 @@ def det_bareiss_laurent(m: RingMatrix) -> LaurentPoly:
             row_i, row_k = a[i], a[k]
             for j in range(k + 1, n):
                 t = row_i[j] * piv - aik * row_k[j]
-                row_i[j] = t.exact_div(prev) if prev is not None else t
+                row_i[j] = div_terms(t, prev) if prev is not None else t
             row_i[k] = ZERO
         prev = piv
     det = a[n - 1][n - 1]
@@ -177,7 +217,7 @@ def _wenzl_diagrams_reference(p: int):
     beta = beta_poly()
 
     def qint(k):
-        return _sine(k).exact_div(_sine(1))
+        return div_terms(_sine(k), _sine(1))
 
     def product(xs, ys):
         # the algebra product xs * ys: ys is stacked on top of xs
@@ -200,7 +240,7 @@ def _wenzl_diagrams_reference(p: int):
         gen = {generator_diagram("e", p, q - 1): (qint(q - 1), (q - 1,))}
         out = {m: (c * qint(q), w) for m, (c, w) in wj.items()}
         for m, (c, w) in product(product(wj, gen), wj).items():
-            c = c.exact_div(fact)
+            c = div_terms(c, fact)
             if m in out:
                 c0, w0 = out[m]
                 out[m] = (c0 + c, w0)

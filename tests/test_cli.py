@@ -377,6 +377,21 @@ class TestSurface:
         assert code == 2
         assert "MAX_SITES" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n,d", [(8, 0), (9, 1), (12, 0)])
+    def test_det_past_the_arc_budget_exits_two_before_work(self, n, d, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr("eptl.intertwiner.i_matrix", _no_work)
+        monkeypatch.setattr("eptl.intertwiner.det_exact", _no_work)
+        out = tmp_path / "det.json"
+        code = main(["intertwiner", "--n", str(n), "--d", str(d), "--check", "det", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_det_within_the_arc_budget_runs(self, capsys):
+        code, out = run_cli(capsys, "intertwiner", "--n", "7", "--d", "1", "--check", "det")
+        assert code == 0
+        assert json.loads(out)["matches_up_to_unit"] is not None
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,11 +1,11 @@
 import cmath
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
-import eptl.intertwiner as itw
 from eptl.diagrams import act_on_link, generator_diagram
 from eptl.intertwiner import (
     bracket_values,
@@ -26,7 +26,7 @@ from eptl.intertwiner import (
 )
 from eptl.linkrep import RingMatrix, act_weight, gram_matrix
 from eptl.projectors import same_ratio
-from eptl.ring import GR_I, ONE, ZERO, LaurentPoly, beta_poly
+from eptl.ring import GR_I, ONE, ZERO, LaurentPoly, beta_poly, packed, quotient
 from eptl.spinrep import spin_sector, tau_matrix
 from eptl.states import LinkState, enumerate_states
 from oracles import dense, det_bareiss_laurent, det_cofactor, to_numeric_entrywise
@@ -157,6 +157,20 @@ class TestFactorization:
         ok, report = factorization_check(n, d)
         assert ok, report
 
+    def test_mismatches_list_changed_entries_row_by_row(self, monkeypatch):
+        import eptl.intertwiner as itw
+
+        gram = itw.gram_matrix(4, 0)
+        entries = gram.entries
+        for i, j in ((3, 0), (0, 5), (3, 1)):
+            entries[i][j] = entries[i][j] + ONE
+        entries[2][2] = ZERO  # a nonzero entry dropped from its column
+        changed = dense(entries, gram.row_labels, gram.col_labels)
+        monkeypatch.setattr(itw, "gram_matrix", lambda n, d: changed)
+        ok, report = factorization_check(4, 0)
+        assert not ok
+        assert report["mismatches"] == [(0, 5), (2, 2), (3, 0), (3, 1)]
+
 
 class TestDeterminants:
     def test_identity(self):
@@ -204,11 +218,16 @@ class TestDeterminants:
             (mono(2, 0) + ONE, mono(1, 0) + ONE),  # remainder 2: quotient runs below u^0
             (mono(1, 1) + ONE, mono(1, 1) * LaurentPoly.const(2) + ONE),  # 1 / 2
             (mono(0, 3), LaurentPoly.const(2)),  # monomial divisor, 1 / 2
+            (mono(1, 5) + mono(0, -5), ONE + mono(0, 1)),  # quotient runs down in v for ever
         ],
     )
     def test_inexact_division_raises(self, num, den):
+        start = time.process_time()
         with pytest.raises(ValueError, match="not exact"):
-            itw._div(itw._pack(num), itw._pack(den))
+            quotient({k: c for k, c, _ in packed(num)}, packed(den))
+        with pytest.raises(ValueError, match="not exact"):
+            num.exact_div(den)
+        assert time.process_time() - start < 1.0
 
     def test_open_five_one_det(self):
         for twists in ([LaurentPoly.v_pow(1)], [ONE], [LaurentPoly.monomial(1, 2)]):

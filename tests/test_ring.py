@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import eptl
 from eptl.linkrep import RingMatrix, loop_weight
@@ -22,7 +22,7 @@ from eptl.ring import (
     trig_cos,
     trig_sin,
 )
-from oracles import dense, matmul_dense, mul_terms
+from oracles import dense, div_terms, matmul_dense, mul_terms
 
 
 def _coeffs():
@@ -177,6 +177,55 @@ class TestPackedKernel:
         square = edge * edge
         assert square == mul_terms(edge, edge)
         assert (0, 2 * ev) in square.terms
+
+
+def division_outcome(divide, p, q):
+    """The quotient, or "refused" when ``divide`` raises ValueError."""
+    try:
+        return divide(p, q)
+    except ValueError:
+        return "refused"
+
+
+class TestExactDivision:
+    @given(_polys(), _polys())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_tuple_oracle_on_non_real_divisors(self, p, q):
+        assume(any(c.im for c in q.terms.values()))
+        assert (p * q).exact_div(q) == div_terms(p * q, q) == p
+
+    @given(_polys(), _polys(), _polys())
+    @settings(max_examples=80, deadline=None)
+    def test_refuses_what_the_tuple_oracle_refuses(self, p, q, r):
+        assume(not q.is_zero())
+        a = p * q + r
+        assert division_outcome(LaurentPoly.exact_div, a, q) == division_outcome(div_terms, a, q)
+
+    @pytest.mark.parametrize(
+        "num,den",
+        [
+            (LaurentPoly.const(3), LaurentPoly.const(2)),
+            (LaurentPoly.monomial(1, 5) + LaurentPoly.v_pow(-5), ONE + LaurentPoly.v_pow(1)),
+            (beta_poly() + LaurentPoly.const(GaussianInt(0, 1)), beta_poly()),
+            (LaurentPoly.const(5), LaurentPoly.const(GaussianInt(1, 1))),
+        ],
+    )
+    def test_both_refuse_fixed_inexact_inputs(self, num, den):
+        assert division_outcome(LaurentPoly.exact_div, num, den) == "refused"
+        assert division_outcome(div_terms, num, den) == "refused"
+
+    @pytest.mark.parametrize("ev", [(1 << 29) - 1, -(1 << 29)])
+    def test_roundtrip_with_v_exponents_near_the_packed_edge(self, ev):
+        p = LaurentPoly({(0, ev): GaussianInt(2, 1), (3, -ev): GaussianInt(-1), (1, 1): GaussianInt(0, 4)})
+        q = LaurentPoly({(1, ev): GaussianInt(1, -1), (0, 0): GaussianInt(3), (-2, 5): GaussianInt(0, 1)})
+        assert (p * q).exact_div(q) == div_terms(p * q, q) == p
+
+    def test_v_exponent_outside_packed_range_raises(self):
+        far = LaurentPoly({(0, 1 << 30): GaussianInt(1), (1, 0): GaussianInt(1)})
+        with pytest.raises(ValueError, match="packed range"):
+            far.exact_div(beta_poly())
+        with pytest.raises(ValueError, match="packed range"):
+            beta_poly().exact_div(far)
 
 
 class TestEval:
