@@ -4,7 +4,8 @@ Subcommands: enumerate, gram, spin, intertwiner, projector, transfer,
 scan-critical, spectrum, verify, export.  Exit codes: 0 all checks pass,
 1 verification failure, 2 usage or domain error (including a size above
 MAX_SITES, a --d that is no defect count on --n sites, an intertwiner
---check det with more than DET_MAX_ARCS = 3 arcs (n - d)/2, a non-finite
+--check det with more than DET_MAX_ARCS = 3 arcs (n - d)/2, a projector
+--check gamma or recursion past PROJECTOR_MAX_SITES, a non-finite
 --lambda, --mu, --nu, --tol or --lambda-range/--mu-range bound, a
 transfer expansion check where sin(lambda) vanishes, a verify run that
 selects no case, and an unwritable --out).  All floating numbers are
@@ -37,6 +38,10 @@ MAX_SITES = 12
 # the most arcs (n - d)/2 for intertwiner --check det: det_exact(I) takes
 # 82 CPU s at (12,6), three arcs, and over ten minutes at (8,0), four
 DET_MAX_ARCS = 3
+
+# the most sites for projector --check gamma and recursion: gamma takes 76 CPU s
+# at (10,0) and 266 s at (11,1), recursion 38 s at (9,3) and over 150 s at (10,2)
+PROJECTOR_MAX_SITES = {"gamma": 10, "recursion": 9}
 
 
 def _fmt(x: float) -> str:
@@ -356,11 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_format=True):
+    def common(p, formats=("json", "csv", "ascii")):
         p.add_argument("--n", type=int, required=True, help="number of sites")
         p.add_argument("--d", type=int, required=True, help="number of defects")
-        if with_format:
-            p.add_argument("--format", choices=["json", "csv", "ascii"], default="ascii")
+        if formats:  # the last one listed is the default
+            p.add_argument("--format", choices=formats, default=formats[-1])
         p.add_argument("--out", default=None, help="output file (default stdout)")
 
     p = sub.add_parser("enumerate", help="list the link-state basis")
@@ -389,12 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_intertwiner)
 
     p = sub.add_parser("projector", help="projector layer checks")
-    common(p, with_format=False)
+    common(p, formats=())
     p.add_argument("--check", choices=["wj", "gamma", "kfactor", "recursion"], default="gamma")
     p.set_defaults(fn=cmd_projector)
 
     p = sub.add_parser("transfer", help="transfer-matrix property checks")
-    common(p, with_format=False)
+    common(p, formats=())
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--nu", default="0.3", help="anisotropy (complex accepted)")
     p.add_argument("--mu", type=float, default=0.3)
@@ -404,14 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_transfer)
 
     p = sub.add_parser("scan-critical", help="grid scan of the criticality predictor")
-    common(p)
+    common(p, formats=("json", "csv"))
     p.add_argument("--lambda-range", required=True, help="lo:hi:steps")
     p.add_argument("--mu-range", required=True, help="lo:hi:steps")
     p.add_argument("--tol", type=float, default=1e-8, help="singular-value threshold")
     p.set_defaults(fn=cmd_scan_critical)
 
     p = sub.add_parser("spectrum", help="compare the two module Hamiltonians")
-    common(p)
+    common(p, formats=("json", "csv"))
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--mu", type=float, default=0.3)
     p.add_argument("--tol", type=float, default=1e-8, help="bracket criticality threshold")
@@ -445,11 +450,16 @@ def _check_size(args):
             raise ValueError(f"--{flag.replace('_', '-')} {size} exceeds MAX_SITES = {MAX_SITES}")
 
 
-def _check_det_budget(args):
+def _check_budget(args):
     if getattr(args, "check", None) == "det" and (args.n - args.d) // 2 > DET_MAX_ARCS:
         raise ValueError(
             f"--check det at --n {args.n} --d {args.d} has {(args.n - args.d) // 2} arcs,"
             f" more than the desk budget of {DET_MAX_ARCS}"
+        )
+    cap = PROJECTOR_MAX_SITES.get(args.check) if args.command == "projector" else None
+    if cap is not None and args.n > cap:
+        raise ValueError(
+            f"projector --check {args.check} at --n {args.n} exceeds its desk budget of {cap} sites"
         )
 
 
@@ -473,7 +483,7 @@ def main(argv=None) -> int:
         _check_size(args)
         _check_finite(args)
         _check_sector(args)
-        _check_det_budget(args)
+        _check_budget(args)
         if args.out is None:
             return args.fn(args, sys.stdout)
         with open(args.out, "w") as out:

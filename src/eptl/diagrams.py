@@ -65,25 +65,6 @@ class AffineDiagram:
             chords.append(tag)
         return f"AffineDiagram(n={self.n}, [{' '.join(chords)}], b^{self.nbeta} a^{self.nalpha})"
 
-    def ascii(self) -> str:
-        """Crude two-row rendering; ':' marks the imaginary boundary."""
-        n = self.n
-        top = " ".join(f"t{i}" for i in range(1, n + 1))
-        bot = " ".join(f"b{i}" for i in range(1, n + 1))
-        lines = [": " + top + " :", ": " + bot + " :"]
-        seen = set()
-        for a in sorted(self.conn):
-            if a in seen:
-                continue
-            b, s = self.conn[a]
-            seen.add(a)
-            seen.add(b)
-            wrap = f" seam{s:+d}" if s else ""
-            lines.append(f"  {a[0]}{a[1]} -- {b[0]}{b[1]}{wrap}")
-        if self.nbeta or self.nalpha:
-            lines.append(f"  loops: beta^{self.nbeta} alpha^{self.nalpha}")
-        return "\n".join(lines)
-
 
 def _pair(conn, a, b, s):
     conn[a] = (b, s)

@@ -21,8 +21,9 @@ it sees has (``I``, the loop-variable and the open Gram matrices).
 
 from __future__ import annotations
 
+import cmath
 from functools import lru_cache
-from math import comb, pi, sin
+from math import comb, log, pi, sin
 
 import numpy as np
 
@@ -239,9 +240,6 @@ def det_formula_log(n: int, d: int, which: str, u: complex, v: complex):
     polynomial instead would lose the result to float cancellation once
     the exponents are large, so every factor is evaluated separately.
     """
-    import cmath
-    from math import log
-
     log_abs, phase = 0.0, 0.0
     for poly, e in det_factors(n, d, which):
         val = poly.eval_numeric(u, v)
@@ -256,8 +254,6 @@ LOGDET_TOL = 1e-8  # relative tolerance of logdet_matches on log |det|
 def logdet_matches(logdet_sign, logdet_abs, formula_log, formula_phase) -> bool:
     """Compare a numpy slogdet result against a factor-wise formula value,
     up to a global fourth root of unity."""
-    import cmath
-
     if abs(logdet_abs - formula_log) > LOGDET_TOL * max(1.0, abs(formula_log)):
         return False
     ratio = logdet_sign / cmath.exp(1j * formula_phase)

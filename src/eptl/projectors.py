@@ -28,6 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .diagrams import AffineDiagram, compose, generator_diagram, identity_diagram
+from .intertwiner import det_exact
 from .linkrep import RingMatrix, gram_matrix, gram_pair, link_image, link_matrix
 from .ring import ONE, ZERO, LaurentPoly, alpha_poly, beta_poly, trig_cos, trig_sin
 from .states import LinkState, bijection_C, enumerate_states, standard_dim
@@ -326,8 +327,6 @@ def gram_recursion_check(n: int, d: int) -> bool:
     the (d+1)-defect determinant at size n-1; the ratio's denominator
     S_{d+1}^power is multiplied over to the left.
     """
-    from .intertwiner import det_exact
-
     if d < 1 or d > n:
         raise ValueError("the recursion needs at least one defect")
     twists = [LaurentPoly.v_pow(k + 1) for k in range(d)]

@@ -1,6 +1,7 @@
 """Verification suites: every closed-form identity as a pass/fail case.
 
-Each suite yields (case name, callable); a callable returns None on
+Each suite yields (case name, callable), the callable a module-level
+check with its inputs bound by ``functools.partial``; it returns None on
 success, a short witness string on failure, or a :class:`Skipped` reason
 when the case could not be checked.  A case tied to a fixed size is only
 yielded once ``n_max`` reaches that size.  Suites are deterministic
@@ -15,6 +16,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -62,161 +64,142 @@ def _sectors(n_max, n_min=2, d_filter=None):
 
 
 # ---------------------------------------------------------------------
-# case generators per suite
+# the defining relations, each checked on one sector of one representation
 # ---------------------------------------------------------------------
+
+def squares(n, d, matrix_of):
+    beta = beta_poly()
+    for i in range(1, n + 1):
+        m = matrix_of([("e", i)], n, d)
+        if m @ m != m.scale(beta):
+            return f"square relation fails at site {i}"
+
+
+def distant_commute(n, d, matrix_of):
+    gens = [matrix_of([("e", i)], n, d) for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            gap = min(j - i, n - (j - i))
+            if gap > 1 and gens[i - 1] @ gens[j - 1] != gens[j - 1] @ gens[i - 1]:
+                return f"distant generators {i},{j} do not commute"
+
+
+def contraction(n, d, matrix_of):
+    if n < 3:
+        return None
+    for i in range(1, n + 1):
+        for j in ((i % n) + 1, (i - 2) % n + 1):
+            if matrix_of([("e", i), ("e", j), ("e", i)], n, d) != matrix_of([("e", i)], n, d):
+                return f"contraction fails at {i},{j}"
+
+
+def translate(n, d, matrix_of):
+    for i in range(1, n + 1):
+        lhs = matrix_of([("omega", 1), ("e", i), ("omega", -1)], n, d)
+        if lhs != matrix_of([("e", (i - 2) % n + 1)], n, d):
+            return f"translation conjugation fails at {i}"
+    if matrix_of([("omega", 1), ("omega", -1)], n, d) != RingMatrix.identity(module_dim(n, d)):
+        return "translation inverse fails"
+
+
+def power(n, d, matrix_of):
+    for sign in (1, -1):
+        lhs = matrix_of([("omega", sign), ("e", n)] * (n - 1), n, d)
+        rhs = matrix_of([("omega", sign)] * n + [("omega", sign), ("e", n)], n, d)
+        if lhs != rhs:
+            return f"power relation fails, sign {sign}"
+
+
+def boundary_sandwich(n, d, matrix_of):
+    if n < 3:
+        return None  # two sites: the contraction closes a wrapping loop
+    for j in range(2, n - 1):
+        shift, back = [("omega", 1)] * j, [("omega", -1)] * j
+        a = matrix_of([("e", n), *shift, ("e", n), *back], n, d)
+        b = matrix_of([*shift, ("e", n), *back, ("e", n)], n, d)
+        if a != b:
+            return f"shifted commutation fails at distance {j}"
+    for sign in (1, -1):
+        lhs = matrix_of([("e", n), ("omega", -sign), ("e", n), ("omega", sign), ("e", n)], n, d)
+        if lhs != matrix_of([("e", n)], n, d):
+            return f"boundary contraction fails, sign {sign}"
+
+
+def wrap_weight(n, d, matrix_of):
+    if n % 2:
+        return None
+    for start in (2, 1):
+        prod = [("e", i) for i in range(start, n + start - 1, 2)]
+        ref = matrix_of(prod, n, d).scale(alpha_poly(n))
+        for sign in (1, -1):
+            if matrix_of(prod + [("omega", sign)] + prod, n, d) != ref:
+                return f"wrap sandwich fails, start {start} sign {sign}"
+
+
+RELATIONS = {
+    "squares": squares,
+    "distant-commute": distant_commute,
+    "contraction": contraction,
+    "translate": translate,
+    "power": power,
+    "boundary-sandwich": boundary_sandwich,
+    "wrap-weight": wrap_weight,
+}
+
 
 def algebra_cases(n_max: int, d_filter=None, seed: int = 0):
     """Defining relations in the diagram calculus and both representations."""
-
-    def rep_cases(n, d, matrix_of):
-        beta = beta_poly()
-        alpha = alpha_poly(n)
-        size = module_dim(n, d)
-        ident = RingMatrix.identity(size)
-
-        def e(i):
-            return matrix_of([("e", i)], n, d)
-
-        def word(toks):
-            return matrix_of(toks, n, d)
-
-        def c_esq():
-            for i in range(1, n + 1):
-                m = e(i)
-                if m @ m != m.scale(beta):
-                    return f"square relation fails at site {i}"
-
-        def c_comm():
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    gap = min(j - i, n - (j - i))
-                    if gap > 1 and e(i) @ e(j) != e(j) @ e(i):
-                        return f"distant generators {i},{j} do not commute"
-
-        def c_braid():
-            if n < 3:
-                return None
-            for i in range(1, n + 1):
-                for j in ((i % n) + 1, (i - 2) % n + 1):
-                    if word([("e", i), ("e", j), ("e", i)]) != e(i):
-                        return f"contraction fails at {i},{j}"
-
-        def c_translate():
-            for i in range(1, n + 1):
-                lhs = word([("omega", 1), ("e", i), ("omega", -1)])
-                if lhs != e((i - 2) % n + 1):
-                    return f"translation conjugation fails at {i}"
-            if word([("omega", 1), ("omega", -1)]) != ident:
-                return "translation inverse fails"
-
-        def c_power():
-            for sign in (1, -1):
-                lhs = word([("omega", sign), ("e", n)] * (n - 1))
-                rhs = word([("omega", sign)] * n + [("omega", sign), ("e", n)])
-                if lhs != rhs:
-                    return f"power relation fails, sign {sign}"
-
-        def c_en_sandwich():
-            if n < 3:
-                return None  # two sites: the contraction closes a wrapping loop
-            for j in range(2, n - 1):
-                a = word([("e", n)] + [("omega", 1)] * j + [("e", n)] + [("omega", -1)] * j)
-                b = word([("omega", 1)] * j + [("e", n)] + [("omega", -1)] * j + [("e", n)])
-                if a != b:
-                    return f"shifted commutation fails at distance {j}"
-            for sign in (1, -1):
-                lhs = word([("e", n), ("omega", -sign), ("e", n), ("omega", sign), ("e", n)])
-                if lhs != e(n):
-                    return f"boundary contraction fails, sign {sign}"
-
-        def c_even_odd():
-            if n % 2:
-                return None
-            for start in (2, 1):
-                prod = [("e", i) for i in range(start, n + start - 1, 2)]
-                ref = word(prod)
-                for sign in (1, -1):
-                    got = word(prod + [("omega", sign)] + prod)
-                    if got != ref.scale(alpha):
-                        return f"wrap sandwich fails, start {start} sign {sign}"
-
-        return {
-            "squares": c_esq,
-            "distant-commute": c_comm,
-            "contraction": c_braid,
-            "translate": c_translate,
-            "power": c_power,
-            "boundary-sandwich": c_en_sandwich,
-            "wrap-weight": c_even_odd,
-        }
-
     for n, d in _sectors(n_max, 2, d_filter):
         for rep_name, matrix_of in (("link", omega_matrix), ("spin", tau_matrix)):
-            for cname, fn in rep_cases(n, d, matrix_of).items():
-                yield f"algebra/{rep_name}/n{n}d{d}/{cname}", fn
+            for cname, fn in RELATIONS.items():
+                yield f"algebra/{rep_name}/n{n}d{d}/{cname}", partial(fn, n, d, matrix_of)
+
+
+# ---------------------------------------------------------------------
+# intertwiner, Gram form and determinants
+# ---------------------------------------------------------------------
+
+def intertwines(n, d):
+    i_mat = itw.i_matrix(n, d)
+    for tok in [("e", i) for i in range(1, n + 1)] + [("omega", 1), ("omega", -1)]:
+        lhs = tau_matrix([tok], n, d) @ i_mat
+        rhs = i_mat @ omega_matrix([tok], n, d)
+        for j, w in enumerate(i_mat.col_labels):
+            if lhs.columns[j] != rhs.columns[j]:
+                return f"generator {tok} on {w.ascii()}"
 
 
 def intertwine_cases(n_max: int, d_filter=None, seed: int = 0):
     """tau(g) I = I omega(g) for every generator g: e_1..e_n, Omega, Omega^-1."""
     for n, d in _sectors(n_max, 2, d_filter):
+        yield f"intertwine/n{n}d{d}", partial(intertwines, n, d)
 
-        def make(n=n, d=d):
-            def run():
-                i_mat = itw.i_matrix(n, d)
-                toks = [("e", i) for i in range(1, n + 1)] + [("omega", 1), ("omega", -1)]
-                for tok in toks:
-                    lhs = tau_matrix([tok], n, d) @ i_mat
-                    rhs = i_mat @ omega_matrix([tok], n, d)
-                    for j, w in enumerate(i_mat.col_labels):
-                        if lhs.columns[j] != rhs.columns[j]:
-                            return f"generator {tok} on {w.ascii()}"
-                return None
 
-            return run
+def gram_factorization(n, d):
+    ok, report = itw.factorization_check(n, d)
+    return None if ok else f"{len(report['mismatches'])} mismatching entries"
 
-        yield f"intertwine/n{n}d{d}", make()
+
+def gram_symmetry(n, d):
+    g = gram_matrix(n, d)
+    if g.map(LaurentPoly.flip_v) != g.transpose():
+        return "twist-inversion transpose symmetry fails"
+
+
+def twist_vector_independence():
+    twists = ([ONE], [LaurentPoly.v_pow(1)], [LaurentPoly.monomial(2, 1)])
+    dets = [itw.det_exact(gram_matrix(5, 1, mode="open", twists=t)) for t in twists]
+    if not all(x == dets[0] for x in dets):
+        return "determinant depends on the twist assignment"
+    b2 = beta_poly() * beta_poly()
+    if dets[0] != (b2 - ONE) ** 4 * (b2 - LaurentPoly.const(2)):
+        return "closed value mismatch"
 
 
 def gram_cases(n_max: int, d_filter=None, seed: int = 0):
     for n, d in _sectors(n_max, 2, d_filter):
-
-        def make_factorization(n=n, d=d):
-            def run():
-                ok, report = itw.factorization_check(n, d)
-                return None if ok else f"{len(report['mismatches'])} mismatching entries"
-
-            return run
-
-        def make_symmetry(n=n, d=d):
-            def run():
-                g = gram_matrix(n, d)
-                if g.map(LaurentPoly.flip_v) != g.transpose():
-                    return "twist-inversion transpose symmetry fails"
-                return None
-
-            return run
-
-        yield f"gram/factorization/n{n}d{d}", make_factorization()
-        yield f"gram/symmetry/n{n}d{d}", make_symmetry()
-
-    def twist_vector_independence():
-        v = LaurentPoly.v_pow(1)
-        assignments = [
-            [ONE] * 1,
-            [v],
-            [LaurentPoly.monomial(2, 1)],
-        ]
-        dets = []
-        for twists in assignments:
-            g = gram_matrix(5, 1, mode="open", twists=twists)
-            dets.append(itw.det_exact(g))
-        if not all(x == dets[0] for x in dets):
-            return "determinant depends on the twist assignment"
-        b2 = beta_poly() * beta_poly()
-        if dets[0] != (b2 - ONE) ** 4 * (b2 - LaurentPoly.const(2)):
-            return "closed value mismatch"
-        return None
-
+        yield f"gram/factorization/n{n}d{d}", partial(gram_factorization, n, d)
+        yield f"gram/symmetry/n{n}d{d}", partial(gram_symmetry, n, d)
     # yielded at every n_max: the benchmark's smoke list pins this name at n_max 3
     if d_filter is None or 1 in d_filter:
         yield "gram/twist-vector-independence/n5d1", twist_vector_independence
@@ -227,122 +210,130 @@ def gram_cases(n_max: int, d_filter=None, seed: int = 0):
 EXACT_DET_EXTRA = ((7, 3), (7, 5), (8, 4), (8, 6))
 
 
+def exact_determinants(n, d):
+    det = itw.gram_det_exact(n, d)
+    if not itw.matches_up_to_sign(det, itw.det_formulas(n, d, "gram_tilde")):
+        return "periodic Gram determinant"
+    det_i = itw.det_exact(itw.i_matrix(n, d))
+    if itw.matches_up_to_unit(det_i, itw.det_formulas(n, d, "intertwiner")) is None:
+        return "intertwiner determinant"
+    if det_i.extreme_term_uv()[0] != itw.leading_exponents(n, d):
+        return "leading exponents"
+
+
+def numeric_determinants(n, d, seed):
+    """Both determinants against their bracket products at five points
+    drawn from ``seed``, as float log-determinants."""
+    local = random.Random(seed)
+    gram = gram_matrix(n, d)
+    for _ in range(5):
+        lam = local.uniform(0.2, 2.9)
+        mu = local.uniform(0.05, 1.3)
+        u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
+        sign, logdet = np.linalg.slogdet(itw.i_matrix_numeric(n, d, u, v))
+        flog, fphase = itw.det_formula_log(n, d, "intertwiner", u, v)
+        if not itw.logdet_matches(sign, logdet, flog, fphase):
+            return f"intertwiner det at lam={lam:.6f} mu={mu:.6f}"
+        gs, gl = np.linalg.slogdet(gram.to_numeric(u, v))
+        glog, gphase = itw.det_formula_log(n, d, "gram_tilde", u, v)
+        if not itw.logdet_matches(gs, gl, glog, gphase):
+            return f"gram det at lam={lam:.6f} mu={mu:.6f}"
+
+
 def determinant_cases(n_max: int, d_filter=None, seed: int = 0):
     rng = random.Random(seed)
     extra = [
         (n, d) for n, d in EXACT_DET_EXTRA if n <= n_max and (d_filter is None or d in d_filter)
     ]
     for n, d in [*_sectors(min(n_max, 6), 2, d_filter), *extra]:
-
-        def make_exact(n=n, d=d):
-            def run():
-                det = itw.gram_det_exact(n, d)
-                if not itw.matches_up_to_sign(det, itw.det_formulas(n, d, "gram_tilde")):
-                    return "periodic Gram determinant"
-                det_i = itw.det_exact(itw.i_matrix(n, d))
-                if itw.matches_up_to_unit(det_i, itw.det_formulas(n, d, "intertwiner")) is None:
-                    return "intertwiner determinant"
-                (eu, ev) = det_i.extreme_term_uv()[0]
-                if (eu, ev) != itw.leading_exponents(n, d):
-                    return "leading exponents"
-                return None
-
-            return run
-
-        yield f"determinants/exact/n{n}d{d}", make_exact()
-
+        yield f"determinants/exact/n{n}d{d}", partial(exact_determinants, n, d)
     for n, d in _sectors(n_max, 7, d_filter):
+        seed_nd = rng.randrange(1 << 30)
+        yield f"determinants/numeric/n{n}d{d}", partial(numeric_determinants, n, d, seed_nd)
 
-        def make_numeric(n=n, d=d, seeds=rng.randrange(1 << 30)):
-            def run():
-                local = random.Random(seeds)
-                gram = gram_matrix(n, d)
-                for _ in range(5):
-                    lam = local.uniform(0.2, 2.9)
-                    mu = local.uniform(0.05, 1.3)
-                    u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
-                    sign, logdet = np.linalg.slogdet(itw.i_matrix_numeric(n, d, u, v))
-                    flog, fphase = itw.det_formula_log(n, d, "intertwiner", u, v)
-                    if not itw.logdet_matches(sign, logdet, flog, fphase):
-                        return f"intertwiner det at lam={lam:.6f} mu={mu:.6f}"
-                    gs, gl = np.linalg.slogdet(gram.to_numeric(u, v))
-                    glog, gphase = itw.det_formula_log(n, d, "gram_tilde", u, v)
-                    if not itw.logdet_matches(gs, gl, glog, gphase):
-                        return f"gram det at lam={lam:.6f} mu={mu:.6f}"
-                return None
 
-            return run
+# ---------------------------------------------------------------------
+# projectors
+# ---------------------------------------------------------------------
 
-        yield f"determinants/numeric/n{n}d{d}", make_numeric()
+def wenzl_properties(n, d_filter):
+    for _, d in _sectors(n, n, d_filter):
+        h = gram_matrix(n, d).transpose()
+        for p in range(2, min(5, n) + 1):
+            m, den = prj.wj_matrix(p, n, d)
+            if m @ m != m.scale(den):
+                return f"not idempotent: p={p} n={n} d={d}"
+            for i in range(1, p):
+                e = omega_matrix([("e", i)], n, d)
+                if not (m @ e).is_zero() or not (e @ m).is_zero():
+                    return f"does not annihilate site {i}: p={p} n={n} d={d}"
+            if h @ m.map(LaurentPoly.flip_v) != m.transpose() @ h:
+                return f"not self-adjoint: p={p} n={n} d={d}"
+    for p in range(2, 6):
+        wj = prj.wenzl_jones(p)
+        for other in (wj.reflected(), wj.word_reversed()):
+            if set(other.diagrams) != set(wj.diagrams) or any(
+                other.diagrams[m] != c for m, c in wj.diagrams.items()
+            ):
+                return f"mirror invariance fails at p={p}"
+
+
+def gamma_blocks(n, d):
+    ok, failures = prj.gamma_block_report(n, d)
+    return None if ok else f"{len(failures)} block failures"
+
+
+def k_factors(defects):
+    for d in defects:
+        for r in range(1, 4):
+            n_amb = d + 2 * r + 2
+            closed = prj.k_factor(d, r, n_amb, "closed_form")
+            if not prj.same_ratio(prj.k_factor(d, r, n_amb, "recursion"), closed):
+                return f"recursion vs closed form at d={d} r={r}"
+            # the defining pairing is desk-scale only for small windows
+            if d + 2 * r <= 6 and not prj.same_ratio(
+                prj.k_factor(d, r, mode="gram_pairing"), prj.k_factor(d, r, mode="closed_form")
+            ):
+                return f"pairing vs closed form at d={d} r={r}"
+
+
+def gram_recursion(n, d):
+    return None if prj.gram_recursion_check(n, d) else "recursion fails"
 
 
 def projector_cases(n_max: int, d_filter=None, seed: int = 0):
-    def wj_properties():
-        n = min(n_max, 6)
-        for _, d in _sectors(n, n, d_filter):
-            h = gram_matrix(n, d).transpose()
-            for p in range(2, min(5, n) + 1):
-                m, den = prj.wj_matrix(p, n, d)
-                if m @ m != m.scale(den):
-                    return f"not idempotent: p={p} n={n} d={d}"
-                for i in range(1, p):
-                    e = omega_matrix([("e", i)], n, d)
-                    if not (m @ e).is_zero() or not (e @ m).is_zero():
-                        return f"does not annihilate site {i}: p={p} n={n} d={d}"
-                if h @ m.map(LaurentPoly.flip_v) != m.transpose() @ h:
-                    return f"not self-adjoint: p={p} n={n} d={d}"
-        for p in range(2, 6):
-            wj = prj.wenzl_jones(p)
-            for other in (wj.reflected(), wj.word_reversed()):
-                if set(other.diagrams) != set(wj.diagrams) or any(
-                    other.diagrams[m] != c for m, c in wj.diagrams.items()
-                ):
-                    return f"mirror invariance fails at p={p}"
-        return None
-
     if n_max >= 5:
-        yield "projectors/wenzl-properties", wj_properties
-
+        yield "projectors/wenzl-properties", partial(wenzl_properties, min(n_max, 6), d_filter)
     for n, d in _sectors(min(n_max, 6), 4, d_filter):
-
-        def make_blocks(n=n, d=d):
-            def run():
-                ok, failures = prj.gamma_block_report(n, d)
-                return None if ok else f"{len(failures)} block failures"
-
-            return run
-
-        yield f"projectors/gamma-blocks/n{n}d{d}", make_blocks()
-
+        yield f"projectors/gamma-blocks/n{n}d{d}", partial(gamma_blocks, n, d)
     k_defects = [d for d in range(0, 5) if d_filter is None or d in d_filter]
-
-    def k_recursions():
-        for d in k_defects:
-            for r in range(1, 4):
-                n_amb = d + 2 * r + 2
-                closed = prj.k_factor(d, r, n_amb, "closed_form")
-                if not prj.same_ratio(prj.k_factor(d, r, n_amb, "recursion"), closed):
-                    return f"recursion vs closed form at d={d} r={r}"
-                # the defining pairing is desk-scale only for small windows
-                if d + 2 * r <= 6 and not prj.same_ratio(
-                    prj.k_factor(d, r, mode="gram_pairing"), prj.k_factor(d, r, mode="closed_form")
-                ):
-                    return f"pairing vs closed form at d={d} r={r}"
-        return None
-
     if n_max >= 6 and k_defects:
-        yield "projectors/k-factors", k_recursions
-
+        yield "projectors/k-factors", partial(k_factors, k_defects)
     for n, d in _sectors(min(n_max, 7), 2, d_filter):
         if d:
+            yield f"projectors/gram-recursion/n{n}d{d}", partial(gram_recursion, n, d)
 
-            def make_rec(n=n, d=d):
-                def run():
-                    return None if prj.gram_recursion_check(n, d) else "recursion fails"
 
-                return run
+# ---------------------------------------------------------------------
+# transfer matrix and spectra, at points drawn from the seed
+# ---------------------------------------------------------------------
 
-            yield f"projectors/gram-recursion/n{n}d{d}", make_rec()
+def transfer_identities(n, d, lam, nu1, nu2, mu):
+    tol = trf.DEFECT_TOL
+    if trf.commuting_family_defect(n, d, lam, nu1, nu2, mu) > tol["commute_defect"]:
+        return "commuting family"
+    if trf.translation_invariance_defect(n, d, lam, nu1, mu) > tol["translate_defect"]:
+        return "translation invariance"
+    if trf.crossing_defect(n, d, lam, nu1, mu) > tol["crossing_defect"]:
+        return "crossing symmetry"
+    if trf.expansion_defect(n, d, lam, mu) > tol["expansion_defect"]:
+        return "anisotropy expansion"
+    # expansion_defect has refused a vanishing sin(lam) above
+    t0 = trf.transfer_matrix(n, d, lam, 0.0, mu)
+    u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
+    om = omega_matrix([("omega", 1)], n, d).to_numeric(u, v)
+    if np.max(np.abs(t0 - math.sin(lam) ** n * om)) > 1e-12 * max(1.0, np.max(np.abs(t0))):
+        return "zero-anisotropy calibration"
 
 
 def transfer_cases(n_max: int, d_filter=None, seed: int = 0):
@@ -353,31 +344,15 @@ def transfer_cases(n_max: int, d_filter=None, seed: int = 0):
         lam = rng.uniform(0.4, 2.6)
         nu1, nu2 = rng.uniform(0.0, 1.4), rng.uniform(0.0, 1.4) + 0.1j
         mu = rng.uniform(0.1, 0.8)
+        yield f"transfer/n{n}d{d}", partial(transfer_identities, n, d, lam, nu1, nu2, mu)
 
-        def make(n=n, d=d, lam=lam, nu1=nu1, nu2=nu2, mu=mu):
-            def run():
-                tol = trf.DEFECT_TOL
-                if trf.commuting_family_defect(n, d, lam, nu1, nu2, mu) > tol["commute_defect"]:
-                    return "commuting family"
-                if trf.translation_invariance_defect(n, d, lam, nu1, mu) > tol["translate_defect"]:
-                    return "translation invariance"
-                if trf.crossing_defect(n, d, lam, nu1, mu) > tol["crossing_defect"]:
-                    return "crossing symmetry"
-                if trf.expansion_defect(n, d, lam, mu) > tol["expansion_defect"]:
-                    return "anisotropy expansion"
-                # expansion_defect has refused a vanishing sin(lam) above
-                t0 = trf.transfer_matrix(n, d, lam, 0.0, mu)
-                u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
-                om = omega_matrix([("omega", 1)], n, d).to_numeric(u, v)
-                if np.max(np.abs(t0 - math.sin(lam) ** n * om)) > 1e-12 * max(
-                    1.0, np.max(np.abs(t0))
-                ):
-                    return "zero-anisotropy calibration"
-                return None
 
-            return run
-
-        yield f"transfer/n{n}d{d}", make()
+def spectra_agree(n, d, lam, mu):
+    dev, critical = spectrum_deviation(n, d, lam, mu)
+    if critical:
+        return Skipped(f"critical point lam={lam:.6f} mu={mu:.6f}")
+    if dev > 1e-8:
+        return f"eigenvalue deviation {dev:.3e} at lam={lam:.6f} mu={mu:.6f}"
 
 
 def spectrum_cases(n_max: int, d_filter=None, seed: int = 0):
@@ -385,19 +360,7 @@ def spectrum_cases(n_max: int, d_filter=None, seed: int = 0):
     for n, d in _sectors(min(n_max, 10), 2, d_filter):
         lam = rng.uniform(0.3, 2.7)
         mu = rng.uniform(0.05, 0.9)
-
-        def make(n=n, d=d, lam=lam, mu=mu):
-            def run():
-                dev, critical = spectrum_deviation(n, d, lam, mu)
-                if critical:
-                    return Skipped(f"critical point lam={lam:.6f} mu={mu:.6f}")
-                if dev > 1e-8:
-                    return f"eigenvalue deviation {dev:.3e} at lam={lam:.6f} mu={mu:.6f}"
-                return None
-
-            return run
-
-        yield f"spectrum/n{n}d{d}", make()
+        yield f"spectrum/n{n}d{d}", partial(spectra_agree, n, d, lam, mu)
 
 
 def sorted_spectra(n: int, d: int, lam: float, mu: float):

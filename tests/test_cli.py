@@ -31,6 +31,19 @@ class TestEnumerate:
         code, _ = run_cli(capsys, "enumerate", "--n", "4", "--d", "1")
         assert code == 2
 
+    def test_csv(self, capsys):
+        code, out = run_cli(capsys, "enumerate", "--n", "4", "--d", "2", "--format", "csv")
+        rows = list(csv.reader(out.splitlines()))
+        assert code == 0
+        assert rows[0] == ["index", "ascii", "boundary_arcs", "arcs", "defects"]
+        assert len(rows) == 1 + 4 and all(len(r[4].split(";")) == 2 for r in rows[1:])
+
+    def test_out_file(self, tmp_path, capsys):
+        path = tmp_path / "states.txt"
+        code, out = run_cli(capsys, "enumerate", "--n", "4", "--d", "0", "--out", str(path))
+        assert code == 0 and out == ""
+        assert len(path.read_text().splitlines()) == 6
+
     def test_deterministic_output(self, capsys):
         _, out1 = run_cli(capsys, "enumerate", "--n", "5", "--d", "1", "--format", "json")
         _, out2 = run_cli(capsys, "enumerate", "--n", "5", "--d", "1", "--format", "json")
@@ -55,6 +68,16 @@ class TestMatrices:
         )
         assert code == 0
         assert out.startswith("row,col")
+
+    def test_gram_twists_parse_one_and_mixed_monomials(self, capsys):
+        from eptl.linkrep import gram_matrix
+        from eptl.ring import ONE, LaurentPoly
+
+        argv = ["gram", "--n", "4", "--d", "2", "--open", "--twists", "1,u^2 v^-1", "--format", "json"]
+        code, out = run_cli(capsys, *argv)
+        expect = gram_matrix(4, 2, mode="open", twists=[ONE, LaurentPoly.monomial(2, -1)])
+        assert code == 0
+        assert json.loads(out) == expect.to_json_dict()
 
     def test_gram_row_first_is_the_transpose(self, capsys):
         def cells(*flags):
@@ -81,6 +104,24 @@ class TestMatrices:
         )
         assert json.loads(out)["rows"] == 6
 
+    def test_export_gram(self, capsys):
+        from eptl.linkrep import gram_matrix
+
+        code, out = run_cli(capsys, "export", "--what", "gram", "--n", "4", "--d", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == gram_matrix(4, 2).to_json_dict()
+
+    def test_intertwiner_matrix_ascii(self, capsys):
+        from eptl.intertwiner import i_matrix
+
+        code, out = run_cli(capsys, "intertwiner", "--n", "4", "--d", "2", "--check", "matrix")
+        m = i_matrix(4, 2)
+        assert code == 0
+        assert out.splitlines() == [
+            " | ".join(repr(m[i, j]) for j in range(m.cols)) for i in range(m.rows)
+        ]
+        assert (m.rows, m.cols) == (4, 4)
+
 
 class TestChecks:
     def test_intertwiner_factorization(self, capsys):
@@ -94,6 +135,16 @@ class TestChecks:
         code, out = run_cli(capsys, "intertwiner", "--n", "4", "--d", "2", "--check", "det")
         assert code == 0
         assert json.loads(out)["matches_up_to_unit"] in ("+1", "-1", "+i", "-i")
+
+    def test_intertwiner_intertwine(self, capsys):
+        code, out = run_cli(capsys, "intertwiner", "--n", "4", "--d", "2", "--check", "intertwine")
+        assert code == 0
+        assert out.startswith("suite intertwine: 2 cases, 0 failures") and out.endswith("[ok]\n")
+
+    def test_projector_gamma(self, capsys):
+        code, out = run_cli(capsys, "projector", "--n", "4", "--d", "0", "--check", "gamma")
+        assert code == 0
+        assert json.loads(out) == {"n": 4, "d": 0, "block_diagonal": True, "failures": 0}
 
     def test_projector_kfactor(self, capsys):
         code, out = run_cli(capsys, "projector", "--n", "6", "--d", "2", "--check", "kfactor")
@@ -197,6 +248,14 @@ class TestChecks:
         assert code == 0
         assert float(payload["max_pair_deviation"]) == 0.0
         assert payload["pairs"][0]["link"].startswith("0")
+
+    def test_spectrum_csv_is_the_default(self, capsys):
+        code, out = run_cli(capsys, "spectrum", "--n", "4", "--d", "2", "--lambda", "0.9", "--mu", "0.2")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0] == "index,link_re,link_im,spin_re,spin_im,abs_diff"
+        assert len(lines) == 1 + 4 + 1 and lines[-1].startswith("# max deviation ")
+        assert max(float(line.split(",")[5]) for line in lines[1:-1]) < 1e-8
 
 
 class TestVerify:
@@ -304,6 +363,17 @@ class TestVerify:
         with pytest.raises(ValueError):
             vfy.run_suite("spectrum", 4, d_filter=[5])
 
+    def test_numeric_determinant_case_passes(self):
+        assert vfy.numeric_determinants(7, 1, 12345) is None
+
+    def test_spectrum_case_compares_at_a_regular_point(self, monkeypatch):
+        # the smallest bracket at (4,2), lambda 0.9, mu 0.2 is about 0.5
+        assert vfy.spectra_agree(4, 2, 0.9, 0.2) is None
+        monkeypatch.setattr(vfy, "spectrum_deviation", lambda n, d, lam, mu: (1.0, False))
+        witness = vfy.spectra_agree(4, 2, 0.9, 0.2)
+        assert not isinstance(witness, vfy.Skipped)
+        assert witness == "eigenvalue deviation 1.000e+00 at lam=0.900000 mu=0.200000"
+
     def test_intertwine_case_detects_a_changed_entry(self, monkeypatch):
         from eptl import intertwiner as itw
         from eptl.ring import LaurentPoly
@@ -341,6 +411,9 @@ class TestSurface:
             ["verify", "--threads", "2"],
             ["verify", "--tol", "1e-6"],
             ["verify", "--format", "csv"],
+            ["scan-critical", "--n", "4", "--d", "0", "--lambda-range", "1:2:2", "--mu-range", "0:1:2",
+             "--format", "ascii"],
+            ["spectrum", "--n", "4", "--d", "0", "--lambda", "0.9", "--format", "ascii"],
         ],
     )
     def test_removed_flags_rejected(self, argv, capsys):
@@ -386,6 +459,25 @@ class TestSurface:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "check,n,d", [("gamma", 11, 1), ("gamma", 12, 0), ("recursion", 10, 2), ("recursion", 12, 6)]
+    )
+    def test_projector_past_its_site_budget_exits_two_before_work(self, check, n, d, monkeypatch, capsys):
+        monkeypatch.setattr("eptl.projectors.gamma_block_report", _no_work)
+        monkeypatch.setattr("eptl.projectors.gram_recursion_check", _no_work)
+        code = main(["projector", "--n", str(n), "--d", str(d), "--check", check])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "desk budget" in captured.err
+
+    @pytest.mark.parametrize("check,n,d", [("gamma", 10, 0), ("gamma", 10, 2), ("recursion", 9, 1)])
+    def test_projector_at_its_site_budget_is_admitted(self, check, n, d, monkeypatch, capsys):
+        monkeypatch.setattr("eptl.projectors.gamma_block_report", lambda n, d: (True, []))
+        monkeypatch.setattr("eptl.projectors.gram_recursion_check", lambda n, d: True)
+        code, out = run_cli(capsys, "projector", "--n", str(n), "--d", str(d), "--check", check)
+        assert code == 0
+        assert json.loads(out)["n"] == n
 
     def test_det_within_the_arc_budget_runs(self, capsys):
         code, out = run_cli(capsys, "intertwiner", "--n", "7", "--d", "1", "--check", "det")
