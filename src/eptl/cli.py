@@ -4,8 +4,9 @@ Subcommands: enumerate, gram, spin, intertwiner, projector, transfer,
 scan-critical, spectrum, verify, export.  Exit codes: 0 all checks pass,
 1 verification failure, 2 usage or domain error (including a size above
 MAX_SITES, a --d that is no defect count on --n sites, an intertwiner
---check det with more than DET_MAX_ARCS = 3 arcs (n - d)/2, a projector
---check gamma or recursion past PROJECTOR_MAX_SITES, a non-finite
+--check det with more than DET_MAX_ARCS = 3 arcs (n - d)/2, an intertwiner
+--format that its --check does not honour (INTERTWINER_FORMATS), a
+projector --check wj, gamma or recursion past PROJECTOR_MAX_SITES, a non-finite
 --lambda, --mu, --nu, --tol or --lambda-range/--mu-range bound, a
 transfer expansion check where sin(lambda) vanishes, a verify run that
 selects no case, and an unwritable --out).  All floating numbers are
@@ -39,9 +40,18 @@ MAX_SITES = 12
 # 82 CPU s at (12,6), three arcs, and over ten minutes at (8,0), four
 DET_MAX_ARCS = 3
 
-# the most sites for projector --check gamma and recursion: gamma takes 76 CPU s
-# at (10,0) and 266 s at (11,1), recursion 38 s at (9,3) and over 150 s at (10,2)
-PROJECTOR_MAX_SITES = {"gamma": 10, "recursion": 9}
+# the most sites for projector --check wj, gamma and recursion: wj takes 0.17 s
+# at 7 and 0.78 s at 8, gamma 76 CPU s at (10,0) and 266 s at (11,1), recursion
+# 38 s at (9,3) and over 150 s at (10,2)
+PROJECTOR_MAX_SITES = {"wj": 8, "gamma": 10, "recursion": 9}
+
+# the --format values each intertwiner --check honours; the last one is its default
+INTERTWINER_FORMATS = {
+    "matrix": ("json", "csv", "ascii"),
+    "factorization": ("json",),
+    "det": ("json",),
+    "intertwine": ("json", "ascii"),
+}
 
 
 def _fmt(x: float) -> str:
@@ -189,7 +199,7 @@ def cmd_intertwiner(args, out) -> int:
 def cmd_projector(args, out) -> int:
     n, d = args.n, args.d
     if args.check == "wj":
-        wj = prj.wenzl_jones(min(n, 5))
+        wj = prj.wenzl_jones(n)
         payload = [
             {"word": list(word), "coefficient": _ratio_repr(num, wj.den)}
             for num, word in wj.terms
@@ -385,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_spin)
 
     p = sub.add_parser("intertwiner", help="the link-to-spin map and its determinant")
-    common(p)
+    common(p, formats=())
+    p.add_argument("--format", choices=INTERTWINER_FORMATS["matrix"], default=None)
     p.add_argument(
         "--check",
         choices=["matrix", "factorization", "det", "intertwine"],
@@ -463,6 +474,19 @@ def _check_budget(args):
         )
 
 
+def _resolve_format(args):
+    if args.command != "intertwiner":
+        return
+    honoured = INTERTWINER_FORMATS[args.check]
+    if args.format is None:
+        args.format = honoured[-1]
+    elif args.format not in honoured:
+        raise ValueError(
+            f"intertwiner --check {args.check} does not take --format {args.format};"
+            f" it takes {', '.join(honoured)}"
+        )
+
+
 def _check_finite(args):
     for flag in ("lam", "mu", "nu", "tol"):
         x = getattr(args, flag, None)
@@ -483,6 +507,7 @@ def main(argv=None) -> int:
         _check_size(args)
         _check_finite(args)
         _check_sector(args)
+        _resolve_format(args)
         _check_budget(args)
         if args.out is None:
             return args.fn(args, sys.stdout)

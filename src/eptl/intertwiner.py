@@ -27,11 +27,12 @@ from math import comb, log, pi, sin
 
 import numpy as np
 
-from .linkrep import RingMatrix, gram_matrix, loop_variables_to_uv
+from .linkrep import RingMatrix, gram_matrix, link_orbits, loop_variables_to_uv
+from .momentum import blocks, by_shape, check_covariant
 from .ring import (
     GR_I, KEY_RANGE, ONE, ZERO, LaurentPoly, bracket, mul_into, packed, quotient, trig_sin, unpacked
 )
-from .spinrep import act, spin_sector
+from .spinrep import act, spin_orbits, spin_sector
 from .states import LinkState, enumerate_states, module_dim, standard_dim
 
 
@@ -275,12 +276,28 @@ def bracket_values(n: int, d: int, lam: float, mu: float):
     return [sin(big_lam * (k + d / 2) - mu * n) for k in range(1, half + 1)]
 
 
-def min_singular_scaled(mat: np.ndarray) -> float:
-    """Smallest singular value after scaling the matrix to unit max entry."""
+@lru_cache(maxsize=None)
+def i_matrix_orbits(n: int, d: int):
+    """Orbit tables of the spin rows and the link columns of ``I``, once
+    ``I`` is checked to commute with the translation."""
+    rows, cols = spin_orbits(n, d), link_orbits(n, d)
+    check_covariant(i_matrix(n, d), rows, cols)
+    return rows, cols
+
+
+def min_singular_value(n: int, d: int, u: complex, v: complex) -> float:
+    """Smallest singular value of I(u, v) scaled to unit max entry, the
+    least over its momentum blocks (see :mod:`eptl.momentum`)."""
+    rows, cols = i_matrix_orbits(n, d)
+    mat = i_matrix_numeric(n, d, u, v)
     scale = np.max(np.abs(mat))
     if scale == 0:
         return 0.0
-    return float(np.linalg.svd(mat / scale, compute_uv=False)[-1])
+    parts = blocks(mat, rows, cols)
+    if any(b.shape[0] != b.shape[1] for b in parts):
+        return 0.0  # a non-square block leaves I rank-deficient
+    least = min(np.linalg.svd(s, compute_uv=False)[:, -1].min() for s in by_shape(parts))
+    return float(least / scale)
 
 
 def critical_scan(n: int, d: int, lam_values, mu_values, singular_tol: float = 1e-8):
@@ -292,8 +309,6 @@ def critical_scan(n: int, d: int, lam_values, mu_values, singular_tol: float = 1
     singular_tol and which_k the 1-based index of the smallest bracket (0
     when the k-range is empty).
     """
-    import cmath
-
     rows = []
     for lam in lam_values:
         for mu in mu_values:
@@ -307,7 +322,7 @@ def critical_scan(n: int, d: int, lam_values, mu_values, singular_tol: float = 1
                 which = 0
             u = cmath.exp(1j * lam / 2)
             v = cmath.exp(1j * mu)
-            sv = min_singular_scaled(i_matrix_numeric(n, d, u, v))
+            sv = min_singular_value(n, d, u, v)
             rows.append(
                 {
                     "lambda": lam,

@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .diagrams import AffineDiagram, act_on_link, generator_diagram, word_diagram
+from .diagrams import AffineDiagram, act_on_link, word_diagram
+from .momentum import Orbits
 from .ring import ONE, ZERO, LaurentPoly, alpha_poly, beta_poly, mul_into, packed, unpacked
 from .states import LinkState, enumerate_states, standard_states
 
@@ -242,10 +243,38 @@ def omega_matrix(word, n: int, d: int) -> RingMatrix:
     return link_matrix({word_diagram(word, n): ONE}, n, d)
 
 
+@lru_cache(maxsize=None)
+def link_orbits(n: int, d: int) -> Orbits:
+    """Orbit tables of the translation on the d-defect module."""
+    return Orbits(omega_matrix([("omega", 1)], n, d), n)
+
+
+@lru_cache(maxsize=None)
 def hamiltonian_link(n: int, d: int) -> RingMatrix:
-    """Exact matrix of the generator sum e_1 + ... + e_n."""
-    gens = (generator_diagram("e", n, i) for i in range(1, n + 1))
-    return link_matrix(dict.fromkeys(gens, ONE), n, d)
+    """Exact matrix of the generator sum e_1 + ... + e_n.  Cached: treat
+    the result as read-only.
+
+    Only e_n acts on the basis.  With Omega = c P, the conjugate
+    Omega^r e_n Omega^-r = P^r e_n P^-r is another generator, and the
+    r-th one moves each entry (i, j) of e_n to (P^r i, P^r j).
+    """
+    perm = link_orbits(n, d).perm
+    e_n = omega_matrix([("e", n)], n, d).columns
+    columns = [{} for _ in perm]
+    power = list(range(len(perm)))  # P^r
+    for _ in range(n):
+        for j, col in enumerate(e_n):
+            out = columns[power[j]]
+            for i, e in col.items():
+                k = power[i]
+                if k in out:
+                    e = out.pop(k) + e
+                    if not e:
+                        continue
+                out[k] = e
+        power = [perm[k] for k in power]
+    basis = list(enumerate_states(n, d))
+    return RingMatrix(columns, basis, basis)
 
 
 # ---------------------------------------------------------------------

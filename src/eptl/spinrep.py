@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .linkrep import RingMatrix
+from .momentum import Orbits
 from .ring import ONE
 from .states import module_dim
 
@@ -151,8 +152,16 @@ def tau_matrix(word, n: int, d: int) -> RingMatrix:
     return spin_matrix([word], n, d)
 
 
+@lru_cache(maxsize=None)
+def spin_orbits(n: int, d: int) -> Orbits:
+    """Orbit tables of the twisted translation on the sector."""
+    return Orbits(omegabar_matrix(1, n, d), n)
+
+
+@lru_cache(maxsize=None)
 def hamiltonian(n: int, d: int) -> RingMatrix:
-    """Exact sector matrix of the sum of all n local generators."""
+    """Exact sector matrix of the sum of all n local generators.  Cached:
+    treat the result as read-only."""
     return spin_matrix([[("e", i)] for i in range(1, n + 1)], n, d)
 
 

@@ -25,8 +25,8 @@ from math import prod
 
 import numpy as np
 
-from .diagrams import AffineDiagram, act_on_link, generator_diagram
-from .linkrep import hamiltonian_link, omega_matrix
+from .diagrams import AffineDiagram, act_on_link
+from .linkrep import hamiltonian_link, link_orbits, omega_matrix
 from .states import LinkState, enumerate_states, module_dim
 
 # relative size below which each property defect counts as vanishing
@@ -88,7 +88,9 @@ def transfer_table(n: int, d: int) -> tuple:
     translation: ``tile_diagram(n, c >> 1 | (c & 1) << (n-1))`` is
     Omega T_c Omega^-1.  So only one filling per rotation orbit acts on
     the basis; the terms of its r-th rotation follow a column through
-    Omega^-r, then T_c, then Omega^r, and the three twists add.
+    P^-r, then T_c, then P^r, with P the translation's permutation
+    (:func:`eptl.linkrep.link_orbits`): Omega is one monomial times P,
+    so the twists of Omega^-r and Omega^r cancel.
     """
     basis = enumerate_states(n, d)
     dim = len(basis)
@@ -100,17 +102,13 @@ def transfer_table(n: int, d: int) -> tuple:
         rows = [(index[r.state], r.nbeta, r.nalpha, r.twist) if r else (-1, 0, 0, 0) for r in res]
         return np.array(rows, dtype=np.int32).reshape(dim, 4).T
 
-    def powers(translation):
-        # state index and accumulated twist after r translations, r < n
-        step, step_twist = translation[0], translation[3]
-        perm, twist = [np.arange(dim, dtype=np.int32)], [np.zeros(dim, dtype=np.int32)]
-        for _ in range(n - 1):
-            twist.append(twist[-1] + step_twist[perm[-1]])
-            perm.append(step[perm[-1]])
-        return perm, twist
-
-    fwd, fwd_twist = powers(act_all(generator_diagram("omega", n)))
-    back, back_twist = powers(act_all(generator_diagram("omega_inv", n)))
+    step = np.array(link_orbits(n, d).perm, dtype=np.int32)
+    fwd, back = [np.arange(dim, dtype=np.int32)], []  # P^r and P^-r, r < n
+    for _ in range(n - 1):
+        fwd.append(step[fwd[-1]])
+    for p in fwd:
+        back.append(np.empty_like(p))
+        back[-1][p] = fwd[0]
     terms = {}  # config -> (col, row, nbeta, nalpha, twist) arrays
     for c in range(1 << n):
         if c in terms:
@@ -121,8 +119,7 @@ def transfer_table(n: int, d: int) -> tuple:
             cols = np.flatnonzero(row_c[back[r]] >= 0).astype(np.int32)
             mid = back[r][cols]
             out = row_c[mid]
-            twist = back_twist[r][cols] + twist_c[mid] + fwd_twist[r][out]
-            terms[config] = (cols, fwd[r][out], nbeta_c[mid], nalpha_c[mid], twist)
+            terms[config] = (cols, fwd[r][out], nbeta_c[mid], nalpha_c[mid], twist_c[mid])
             config = config >> 1 | (config & 1) << (n - 1)
             r += 1
     parts = [terms.pop(c) for c in range(1 << n)]

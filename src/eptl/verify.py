@@ -16,16 +16,17 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import intertwiner as itw
 from . import projectors as prj
 from . import transfer as trf
-from .linkrep import RingMatrix, gram_matrix, hamiltonian_link, omega_matrix
+from .linkrep import RingMatrix, gram_matrix, hamiltonian_link, link_orbits, omega_matrix
+from .momentum import blocks, by_shape, check_covariant
 from .ring import ONE, LaurentPoly, alpha_poly, beta_poly
-from .spinrep import hamiltonian_numeric, tau_matrix
+from .spinrep import hamiltonian, hamiltonian_numeric, spin_orbits, tau_matrix
 from .states import module_dim
 
 
@@ -357,18 +358,34 @@ def spectra_agree(n, d, lam, mu):
 
 def spectrum_cases(n_max: int, d_filter=None, seed: int = 0):
     rng = random.Random(seed)
-    for n, d in _sectors(min(n_max, 10), 2, d_filter):
+    for n, d in _sectors(n_max, 2, d_filter):
         lam = rng.uniform(0.3, 2.7)
         mu = rng.uniform(0.05, 0.9)
         yield f"spectrum/n{n}d{d}", partial(spectra_agree, n, d, lam, mu)
 
 
+@lru_cache(maxsize=None)
+def hamiltonian_orbits(n: int, d: int):
+    """Orbit tables of the link and the spin module, once both exact
+    Hamiltonians are checked to commute with the translation."""
+    link, spin = link_orbits(n, d), spin_orbits(n, d)
+    check_covariant(hamiltonian_link(n, d), link, link)
+    check_covariant(hamiltonian(n, d), spin, spin)
+    return link, spin
+
+
+def _eigvals(mat, orbits):
+    return np.concatenate([np.linalg.eigvals(s).ravel() for s in by_shape(blocks(mat, orbits, orbits))])
+
+
 def sorted_spectra(n: int, d: int, lam: float, mu: float):
     """Sorted eigenvalues of the link and the spin Hamiltonian at
-    u = exp(i lam/2), v = exp(i mu)."""
+    u = exp(i lam/2), v = exp(i mu), taken block by block over the
+    momentum sectors of the translation (see :mod:`eptl.momentum`)."""
     u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
-    e1 = np.sort_complex(np.linalg.eigvals(hamiltonian_link(n, d).to_numeric(u, v)))
-    e2 = np.sort_complex(np.linalg.eigvals(hamiltonian_numeric(n, d, u, v)))
+    link, spin = hamiltonian_orbits(n, d)
+    e1 = np.sort_complex(_eigvals(hamiltonian_link(n, d).to_numeric(u, v), link))
+    e2 = np.sort_complex(_eigvals(hamiltonian_numeric(n, d, u, v), spin))
     return e1, e2
 
 

@@ -27,7 +27,14 @@ route, and is kept only as a reference for the tests:
   state, against the rotation-orbit build of ``transfer.transfer_table``;
 * ``u_transform_state_reduced``: the projector acting on the reduced
   cylinder of a state's defects and boundary-arc ends, against the
-  full-cylinder action of ``projectors.u_transform_state``.
+  full-cylinder action of ``projectors.u_transform_state``;
+* ``sorted_spectra_dense``: ``eigvals`` of both full Hamiltonians,
+  against the momentum blocks of ``verify.sorted_spectra``;
+* ``min_singular_scaled``: the full-matrix ``svd``, against the momentum
+  blocks of ``intertwiner.min_singular_value``;
+* ``momentum_basis``: the dense vectors x_(a,m) of one momentum, against
+  the blocks that ``momentum.blocks`` reads off the representatives'
+  columns.
 
 ``dense`` builds a ``RingMatrix`` from a literal list of rows.
 """
@@ -38,9 +45,10 @@ from collections import Counter
 import numpy as np
 
 from eptl.diagrams import AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
-from eptl.linkrep import RingMatrix, loop_weight
+from eptl.linkrep import RingMatrix, hamiltonian_link, loop_weight
 from eptl.projectors import _sine, wenzl_jones
 from eptl.ring import ONE, ZERO, GaussianInt, LaurentPoly, beta_poly
+from eptl.spinrep import hamiltonian_numeric
 from eptl.states import LinkState, enumerate_states
 from eptl.transfer import tile_diagram
 
@@ -378,3 +386,37 @@ def u_transform_state_reduced(w: LinkState):
         target = LinkState(n, pairs, defects)
         out[target] = out.get(target, ZERO) + coeff * weight
     return {target: num for target, num in out.items() if num}, proj.den
+
+
+def sorted_spectra_dense(n: int, d: int, lam: float, mu: float):
+    """Sorted eigenvalues of the full link and spin Hamiltonians at
+    u = exp(i lam/2), v = exp(i mu)."""
+    u, v = exp(1j * lam / 2), exp(1j * mu)
+    e1 = np.sort_complex(np.linalg.eigvals(hamiltonian_link(n, d).to_numeric(u, v)))
+    e2 = np.sort_complex(np.linalg.eigvals(hamiltonian_numeric(n, d, u, v)))
+    return e1, e2
+
+
+def min_singular_scaled(mat: np.ndarray) -> float:
+    """Smallest singular value after scaling the matrix to unit max entry."""
+    scale = np.max(np.abs(mat))
+    if scale == 0:
+        return 0.0
+    return float(np.linalg.svd(mat / scale, compute_uv=False)[-1])
+
+
+def momentum_basis(orbits, m: int) -> np.ndarray:
+    """The unit vectors x_(a,m) = L^(-1/2) sum_k w^(-mk) e_(P^k i_a), one
+    column per orbit that carries momentum m, in the order of ``groups``."""
+    n = orbits.n
+    dim = len(orbits.perm)
+    columns = []
+    for L, members in orbits.groups.items():
+        if m * L % n:
+            continue
+        for orbit in members:
+            x = np.zeros(dim, dtype=complex)
+            for k, i in enumerate(orbit):
+                x[i] = exp(-2j * np.pi * m * k / n) / np.sqrt(L)
+            columns.append(x)
+    return np.array(columns).T.reshape(dim, len(columns))

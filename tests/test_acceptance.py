@@ -28,6 +28,7 @@ from eptl.ring import (
     beta_poly,
 )
 from eptl.states import LinkState
+from oracles import min_singular_scaled
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -279,10 +280,10 @@ class TestCriterion9Spectra:
         vals = itw.bracket_values(4, 2, lam, mu)
         fires = min(abs(x) for x in vals) < 1e-12
         u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
-        sv_on = itw.min_singular_scaled(itw.i_matrix_numeric(4, 2, u, v))
+        sv_on = min_singular_scaled(itw.i_matrix_numeric(4, 2, u, v))
         lam2 = 0.5 * math.sqrt(2)
         u2 = cmath.exp(1j * lam2 / 2)
-        sv_off = itw.min_singular_scaled(itw.i_matrix_numeric(4, 2, u2, 1.0))
+        sv_off = min_singular_scaled(itw.i_matrix_numeric(4, 2, u2, 1.0))
         ok = fires and sv_on < 1e-8 and sv_off > 1e-3
         report(
             "criterion 9b: criticality predictor matches the numeric rank",

@@ -182,6 +182,35 @@ class TestChecks:
         assert code == 0
         assert [t["coefficient"] for t in json.loads(out)] == self.WJ_COEFFICIENTS[p]
 
+    @pytest.mark.parametrize("n,d", [(6, 0), (7, 3)])
+    def test_projector_wj_acts_on_n_strands(self, capsys, n, d):
+        from eptl.projectors import wenzl_jones
+
+        code, out = run_cli(capsys, "projector", "--n", str(n), "--d", str(d), "--check", "wj")
+        assert code == 0
+        assert len(json.loads(out)) == len(wenzl_jones(n).terms) > len(wenzl_jones(5).terms)
+
+    def test_projector_wj_does_not_read_d(self, capsys):
+        _, out0 = run_cli(capsys, "projector", "--n", "4", "--d", "0", "--check", "wj")
+        _, out2 = run_cli(capsys, "projector", "--n", "4", "--d", "2", "--check", "wj")
+        assert out0 == out2
+
+    @pytest.mark.parametrize("check", ["det", "factorization"])
+    def test_intertwiner_json_only_checks_take_format_json(self, capsys, check):
+        argv = ["intertwiner", "--n", "4", "--d", "2", "--check", check]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert run_cli(capsys, *argv, "--format", "json") == (code, out)
+        json.loads(out)
+
+    def test_intertwiner_intertwine_json(self, capsys):
+        code, out = run_cli(
+            capsys, "intertwiner", "--n", "4", "--d", "2", "--check", "intertwine", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["suite"] == "intertwine" and payload["cases"] == 2 and payload["ok"] is True
+
     def test_projector_recursion(self, capsys):
         code, out = run_cli(capsys, "projector", "--n", "5", "--d", "1", "--check", "recursion")
         assert code == 0
@@ -310,6 +339,7 @@ class TestVerify:
             ("determinants/exact/n7d5", 7),
             ("determinants/exact/n8d4", 8),
             ("determinants/exact/n8d6", 8),
+            ("spectrum/n12d0", 12),
         ):
             assert case not in names(size - 1)
             assert case in names(size)
@@ -470,6 +500,28 @@ class TestSurface:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error:") and "desk budget" in captured.err
+
+    @pytest.mark.parametrize("n,d", [(9, 1), (12, 0)])
+    def test_projector_wj_past_its_site_budget_exits_two_before_work(self, n, d, monkeypatch, capsys):
+        monkeypatch.setattr("eptl.projectors.wenzl_jones", _no_work)
+        code = main(["projector", "--n", str(n), "--d", str(d), "--check", "wj"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "desk budget" in captured.err
+
+    @pytest.mark.parametrize(
+        "check,fmt",
+        [("det", "csv"), ("det", "ascii"), ("factorization", "csv"), ("factorization", "ascii"),
+         ("intertwine", "csv")],
+    )
+    def test_intertwiner_format_its_check_ignores_exits_two_before_work(self, check, fmt, monkeypatch, capsys):
+        for target in ("eptl.intertwiner.i_matrix", "eptl.intertwiner.factorization_check"):
+            monkeypatch.setattr(target, _no_work)
+        monkeypatch.setattr(vfy, "run_suite", _no_work)
+        code = main(["intertwiner", "--n", "4", "--d", "2", "--check", check, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and f"--format {fmt}" in captured.err
 
     @pytest.mark.parametrize("check,n,d", [("gamma", 10, 0), ("gamma", 10, 2), ("recursion", 9, 1)])
     def test_projector_at_its_site_budget_is_admitted(self, check, n, d, monkeypatch, capsys):

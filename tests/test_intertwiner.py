@@ -21,7 +21,6 @@ from eptl.intertwiner import (
     logdet_matches,
     matches_up_to_sign,
     matches_up_to_unit,
-    min_singular_scaled,
     t_tilde_apply,
 )
 from eptl.linkrep import RingMatrix, act_weight, gram_matrix
@@ -29,7 +28,7 @@ from eptl.projectors import same_ratio
 from eptl.ring import GR_I, ONE, ZERO, LaurentPoly, beta_poly, packed, quotient
 from eptl.spinrep import spin_sector, tau_matrix
 from eptl.states import LinkState, enumerate_states
-from oracles import dense, det_bareiss_laurent, det_cofactor, to_numeric_entrywise
+from oracles import dense, det_bareiss_laurent, det_cofactor, min_singular_scaled, to_numeric_entrywise
 
 
 def mono(eu, ev):

@@ -264,7 +264,7 @@ class TestNumericEvaluation:
         with pytest.raises(ValueError):
             m.to_numeric(1.0, 0)
 
-    @pytest.mark.parametrize("n,d", sector_pairs(6))
+    @pytest.mark.parametrize("n,d", sector_pairs(8))
     def test_link_hamiltonian_is_the_generator_sum(self, n, d):
         total = omega_matrix([("e", 1)], n, d)
         for i in range(2, n + 1):
