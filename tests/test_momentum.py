@@ -7,10 +7,10 @@ import pytest
 
 from eptl import intertwiner as itw
 from eptl import verify as vfy
-from eptl.linkrep import RingMatrix, hamiltonian_link, link_orbits, omega_matrix
+from eptl.linkrep import RingMatrix, link_orbits, omega_matrix
 from eptl.momentum import Orbits, blocks, check_covariant
 from eptl.ring import ONE, LaurentPoly
-from eptl.spinrep import hamiltonian, hamiltonian_numeric, spin_orbits
+from eptl.spinrep import spin_orbits
 from oracles import min_singular_scaled, momentum_basis, sorted_spectra_dense
 
 
@@ -34,7 +34,9 @@ class TestOrbits:
             assert n % L == 0
             assert all(orbits.perm[a] == b for row in g for a, b in zip(row, np.roll(row, -1)))
 
-    @pytest.mark.parametrize("n,d,side", [(6, 0, link_orbits), (8, 0, link_orbits), (9, 3, spin_orbits), (6, 6, spin_orbits)])
+    @pytest.mark.parametrize(
+        "n,d,side", [(6, 0, link_orbits), (8, 0, link_orbits), (9, 3, spin_orbits), (6, 6, spin_orbits)]
+    )
     def test_sectors_with_orbits_shorter_than_n(self, n, d, side):
         assert min(side(n, d).groups) < n
 
@@ -59,13 +61,6 @@ class TestCovariance:
         orbits = link_orbits(n, d)
         with pytest.raises(ValueError):
             check_covariant(omega_matrix([("e", 1)], n, d), orbits, orbits)
-
-    @pytest.mark.parametrize("n,d", sectors(8))
-    def test_hamiltonians_and_intertwiner_are_admitted(self, n, d):
-        link, spin = link_orbits(n, d), spin_orbits(n, d)
-        check_covariant(hamiltonian_link(n, d), link, link)
-        check_covariant(hamiltonian(n, d), spin, spin)
-        check_covariant(itw.i_matrix(n, d), spin, link)
 
 
 class TestBlocks:
@@ -113,10 +108,3 @@ class TestBlocks:
             dense = min_singular_scaled(itw.i_matrix_numeric(n, d, u, v))
             assert row["observed_critical"] == (dense < 1e-8)
             assert row["observed_critical"] == row["predicted_critical"]
-
-    def test_spin_blocks_evaluate_the_spin_hamiltonian(self):
-        u, v = cmath.exp(0.4j), cmath.exp(0.7j)
-        spin = spin_orbits(6, 2)
-        mat = hamiltonian_numeric(6, 2, u, v)
-        sizes = [b.shape for b in blocks(mat, spin, spin)]
-        assert sum(r for r, _ in sizes) == len(mat) and all(r == c for r, c in sizes)
