@@ -91,10 +91,55 @@ def _parse_monomial(text: str) -> LaurentPoly:
     return LaurentPoly.monomial(eu, ev)
 
 
+def _block(items: list, depth: int, brackets: str = "[]") -> str:
+    """A json container in indent=1 layout, its items already rendered one level deeper."""
+    if not items:
+        return brackets
+    pad = "\n" + " " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + " " * depth + brackets[1]
+
+
+def _indent1(x, depth: int) -> str:
+    """json.dumps(x, indent=1) for x nested depth levels deep; the leaves and
+    keys go through json.dumps without indent, which runs the C encoder."""
+    if isinstance(x, dict):
+        return _block([json.dumps(k) + ": " + _indent1(v, depth + 1) for k, v in x.items()], depth, "{}")
+    if isinstance(x, list):
+        return _block([_indent1(v, depth + 1) for v in x], depth)
+    return json.dumps(x)
+
+
+def _matrix_json(m) -> str:
+    """The bytes of json.dumps(<rows, cols, labels, entries>, indent=1); each
+    distinct entry, always at depth 3, is rendered once.  Entries are looked
+    up by id first, since hashing a LaurentPoly costs more; the dense rows
+    keep every entry alive, so no id is reused."""
+    text, by_id = {}, {}
+    rows = []
+    for row in m.entries:
+        cells = []
+        for e in row:
+            t = by_id.get(id(e))
+            if t is None:
+                t = text.get(e)
+                if t is None:
+                    t = text[e] = _indent1(e.to_json_dict(), 3)
+                by_id[id(e)] = t
+            cells.append(t)
+        rows.append(_block(cells, 2))
+    head = {
+        "rows": m.rows,
+        "cols": m.cols,
+        "row_labels": [_label_str(x) for x in m.row_labels],
+        "col_labels": [_label_str(x) for x in m.col_labels],
+    }
+    items = [json.dumps(k) + ": " + _indent1(v, 1) for k, v in head.items()]
+    return _block(items + ['"entries": ' + _block(rows, 1)], 0, "{}")
+
+
 def _emit_matrix(m, fmt: str, out):
     if fmt == "json":
-        json.dump(m.to_json_dict(), out, indent=1)
-        out.write("\n")
+        out.write(_matrix_json(m) + "\n")
     elif fmt == "csv":
         out.write("row,col,row_label,col_label,entry\n")
         for i in range(m.rows):

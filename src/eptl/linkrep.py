@@ -165,15 +165,6 @@ class RingMatrix:
             np.add.at(out, (rows, cols), coeffs * complex(u) ** eu * complex(v) ** ev)
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "row_labels": [_label_str(x) for x in self.row_labels],
-            "col_labels": [_label_str(x) for x in self.col_labels],
-            "entries": [[e.to_json_dict() for e in row] for row in self.entries],
-        }
-
     def __repr__(self):
         return f"RingMatrix({self.rows}x{self.cols})"
 

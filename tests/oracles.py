@@ -36,6 +36,10 @@ route, and is kept only as a reference for the tests:
   the blocks that ``momentum.blocks`` reads off the representatives'
   columns.
 
+* ``matrix_json_dict``: the dict tree of a matrix for
+  ``json.dumps(..., indent=1)``, against the hand-written layout with one
+  rendering per distinct entry of ``cli._matrix_json``.
+
 ``dense`` builds a ``RingMatrix`` from a literal list of rows.
 """
 
@@ -45,7 +49,7 @@ from collections import Counter
 import numpy as np
 
 from eptl.diagrams import AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
-from eptl.linkrep import RingMatrix, hamiltonian_link, loop_weight
+from eptl.linkrep import RingMatrix, _label_str, hamiltonian_link, loop_weight
 from eptl.projectors import _sine, wenzl_jones
 from eptl.ring import ONE, ZERO, GaussianInt, LaurentPoly, beta_poly
 from eptl.spinrep import hamiltonian_numeric
@@ -65,6 +69,16 @@ def dense(rows, row_labels=None, col_labels=None) -> RingMatrix:
         raise ValueError("label count does not match matrix shape")
     columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n_cols)]
     return RingMatrix(columns, row_labels, col_labels)
+
+
+def matrix_json_dict(m: RingMatrix) -> dict:
+    return {
+        "rows": m.rows,
+        "cols": m.cols,
+        "row_labels": [_label_str(x) for x in m.row_labels],
+        "col_labels": [_label_str(x) for x in m.col_labels],
+        "entries": [[e.to_json_dict() for e in row] for row in m.entries],
+    }
 
 
 def mul_terms(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

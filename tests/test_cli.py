@@ -1,12 +1,46 @@
 import csv
 import json
+import random
 import re
 import warnings
 
 import pytest
 
 from eptl import verify as vfy
-from eptl.cli import MAX_SITES, main
+from eptl.cli import MAX_SITES, _matrix_json, main
+from eptl.intertwiner import i_matrix
+from eptl.linkrep import gram_matrix
+from eptl.ring import ONE, ZERO, GaussianInt, LaurentPoly
+from eptl.spinrep import ebar_matrix, hamiltonian, omegabar_matrix
+from oracles import dense, matrix_json_dict
+
+
+# one twist per defect for gram --open --twists; the sectors below have d <= 2
+TWIST_TEXT = ("u^2 v^-1", "v")
+TWISTS = (LaurentPoly.monomial(2, -1), LaurentPoly.monomial(0, 1))
+
+# the flags of every command that prints one matrix, and that matrix at (n, d)
+MATRIX_COMMANDS = {
+    "gram": (["gram"], gram_matrix),
+    "gram-open": (["gram", "--open"], lambda n, d: gram_matrix(n, d, mode="open")),
+    "gram-twists": (["gram", "--open"], lambda n, d: gram_matrix(n, d, mode="open", twists=list(TWISTS[:d]))),
+    "gram-row-first": (["gram", "--row-first"], lambda n, d: gram_matrix(n, d).transpose()),
+    "spin-e1": (["spin", "--op", "e1"], lambda n, d: ebar_matrix(1, n, d)),
+    "spin-omega": (["spin", "--op", "omega"], lambda n, d: omegabar_matrix(1, n, d)),
+    "spin-omega-inv": (["spin", "--op", "omega-inv"], lambda n, d: omegabar_matrix(-1, n, d)),
+    "spin-hamiltonian": (["spin", "--op", "hamiltonian"], hamiltonian),
+    "intertwiner": (["intertwiner", "--check", "matrix"], i_matrix),
+    "export-gram": (["export", "--what", "gram"], gram_matrix),
+    "export-intertwiner": (["export", "--what", "intertwiner"], i_matrix),
+    "export-spin-hamiltonian": (["export", "--what", "spin-hamiltonian"], hamiltonian),
+}
+MATRIX_SECTORS = [(2, 2), (4, 0), (5, 1), (6, 2)]
+MATRIX_JSON_CASES = [
+    pytest.param(name, n, d, id=f"{name}-n{n}d{d}")
+    for name in MATRIX_COMMANDS
+    for n, d in MATRIX_SECTORS
+    if d or name != "gram-twists"  # no twist to give when d = 0
+]
 
 
 def run_cli(capsys, *argv):
@@ -70,14 +104,11 @@ class TestMatrices:
         assert out.startswith("row,col")
 
     def test_gram_twists_parse_one_and_mixed_monomials(self, capsys):
-        from eptl.linkrep import gram_matrix
-        from eptl.ring import ONE, LaurentPoly
-
         argv = ["gram", "--n", "4", "--d", "2", "--open", "--twists", "1,u^2 v^-1", "--format", "json"]
         code, out = run_cli(capsys, *argv)
         expect = gram_matrix(4, 2, mode="open", twists=[ONE, LaurentPoly.monomial(2, -1)])
         assert code == 0
-        assert json.loads(out) == expect.to_json_dict()
+        assert out == json.dumps(matrix_json_dict(expect), indent=1) + "\n"
 
     def test_gram_row_first_is_the_transpose(self, capsys):
         def cells(*flags):
@@ -105,11 +136,55 @@ class TestMatrices:
         assert json.loads(out)["rows"] == 6
 
     def test_export_gram(self, capsys):
-        from eptl.linkrep import gram_matrix
-
         code, out = run_cli(capsys, "export", "--what", "gram", "--n", "4", "--d", "2", "--format", "json")
         assert code == 0
-        assert json.loads(out) == gram_matrix(4, 2).to_json_dict()
+        assert out == json.dumps(matrix_json_dict(gram_matrix(4, 2)), indent=1) + "\n"
+
+    @pytest.mark.parametrize("name, n, d", MATRIX_JSON_CASES)
+    def test_matrix_json_is_json_dump_indent_1(self, capsys, tmp_path, name, n, d):
+        flags, matrix_of = MATRIX_COMMANDS[name]
+        argv = [*flags, "--n", str(n), "--d", str(d), "--format", "json"]
+        if name == "gram-twists":
+            argv += ["--twists", ",".join(TWIST_TEXT[:d])]
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(matrix_json_dict(matrix_of(n, d)), indent=1) + "\n"
+        path = tmp_path / "m.json"
+        assert run_cli(capsys, *argv, "--out", str(path)) == (0, "")
+        assert path.read_bytes() == out.encode()
+
+    def test_matrix_json_on_random_entries(self):
+        rng = random.Random(1905)
+
+        def poly():
+            terms = {}
+            for _ in range(rng.randrange(1, 5)):
+                scale = rng.choice((1, 7, 10**30))
+                c = GaussianInt(rng.randint(-scale, scale), rng.choice((0, rng.randint(-scale, scale))))
+                if c:
+                    terms[rng.randint(-6, 6), rng.randint(-6, 6)] = c
+            return LaurentPoly(terms)
+
+        labels = ['a"b', "c\\d", "\u00e9\u2014x", ""]
+        drawn = set()
+        # pool == rows * cols: every entry distinct; a smaller pool repeats values
+        for rows, cols, pool in [(0, 0, 1), (1, 0, 1), (1, 1, 1), (3, 4, 12), (6, 6, 36), (4, 3, 3), (6, 6, 5)]:
+            values = {ZERO}
+            while len(values) < pool:
+                values.add(poly())
+            values = list(values)
+            if pool == rows * cols:
+                cells = rng.sample(values, pool)
+            else:
+                cells = [rng.choice(values) for _ in range(rows * cols)]
+            drawn.update(cells)
+            # each entry its own object, so repeated values are equal, not identical
+            grid = [[LaurentPoly(dict(e.terms)) for e in cells[i * cols : (i + 1) * cols]] for i in range(rows)]
+            m = dense(grid, [rng.choice(labels) for _ in range(rows)], [rng.choice(labels) for _ in range(cols)])
+            assert _matrix_json(m) == json.dumps(matrix_json_dict(m), indent=1)
+        coeffs = [(k, c) for e in drawn for k, c in e.terms.items()]
+        assert ZERO in drawn and any(c.im for _, c in coeffs) and any(abs(c.re) > 2**64 for _, c in coeffs)
+        assert any(eu < 0 for (eu, _), _ in coeffs) and any(ev < 0 for (_, ev), _ in coeffs)
 
     def test_intertwiner_matrix_ascii(self, capsys):
         from eptl.intertwiner import i_matrix
