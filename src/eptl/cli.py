@@ -339,8 +339,7 @@ def cmd_scan_critical(args, out) -> int:
 
 def cmd_spectrum(args, out) -> int:
     n, d, lam, mu = args.n, args.d, args.lam, args.mu
-    vals = itw.bracket_values(n, d, lam, mu)
-    critical = bool(vals) and min(abs(x) for x in vals) < args.tol
+    critical = itw.nearest_bracket(n, d, lam, mu)[1] < args.tol
     e1, e2 = vfy.sorted_spectra(n, d, lam, mu)
     dev = float(np.max(np.abs(e1 - e2))) if len(e1) else 0.0
     if args.format == "json":

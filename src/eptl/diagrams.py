@@ -101,6 +101,8 @@ def generator_diagram(kind: str, n: int, i: int | None = None) -> AffineDiagram:
             if k != i and k != j:
                 _pair(conn, ("b", k), ("t", k), 0)
         return AffineDiagram(n, conn)
+    if kind in ("omega", "omega_inv") and n < 1:
+        raise ValueError("the translation needs at least one site")
     if kind == "omega":
         for j in range(2, n + 1):
             _pair(conn, ("t", j), ("b", j - 1), 0)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from math import comb, log, pi, sin
+from math import comb, inf, log, pi, sin
 
 import numpy as np
 
@@ -276,6 +276,13 @@ def bracket_values(n: int, d: int, lam: float, mu: float):
     return [sin(big_lam * (k + d / 2) - mu * n) for k in range(1, half + 1)]
 
 
+def nearest_bracket(n: int, d: int, lam: float, mu: float) -> tuple:
+    """``(k, |value|)`` of the smallest bracket of :func:`bracket_values`,
+    the first k on a tie and ``(0, inf)`` when the k-range is empty."""
+    sizes = enumerate(map(abs, bracket_values(n, d, lam, mu)), 1)
+    return min(sizes, key=lambda ks: ks[1], default=(0, inf))
+
+
 @lru_cache(maxsize=None)
 def i_matrix_orbits(n: int, d: int):
     """Orbit tables of the spin rows and the link columns of ``I``, once
@@ -312,14 +319,7 @@ def critical_scan(n: int, d: int, lam_values, mu_values, singular_tol: float = 1
     rows = []
     for lam in lam_values:
         for mu in mu_values:
-            vals = bracket_values(n, d, lam, mu)
-            if vals:
-                k_best = min(range(len(vals)), key=lambda t: abs(vals[t]))
-                predicted = abs(vals[k_best]) < BRACKET_TOL
-                which = k_best + 1
-            else:
-                predicted = False
-                which = 0
+            which, size = nearest_bracket(n, d, lam, mu)
             u = cmath.exp(1j * lam / 2)
             v = cmath.exp(1j * mu)
             sv = min_singular_value(n, d, u, v)
@@ -327,7 +327,7 @@ def critical_scan(n: int, d: int, lam_values, mu_values, singular_tol: float = 1
                 {
                     "lambda": lam,
                     "mu": mu,
-                    "predicted_critical": predicted,
+                    "predicted_critical": size < BRACKET_TOL,
                     "min_singular_value": sv,
                     "observed_critical": sv < singular_tol,
                     "which_k": which,

@@ -169,6 +169,26 @@ class RingMatrix:
         return f"RingMatrix({self.rows}x{self.cols})"
 
 
+def translation_sum(x: RingMatrix, orbits: Orbits) -> RingMatrix:
+    """Sum over r < n of P^r x P^-r, P the permutation of the translation
+    Omega = c P in ``orbits``: the r-th term moves each entry (i, j) of x
+    to (P^r i, P^r j).  As c cancels, that term is Omega^r x Omega^-r, so
+    the translation sum of e_n is the generator sum e_1 + ... + e_n."""
+    columns = [{} for _ in x.columns]
+    for power in orbits.powers:
+        p = power.tolist()
+        for j, col in enumerate(x.columns):
+            out = columns[p[j]]
+            for i, e in col.items():
+                k = p[i]
+                if k in out:
+                    e = out.pop(k) + e
+                    if not e:
+                        continue
+                out[k] = e
+    return RingMatrix(columns, x.row_labels, x.col_labels)
+
+
 def _label_str(x) -> str:
     if isinstance(x, LinkState):
         return x.ascii()
@@ -242,30 +262,9 @@ def link_orbits(n: int, d: int) -> Orbits:
 
 @lru_cache(maxsize=None)
 def hamiltonian_link(n: int, d: int) -> RingMatrix:
-    """Exact matrix of the generator sum e_1 + ... + e_n.  Cached: treat
-    the result as read-only.
-
-    Only e_n acts on the basis.  With Omega = c P, the conjugate
-    Omega^r e_n Omega^-r = P^r e_n P^-r is another generator, and the
-    r-th one moves each entry (i, j) of e_n to (P^r i, P^r j).
-    """
-    perm = link_orbits(n, d).perm
-    e_n = omega_matrix([("e", n)], n, d).columns
-    columns = [{} for _ in perm]
-    power = list(range(len(perm)))  # P^r
-    for _ in range(n):
-        for j, col in enumerate(e_n):
-            out = columns[power[j]]
-            for i, e in col.items():
-                k = power[i]
-                if k in out:
-                    e = out.pop(k) + e
-                    if not e:
-                        continue
-                out[k] = e
-        power = [perm[k] for k in power]
-    basis = list(enumerate_states(n, d))
-    return RingMatrix(columns, basis, basis)
+    """Exact matrix of the generator sum e_1 + ... + e_n, the translation
+    sum of e_n.  Cached: treat the result as read-only."""
+    return translation_sum(omega_matrix([("e", n)], n, d), link_orbits(n, d))
 
 
 # ---------------------------------------------------------------------

@@ -29,16 +29,17 @@ import numpy as np
 class Orbits:
     """Integer tables of a translation Omega = c P on one module.
 
-    ``perm`` is P (Omega e_j = c e_perm[j]); ``groups[L]`` holds the
-    orbits of length L as rows ``[i_a, P i_a, ..., P^(L-1) i_a]``;
-    ``reps`` and ``lengths`` list every orbit's representative and
-    length in that order.  As the rows of a block, the pairs (orbit a,
-    Fourier index t) are numbered group by group, a * L + t within a
-    group; ``rows_at[m]``, as a column, and ``cols_at[m]`` are the row
-    and the orbit numbers that carry momentum m.
+    ``perm`` is P (Omega e_j = c e_perm[j]) and ``powers[r]`` is P^r as
+    an index array, r < n; as every orbit length divides n, P^-r is
+    ``powers[-r]``.  ``groups[L]`` holds the orbits of length L as rows
+    ``[i_a, P i_a, ..., P^(L-1) i_a]``; ``reps`` and ``lengths`` list
+    every orbit's representative and length in that order.  As the rows
+    of a block, the pairs (orbit a, Fourier index t) are numbered group
+    by group, a * L + t within a group; ``rows_at[m]``, as a column, and
+    ``cols_at[m]`` are the row and the orbit numbers that carry momentum m.
     """
 
-    __slots__ = ("n", "perm", "groups", "reps", "lengths", "rows_at", "cols_at")
+    __slots__ = ("n", "perm", "powers", "groups", "reps", "lengths", "rows_at", "cols_at")
 
     def __init__(self, omega, n: int):
         entries = [next(iter(col.items())) if len(col) == 1 else None for col in omega.columns]
@@ -62,6 +63,10 @@ class Orbits:
             if n % len(orbit):
                 raise ValueError(f"an orbit of length {len(orbit)} on {n} sites")
             groups.setdefault(len(orbit), []).append(orbit)
+        step = np.array(self.perm, dtype=np.int32)  # int32 keeps transfer_table's term arrays small
+        self.powers = [np.arange(len(step), dtype=np.int32)]
+        for _ in range(n - 1):
+            self.powers.append(step[self.powers[-1]])
         self.groups = {L: np.array(g, dtype=np.intp) for L, g in sorted(groups.items())}
         self.reps = np.concatenate([g[:, 0] for g in self.groups.values()])
         self.lengths = np.concatenate([np.full(len(g), L) for L, g in self.groups.items()])

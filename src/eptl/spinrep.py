@@ -15,9 +15,11 @@ site 1) by::
 and the translation is the cyclic left shift scaled by ``v^(2 Sz)``,
 which on a fixed sector is the monomial ``v^(+-d)``.
 
-A spin vector is a sparse dict ``mask -> LaurentPoly``.  Every operator
-acts by pushing such vectors through the images of its word tokens
-(:func:`act`), as link-side matrices act diagram by diagram.
+A spin vector is a sparse dict ``mask -> LaurentPoly``.  Every word
+acts by pushing such vectors through the images of its tokens
+(:func:`act`), as link-side matrices act diagram by diagram; the
+Hamiltonian is the translation sum of the n-th generator
+(:func:`eptl.linkrep.translation_sum`).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linkrep import RingMatrix
+from .linkrep import RingMatrix, translation_sum
 from .momentum import Orbits
 from .ring import ONE
 from .states import module_dim
@@ -93,6 +95,8 @@ def _token_images(tok, sec: SpinSector) -> dict:
     if kind == "omega":
         if arg not in (1, -1):
             raise ValueError(f"translation power must be +1 or -1, not {arg!r}")
+        if n < 1:
+            raise ValueError("the translation needs at least one site")
         # the twist v^(2 Sz) is v^(+-d) on the sector
         top, full = n - 1, (1 << n) - 1
         if arg == 1:  # left translation: new site s holds old site s+1
@@ -115,41 +119,32 @@ def act(images, vec: dict) -> dict:
     return out
 
 
-def spin_matrix(words, n: int, d: int) -> RingMatrix:
-    """Exact sector matrix of a sum of generator words, as
-    :func:`eptl.linkrep.link_matrix` sums diagrams on the link side.
+def tau_matrix(word, n: int, d: int) -> RingMatrix:
+    """Exact sector matrix of a generator word (same tokens as word_diagram),
+    as :func:`eptl.linkrep.omega_matrix` acts on the link side.
 
-    Column ``mask`` pushes ``{mask: 1}`` through each word, the rightmost
-    token acting first, and adds up the images.
+    Column ``mask`` pushes ``{mask: 1}`` through the word, the rightmost
+    token acting first.
     """
     sec = spin_sector(n, d)
-    words = [[_token_images(tok, sec) for tok in reversed(word)] for word in words]
+    steps = [_token_images(tok, sec) for tok in reversed(word)]
     columns = []
     for mask in sec.configs:
-        col: dict = {}
-        for word in words:
-            vec = {mask: ONE}
-            for images in word:
-                vec = act(images, vec)
-            for m2, c in vec.items():
-                col[m2] = col[m2] + c if m2 in col else c
-        columns.append(col)
+        vec = {mask: ONE}
+        for images in steps:
+            vec = act(images, vec)
+        columns.append(vec)
     return RingMatrix.from_columns(columns, sec.index, sec.labels(), sec.labels())
 
 
 def ebar_matrix(i: int, n: int, d: int) -> RingMatrix:
     """Exact sector matrix of the i-th local generator."""
-    return spin_matrix([[("e", i)]], n, d)
+    return tau_matrix([("e", i)], n, d)
 
 
 def omegabar_matrix(sign: int, n: int, d: int) -> RingMatrix:
     """Exact sector matrix of the twisted translation (sign = +1 or -1)."""
-    return spin_matrix([[("omega", sign)]], n, d)
-
-
-def tau_matrix(word, n: int, d: int) -> RingMatrix:
-    """Exact sector matrix of a generator word (same tokens as word_diagram)."""
-    return spin_matrix([word], n, d)
+    return tau_matrix([("omega", sign)], n, d)
 
 
 @lru_cache(maxsize=None)
@@ -160,9 +155,9 @@ def spin_orbits(n: int, d: int) -> Orbits:
 
 @lru_cache(maxsize=None)
 def hamiltonian(n: int, d: int) -> RingMatrix:
-    """Exact sector matrix of the sum of all n local generators.  Cached:
-    treat the result as read-only."""
-    return spin_matrix([[("e", i)] for i in range(1, n + 1)], n, d)
+    """Exact sector matrix of the sum of all n local generators, the
+    translation sum of the n-th.  Cached: treat the result as read-only."""
+    return translation_sum(ebar_matrix(n, n, d), spin_orbits(n, d))
 
 
 def hamiltonian_numeric(n: int, d: int, u: complex, v: complex) -> np.ndarray:

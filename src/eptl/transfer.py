@@ -88,9 +88,9 @@ def transfer_table(n: int, d: int) -> tuple:
     translation: ``tile_diagram(n, c >> 1 | (c & 1) << (n-1))`` is
     Omega T_c Omega^-1.  So only one filling per rotation orbit acts on
     the basis; the terms of its r-th rotation follow a column through
-    P^-r, then T_c, then P^r, with P the translation's permutation
-    (:func:`eptl.linkrep.link_orbits`): Omega is one monomial times P,
-    so the twists of Omega^-r and Omega^r cancel.
+    P^-r, then T_c, then P^r, with P the translation's permutation and
+    its powers from :func:`eptl.linkrep.link_orbits`: Omega is one
+    monomial times P, so the twists of Omega^-r and Omega^r cancel.
     """
     basis = enumerate_states(n, d)
     dim = len(basis)
@@ -102,13 +102,7 @@ def transfer_table(n: int, d: int) -> tuple:
         rows = [(index[r.state], r.nbeta, r.nalpha, r.twist) if r else (-1, 0, 0, 0) for r in res]
         return np.array(rows, dtype=np.int32).reshape(dim, 4).T
 
-    step = np.array(link_orbits(n, d).perm, dtype=np.int32)
-    fwd, back = [np.arange(dim, dtype=np.int32)], []  # P^r and P^-r, r < n
-    for _ in range(n - 1):
-        fwd.append(step[fwd[-1]])
-    for p in fwd:
-        back.append(np.empty_like(p))
-        back[-1][p] = fwd[0]
+    powers = link_orbits(n, d).powers  # P^r, and P^-r is powers[-r]
     terms = {}  # config -> (col, row, nbeta, nalpha, twist) arrays
     for c in range(1 << n):
         if c in terms:
@@ -116,10 +110,11 @@ def transfer_table(n: int, d: int) -> tuple:
         row_c, nbeta_c, nalpha_c, twist_c = act_all(tile_diagram(n, c))
         config, r = c, 0
         while config not in terms:
-            cols = np.flatnonzero(row_c[back[r]] >= 0).astype(np.int32)
-            mid = back[r][cols]
+            back = powers[-r]
+            cols = np.flatnonzero(row_c[back] >= 0).astype(np.int32)
+            mid = back[cols]
             out = row_c[mid]
-            terms[config] = (cols, fwd[r][out], nbeta_c[mid], nalpha_c[mid], twist_c[mid])
+            terms[config] = (cols, powers[r][out], nbeta_c[mid], nalpha_c[mid], twist_c[mid])
             config = config >> 1 | (config & 1) << (n - 1)
             r += 1
     parts = [terms.pop(c) for c in range(1 << n)]

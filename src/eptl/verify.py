@@ -392,8 +392,7 @@ def sorted_spectra(n: int, d: int, lam: float, mu: float):
 def spectrum_deviation(n: int, d: int, lam: float, mu: float):
     """Max sorted-eigenvalue deviation between the two module Hamiltonians,
     plus the bracket-criticality flag."""
-    vals = itw.bracket_values(n, d, lam, mu)
-    critical = bool(vals) and min(abs(x) for x in vals) < itw.BRACKET_TOL
+    critical = itw.nearest_bracket(n, d, lam, mu)[1] < itw.BRACKET_TOL
     e1, e2 = sorted_spectra(n, d, lam, mu)
     dev = float(np.max(np.abs(e1 - e2))) if len(e1) else 0.0
     return dev, critical

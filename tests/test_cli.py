@@ -708,12 +708,29 @@ class TestSurface:
             ["export", "--what", "spin-hamiltonian"],
         ],
     )
-    def test_spin_generators_need_two_sites(self, argv, capsys):
-        # the link side refuses n = 1 in generator_diagram; so does the spin side
-        code = main([*argv, "--n", "1", "--d", "1"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_spin_generators_need_two_sites(self, argv, n, capsys):
+        # the link side refuses n < 2 in generator_diagram; so does the spin side
+        code = main([*argv, "--n", str(n), "--d", str(n)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "e generators need at least 2 sites" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spin", "--op", "omega"],
+            ["spin", "--op", "omega-inv"],
+            ["transfer", "--lambda", "1.0"],
+            ["scan-critical", "--lambda-range", "0.5:1:2", "--mu-range", "0.1:0.2:2"],
+            ["spectrum", "--lambda", "1.0"],
+        ],
+    )
+    def test_translation_needs_one_site(self, argv, capsys):
+        code = main([*argv, "--n", "0", "--d", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "the translation needs at least one site" in captured.err
 
     def test_size_at_budget_accepted(self, capsys):
         code, out = run_cli(capsys, "enumerate", "--n", str(MAX_SITES), "--d", str(MAX_SITES))

@@ -21,6 +21,7 @@ from eptl.intertwiner import (
     logdet_matches,
     matches_up_to_sign,
     matches_up_to_unit,
+    nearest_bracket,
     t_tilde_apply,
 )
 from eptl.linkrep import RingMatrix, act_weight, gram_matrix
@@ -300,6 +301,17 @@ class TestNumericDeterminants:
 
     def test_full_defect_never_critical(self):
         assert bracket_values(5, 5, 1.0, 0.3) == []
+        assert nearest_bracket(5, 5, 1.0, 0.3) == (0, math.inf)
+
+    def test_nearest_bracket_is_the_smallest_size(self):
+        for n, d, lam, mu in [(4, 2, math.pi / 2, math.pi / 4), (8, 0, 0.9, 0.2), (9, 1, 2.1, 0.7)]:
+            sizes = [abs(x) for x in bracket_values(n, d, lam, mu)]
+            k, size = nearest_bracket(n, d, lam, mu)
+            assert size == min(sizes) and sizes[k - 1] == size
+
+    def test_nearest_bracket_takes_the_first_k_on_a_tie(self, monkeypatch):
+        monkeypatch.setattr("eptl.intertwiner.bracket_values", lambda *args: [0.5, -0.25, 0.25])
+        assert nearest_bracket(6, 0, 1.0, 0.3) == (2, 0.25)
 
     def test_formula_evaluation_against_brute_force_det(self):
         # the closed-form polynomial evaluated numerically matches the plain

@@ -34,6 +34,18 @@ class TestOrbits:
             assert n % L == 0
             assert all(orbits.perm[a] == b for row in g for a, b in zip(row, np.roll(row, -1)))
 
+    @pytest.mark.parametrize("n,d", sectors(8, 1))
+    @pytest.mark.parametrize("side", [link_orbits, spin_orbits])
+    def test_powers_are_the_powers_of_the_permutation(self, side, n, d):
+        orbits = side(n, d)
+        identity = list(range(len(orbits.perm)))
+        power = identity
+        assert len(orbits.powers) == n
+        for r in range(n):
+            assert orbits.powers[r].tolist() == power
+            assert orbits.powers[r][orbits.powers[-r]].tolist() == identity
+            power = [orbits.perm[k] for k in power]
+
     @pytest.mark.parametrize(
         "n,d,side", [(6, 0, link_orbits), (8, 0, link_orbits), (9, 3, spin_orbits), (6, 6, spin_orbits)]
     )

@@ -110,11 +110,11 @@ class TestHamiltonian:
             total = m if total is None else total + m
         assert h == total
 
-    @pytest.mark.parametrize("n,d", sectors(6))
+    @pytest.mark.parametrize("n,d", sectors(8))
     def test_matches_generator_sum_in_every_sector(self, n, d):
-        # hamiltonian sums its n one-token words inside one spin_matrix
-        # call rather than adding the ebar_matrix results, so the two
-        # routes are compared everywhere
+        # hamiltonian conjugates the n-th generator by the powers of the
+        # translation's permutation rather than adding the ebar_matrix
+        # results, so the two routes are compared everywhere
         total = ebar_matrix(1, n, d)
         for i in range(2, n + 1):
             total = total + ebar_matrix(i, n, d)
