@@ -8,8 +8,9 @@ MAX_SITES, a --d that is no defect count on --n sites, an intertwiner
 --format that its --check does not honour (INTERTWINER_FORMATS), a
 projector --check wj, gamma or recursion past PROJECTOR_MAX_SITES, a non-finite
 --lambda, --mu, --nu, --tol or --lambda-range/--mu-range bound, a
-transfer expansion check where sin(lambda) vanishes, a verify run that
-selects no case, and an unwritable --out).  All floating numbers are
+transfer expansion check where sin(lambda) vanishes or on fewer than 2
+sites, an intertwiner --check intertwine on fewer than 2 sites, a verify
+run that selects no case, and an unwritable --out).  All floating numbers are
 emitted with 17 significant digits; the randomized verify suites take
 --seed.
 """
@@ -235,6 +236,8 @@ def cmd_intertwiner(args, out) -> int:
         )
         return 0 if unit is not None else 1
     if args.check == "intertwine":
+        if n < 2:  # run_suite would name its own --n-max
+            raise ValueError(f"--n {n} is below 2, the smallest size the intertwine check runs at")
         report = vfy.run_suite("intertwine", n, d_filter=[d])
         _print_report(report, out, args.format)
         return 0 if report.ok else 1
@@ -287,6 +290,8 @@ def cmd_transfer(args, out) -> int:
     if args.check in ("cross", "all"):
         results["crossing_defect"] = trf.crossing_defect(n, d, lam, nu, mu)
     if args.check in ("expand", "all"):
+        if n < 2:  # never left out of --check all: a check that cannot run does not pass
+            raise ValueError(f"the expansion check (--check expand) needs at least 2 sites, --n is {n}")
         results["expansion_defect"] = trf.expansion_defect(n, d, lam, mu)
     ok = all(v <= trf.DEFECT_TOL[k] for k, v in results.items())
     payload = {k: _fmt(v) for k, v in results.items()} | {"ok": ok}

@@ -72,8 +72,9 @@ def i_matrix(n: int, d: int) -> RingMatrix:
     return RingMatrix.from_columns(columns, sec.index, sec.labels(), list(basis))
 
 
-def i_matrix_numeric(n: int, d: int, u: complex, v: complex) -> np.ndarray:
-    return i_matrix(n, d).to_numeric(u, v)
+def i_matrix_numeric(n: int, d: int, u: complex, v: complex, cols=None) -> np.ndarray:
+    """I(u, v), or only its columns ``cols``; see ``RingMatrix.to_numeric``."""
+    return i_matrix(n, d).to_numeric(u, v, cols)
 
 
 def factorization_check(n: int, d: int):
@@ -296,11 +297,11 @@ def min_singular_value(n: int, d: int, u: complex, v: complex) -> float:
     """Smallest singular value of I(u, v) scaled to unit max entry, the
     least over its momentum blocks (see :mod:`eptl.momentum`)."""
     rows, cols = i_matrix_orbits(n, d)
-    mat = i_matrix_numeric(n, d, u, v)
-    scale = np.max(np.abs(mat))
+    at_reps = i_matrix_numeric(n, d, u, v, cols.reps)
+    scale = np.max(np.abs(at_reps))  # every column of I permutes a representative's
     if scale == 0:
         return 0.0
-    parts = blocks(mat, rows, cols)
+    parts = blocks(at_reps, rows, cols)
     if any(b.shape[0] != b.shape[1] for b in parts):
         return 0.0  # a non-square block leaves I rank-deficient
     least = min(np.linalg.svd(s, compute_uv=False)[:, -1].min() for s in by_shape(parts))

@@ -134,35 +134,38 @@ class RingMatrix:
     def is_zero(self) -> bool:
         return not any(self.columns)
 
-    def submatrix(self, row_idx, col_idx) -> "RingMatrix":
-        picked = (self.columns[j] for j in col_idx)
-        out = [{t: col[i] for t, i in enumerate(row_idx) if i in col} for col in picked]
-        return RingMatrix(
-            out,
-            [self.row_labels[i] for i in row_idx],
-            [self.col_labels[j] for j in col_idx],
-        )
+    def to_numeric(self, u: complex, v: complex, cols=None) -> np.ndarray:
+        """Evaluate every entry at (u, v); u and v must be nonzero.  With
+        an index array ``cols``, evaluate only those columns, in that order.
 
-    def to_numeric(self, u: complex, v: complex) -> np.ndarray:
-        """Evaluate every entry at (u, v); u and v must be nonzero.
-
-        The entries' terms are collected into flat arrays on the first
-        call, so the matrix must not be changed after it is evaluated.
+        The entries' terms are collected column by column into flat arrays
+        on the first call, so the matrix must not be changed after it is
+        evaluated; column j's terms are the slice ``starts[j]:starts[j + 1]``.
         """
         if self._terms is None:
-            terms = [
-                (i, j, c.to_complex(), eu, ev)
-                for j, col in enumerate(self.columns)
-                for i, e in col.items()
-                for (eu, ev), c in e.terms.items()
-            ]
-            self._terms = tuple(np.array(col) for col in zip(*terms)) if terms else ()
-        out = np.zeros((self.rows, self.cols), dtype=complex)
-        if self._terms:
+            terms, starts = [], [0]
+            for j, col in enumerate(self.columns):
+                terms += [
+                    (i, j, c.to_complex(), eu, ev) for i, e in col.items() for (eu, ev), c in e.terms.items()
+                ]
+                starts.append(len(terms))
+            arrays = [np.array(a) for a in zip(*terms)] if terms else [np.zeros(0, dtype=int)] * 5
+            self._terms = (*arrays, np.array(starts))
+        rows, at, coeffs, eu, ev, starts = self._terms
+        take = slice(None)
+        if cols is not None:
+            cols = np.asarray(cols, dtype=np.intp)
+            first, count = starts[cols], starts[cols + 1] - starts[cols]
+            at = np.repeat(np.arange(len(cols)), count)
+            # the asked columns' slices, end to end: the k-th starts at offset[k] in take
+            offset = np.cumsum(count) - count
+            take = np.repeat(first - offset, count) + np.arange(len(at))
+        out = np.zeros((self.rows, self.cols if cols is None else len(cols)), dtype=complex)
+        if len(at):
             if u == 0 or v == 0:
                 raise ValueError("cannot evaluate a Laurent polynomial at zero")
-            rows, cols, coeffs, eu, ev = self._terms
-            np.add.at(out, (rows, cols), coeffs * complex(u) ** eu * complex(v) ** ev)
+            weights = coeffs[take] * complex(u) ** eu[take] * complex(v) ** ev[take]
+            np.add.at(out, (rows[take], at), weights)
         return out
 
     def __repr__(self):
@@ -338,6 +341,10 @@ def gram_matrix(
     non-contractible loops) when d = 0 and (contractible loops, net
     defect displacement) when d > 0.  Useful for exact determinants;
     it takes no twists.
+
+    In 'tilde' mode only the column of each translation orbit's
+    representative is closed; every other column is one of these moved
+    by a power of the translation's permutation (see :class:`Orbits`).
     """
     if mode == "tilde":
         basis = enumerate_states(n, d)
@@ -356,10 +363,21 @@ def gram_matrix(
         return _pair_weight(res, n, twists)
 
     closings = [state_diagram(w) for w in basis]
-    columns = [
-        {i: weight(res) for i, c in enumerate(closings) if (res := act_on_link(c, wc)) is not None}
-        for wc in basis
-    ]
+
+    def column(wc):
+        return {i: weight(res) for i, c in enumerate(closings) if (res := act_on_link(c, wc)) is not None}
+
+    if mode == "open" or n == 0:  # no translation: on no sites the one empty state closes to 1
+        return RingMatrix([column(wc) for wc in basis], list(basis), list(basis))
+    # G[P i, P j] = G[i, j] (the twists of Omega cancel), so the column of
+    # each orbit representative j, moved by P^r, is the column of P^r j
+    orbits = link_orbits(n, d)
+    powers = [p.tolist() for p in orbits.powers]
+    columns = [None] * len(basis)
+    for j, length in zip(orbits.reps.tolist(), orbits.lengths.tolist()):
+        col = column(basis[j])
+        for p in powers[:length]:
+            columns[p[j]] = {p[i]: e for i, e in col.items()}
     return RingMatrix(columns, list(basis), list(basis))
 
 

@@ -16,7 +16,8 @@ basis, and
 So the eigenvalues and singular values of X are those of its blocks,
 about dim/n square each.  A block reads only the columns of the orbit
 representatives, and one discrete Fourier transform along each orbit
-gives every momentum at once; no dim x dim change of basis is formed.
+gives every momentum at once; no dim x dim matrix is evaluated and no
+change of basis is formed.
 """
 
 from __future__ import annotations
@@ -99,14 +100,16 @@ def _dft(L: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(k, k) / L) / np.sqrt(L)
 
 
-def blocks(mat: np.ndarray, rows: Orbits, cols: Orbits) -> list:
-    """The n momentum blocks of the numeric matrix ``mat``; ``mat`` must
-    evaluate a matrix that passed :func:`check_covariant` for these orbits.
+def blocks(at_reps: np.ndarray, rows: Orbits, cols: Orbits) -> list:
+    """The n momentum blocks of a matrix X that passed
+    :func:`check_covariant` for these orbits, read off ``at_reps``, its
+    numeric columns at ``cols.reps`` in that order (as
+    ``X.to_numeric(u, v, cols.reps)`` evaluates them).
 
     Block m has one row per row orbit and one column per column orbit
     that carries momentum m, in the order of the ``groups`` tables.
     """
-    sub = mat[:, cols.reps] * np.sqrt(cols.lengths)
+    sub = at_reps * np.sqrt(cols.lengths)
     # row a * L + t of group L: L^(-1/2) sum_k exp(2 pi i t k / L) sub[P^k i_a]
     f = np.concatenate([(_dft(L) @ sub[g]).reshape(-1, sub.shape[1]) for L, g in rows.groups.items()])
     return [f[r, c] for r, c in zip(rows.rows_at, cols.cols_at)]

@@ -146,11 +146,12 @@ class LaurentPoly:
         {(2, 0): 1, (0, 0): 2, (0, -3): -i}
     """
 
-    __slots__ = ("terms", "_packed")
+    __slots__ = ("terms", "_packed", "_hash")
 
     def __init__(self, terms=None):
         self.terms = {} if terms is None else terms
         self._packed = None  # the triples of packed(), made on first use
+        self._hash = None  # made on first use
 
     # -- constructors ------------------------------------------------
 
@@ -171,10 +172,6 @@ class LaurentPoly:
     def monomial(eu: int, ev: int, coeff=GR_ONE) -> "LaurentPoly":
         g = coeff if isinstance(coeff, GaussianInt) else GaussianInt(coeff)
         return LaurentPoly({(eu, ev): g}) if g else LaurentPoly({})
-
-    @staticmethod
-    def u_pow(k: int) -> "LaurentPoly":
-        return LaurentPoly({(k, 0): GR_ONE})
 
     @staticmethod
     def v_pow(k: int) -> "LaurentPoly":
@@ -247,7 +244,9 @@ class LaurentPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.terms.items()))
+        return self._hash
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -265,11 +264,6 @@ class LaurentPoly:
         us = [e[0] for e in self.terms]
         vs = [e[1] for e in self.terms]
         return (min(us), min(vs))
-
-    def max_exponents(self) -> tuple:
-        us = [e[0] for e in self.terms]
-        vs = [e[1] for e in self.terms]
-        return (max(us), max(vs))
 
     def extreme_term_uv(self):
         """The term dominating as u,v -> infinity: max eu, then max ev."""

@@ -160,5 +160,7 @@ def hamiltonian(n: int, d: int) -> RingMatrix:
     return translation_sum(ebar_matrix(n, n, d), spin_orbits(n, d))
 
 
-def hamiltonian_numeric(n: int, d: int, u: complex, v: complex) -> np.ndarray:
-    return hamiltonian(n, d).to_numeric(u, v)
+def hamiltonian_numeric(n: int, d: int, u: complex, v: complex, cols=None) -> np.ndarray:
+    """The spin Hamiltonian at (u, v), or only its columns ``cols``; see
+    ``RingMatrix.to_numeric``."""
+    return hamiltonian(n, d).to_numeric(u, v, cols)

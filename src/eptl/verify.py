@@ -374,8 +374,8 @@ def hamiltonian_orbits(n: int, d: int):
     return link, spin
 
 
-def _eigvals(mat, orbits):
-    return np.concatenate([np.linalg.eigvals(s).ravel() for s in by_shape(blocks(mat, orbits, orbits))])
+def _eigvals(at_reps, orbits):
+    return np.concatenate([np.linalg.eigvals(s).ravel() for s in by_shape(blocks(at_reps, orbits, orbits))])
 
 
 def sorted_spectra(n: int, d: int, lam: float, mu: float):
@@ -384,8 +384,8 @@ def sorted_spectra(n: int, d: int, lam: float, mu: float):
     momentum sectors of the translation (see :mod:`eptl.momentum`)."""
     u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
     link, spin = hamiltonian_orbits(n, d)
-    e1 = np.sort_complex(_eigvals(hamiltonian_link(n, d).to_numeric(u, v), link))
-    e2 = np.sort_complex(_eigvals(hamiltonian_numeric(n, d, u, v), spin))
+    e1 = np.sort_complex(_eigvals(hamiltonian_link(n, d).to_numeric(u, v, link.reps), link))
+    e2 = np.sort_complex(_eigvals(hamiltonian_numeric(n, d, u, v, spin.reps), spin))
     return e1, e2
 
 

@@ -38,9 +38,13 @@ route, and is kept only as a reference for the tests:
 
 * ``matrix_json_dict``: the dict tree of a matrix for
   ``json.dumps(..., indent=1)``, against the hand-written layout with one
-  rendering per distinct entry of ``cli._matrix_json``.
+  rendering per distinct entry of ``cli._matrix_json``;
+* ``gram_matrix_full``: every pair of states closed, against the
+  orbit-representative columns of ``linkrep.gram_matrix`` in 'tilde' mode.
 
-``dense`` builds a ``RingMatrix`` from a literal list of rows.
+``dense`` builds a ``RingMatrix`` from a literal list of rows,
+``submatrix`` picks rows and columns of one, and ``u_pow`` and
+``max_exponents`` build and read polynomials.
 """
 
 from cmath import exp, sin
@@ -49,9 +53,9 @@ from collections import Counter
 import numpy as np
 
 from eptl.diagrams import AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
-from eptl.linkrep import RingMatrix, _label_str, hamiltonian_link, loop_weight
+from eptl.linkrep import RingMatrix, _label_str, act_weight, hamiltonian_link, loop_weight, state_diagram
 from eptl.projectors import _sine, wenzl_jones
-from eptl.ring import ONE, ZERO, GaussianInt, LaurentPoly, beta_poly
+from eptl.ring import GR_ONE, ONE, ZERO, GaussianInt, LaurentPoly, beta_poly
 from eptl.spinrep import hamiltonian_numeric
 from eptl.states import LinkState, enumerate_states
 from eptl.transfer import tile_diagram
@@ -69,6 +73,39 @@ def dense(rows, row_labels=None, col_labels=None) -> RingMatrix:
         raise ValueError("label count does not match matrix shape")
     columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n_cols)]
     return RingMatrix(columns, row_labels, col_labels)
+
+
+def submatrix(m: RingMatrix, row_idx, col_idx) -> RingMatrix:
+    """Rows ``row_idx`` and columns ``col_idx`` of ``m``, in those orders."""
+    picked = (m.columns[j] for j in col_idx)
+    out = [{t: col[i] for t, i in enumerate(row_idx) if i in col} for col in picked]
+    return RingMatrix(out, [m.row_labels[i] for i in row_idx], [m.col_labels[j] for j in col_idx])
+
+
+def u_pow(k: int) -> LaurentPoly:
+    return LaurentPoly({(k, 0): GR_ONE})
+
+
+def max_exponents(p: LaurentPoly) -> tuple:
+    return (max(e[0] for e in p.terms), max(e[1] for e in p.terms))
+
+
+def gram_matrix_full(n: int, d: int, loop_variables: bool = False) -> RingMatrix:
+    """The periodic Gram matrix with every column state closed against
+    every row state; oracle for ``gram_matrix(n, d, loop_variables=...)``."""
+    basis = enumerate_states(n, d)
+
+    def weight(res):
+        if loop_variables:
+            return LaurentPoly.monomial(res.nbeta, res.nalpha if d == 0 else res.twist)
+        return act_weight(res, n)
+
+    closings = [state_diagram(w) for w in basis]
+    columns = [
+        {i: weight(res) for i, c in enumerate(closings) if (res := act_on_link(c, wc)) is not None}
+        for wc in basis
+    ]
+    return RingMatrix(columns, list(basis), list(basis))
 
 
 def matrix_json_dict(m: RingMatrix) -> dict:
@@ -117,7 +154,7 @@ def div_terms(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     div_lead_c = q.terms[div_lead]
     quot: dict = {}
     nu, nv = p.min_exponents()
-    xu, xv = p.max_exponents()
+    xu, xv = max_exponents(p)
     max_steps = (xu - nu + 1) * (xv - nv + 1) + 1
     steps = 0
     while rem:

@@ -716,6 +716,26 @@ class TestSurface:
         assert code == 2 and captured.out == ""
         assert "e generators need at least 2 sites" in captured.err
 
+    def test_gram_on_no_sites_is_one(self, capsys):
+        # no translation acts on 0 sites; the one empty state closes to 1
+        code, out = run_cli(capsys, "gram", "--n", "0", "--d", "0")
+        assert code == 0 and out == "(1)\n"
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_intertwine_check_below_two_sites_names_n(self, n, capsys):
+        code = main(["intertwiner", "--check", "intertwine", "--n", str(n), "--d", str(n)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"--n {n} is below 2" in captured.err and "n_max" not in captured.err
+
+    @pytest.mark.parametrize("check", ["all", "expand"])
+    def test_expansion_on_one_site_names_the_check(self, check, capsys):
+        # --check all does not drop it: a check that cannot run is no pass
+        code = main(["transfer", "--n", "1", "--d", "1", "--lambda", "1.0", "--check", check])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "the expansion check (--check expand) needs at least 2 sites" in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [

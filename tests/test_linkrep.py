@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from eptl import linkrep
 from eptl.diagrams import word_diagram
 from eptl.intertwiner import i_matrix
 from eptl.linkrep import (
@@ -11,13 +12,14 @@ from eptl.linkrep import (
     gram_matrix,
     gram_pair,
     hamiltonian_link,
+    link_orbits,
     loop_variables_to_uv,
     omega_matrix,
 )
 from eptl.ring import ZERO, GaussianInt, LaurentPoly, alpha_poly, beta_poly
-from eptl.spinrep import hamiltonian
+from eptl.spinrep import hamiltonian, spin_orbits
 from eptl.states import LinkState, enumerate_states
-from oracles import dense, matmul_dense, mul_terms, to_numeric_entrywise
+from oracles import dense, gram_matrix_full, matmul_dense, mul_terms, submatrix, to_numeric_entrywise
 
 B = beta_poly()
 
@@ -106,7 +108,7 @@ class TestGramMatrix:
     def test_four_zero_reference_matrix(self):
         g = gram_matrix(4, 0)
         perm = ref_permutation_4_0()
-        g = g.submatrix(perm, perm)
+        g = submatrix(g, perm, perm)
         a = alpha_poly(4)
         expect = [
             [B * B, B, a * B, a, a * B, B],
@@ -137,7 +139,7 @@ class TestGramMatrix:
         ]
         basis = list(g.col_labels)
         perm = [basis.index(w) for w in order]
-        g = g.submatrix(perm, perm)
+        g = submatrix(g, perm, perm)
         one = LaurentPoly.one()
         expect = [
             [B * B, B, B * mono(0, -2), mono(0, -4), B * mono(0, -4)],
@@ -150,6 +152,34 @@ class TestGramMatrix:
         for i in range(5):
             for j in range(5):
                 assert g[i, j] == expect[i][j], (i, j)
+
+
+class TestGramOrbitBuild:
+    # the orbit build is covariant by construction, so it is compared with
+    # the full loop rather than checked with check_covariant
+    @pytest.mark.parametrize("loop_variables", [False, True])
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(11) for d in range(n % 2, n + 1, 2)])
+    def test_equals_the_full_loop(self, n, d, loop_variables):
+        got = gram_matrix(n, d, loop_variables=loop_variables)
+        expect = gram_matrix_full(n, d, loop_variables)
+        assert got == expect
+        assert got.row_labels == expect.row_labels and got.col_labels == expect.col_labels
+
+    @pytest.mark.parametrize("n,d", [(6, 0), (7, 1), (8, 2), (8, 8)])
+    def test_closes_each_state_against_the_representatives_only(self, n, d, monkeypatch):
+        orbits = link_orbits(n, d)  # built before counting: Omega's matrix acts too
+        basis = enumerate_states(n, d)
+        closed = []
+        act = linkrep.act_on_link
+
+        def counted(diagram, w):
+            closed.append(w)
+            return act(diagram, w)
+
+        monkeypatch.setattr(linkrep, "act_on_link", counted)
+        gram_matrix(n, d)
+        assert len(closed) == len(basis) * len(orbits.reps)
+        assert set(closed) == {basis[j] for j in orbits.reps}
 
 
 class TestGramInvariants:
@@ -247,6 +277,40 @@ class TestNumericEvaluation:
         assert got.shape == expect.shape
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
+    ORBITS = {
+        "gram n6d0": lambda: link_orbits(6, 0),
+        "gram n5d1": lambda: link_orbits(5, 1),
+        "intertwiner n6d2": lambda: link_orbits(6, 2),
+        "spin hamiltonian n6d0": lambda: spin_orbits(6, 0),
+        "link hamiltonian n5d1": lambda: link_orbits(5, 1),
+    }
+
+    @pytest.mark.parametrize("name", list(MATRICES))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_columns_match_entrywise_evaluation(self, name, seed):
+        rng = random.Random(100 + seed)
+        u = rng.uniform(0.7, 1.4) * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
+        v = rng.uniform(0.7, 1.4) * cmath.exp(1j * rng.uniform(0, 2 * cmath.pi))
+        m = self.MATRICES[name]()
+        expect = to_numeric_entrywise(m, u, v)
+        subsets = [
+            self.ORBITS[name]().reps,
+            [],
+            [m.cols - 1],
+            rng.choices(range(m.cols), k=7),  # repeats and any order
+            list(range(m.cols))[::-1],
+        ]
+        for cols in subsets:
+            got = m.to_numeric(u, v, np.array(cols, dtype=int))
+            assert got.shape == (m.rows, len(cols))
+            assert np.max(np.abs(got - expect[:, cols]), initial=0.0) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_columns_first_then_the_whole(self):
+        # the term arrays are built by whichever call comes first
+        m = omega_matrix([("e", 2), ("e", 4)], 5, 1)
+        u, v = 0.9 + 0.2j, 1.1j
+        assert np.array_equal(m.to_numeric(u, v, [3, 1]), m.to_numeric(u, v)[:, [3, 1]])
+
     def test_repeated_evaluation_uses_the_new_point(self):
         m = gram_matrix(4, 0)
         for u, v in ((0.9 + 0.2j, 1.1j), (1.3, 0.8 - 0.1j)):
@@ -256,6 +320,7 @@ class TestNumericEvaluation:
         m = dense([[ZERO] * 3 for _ in range(2)])
         assert np.array_equal(m.to_numeric(0.5 + 0.5j, 2.0), np.zeros((2, 3)))
         assert np.array_equal(m.to_numeric(0, 0), np.zeros((2, 3)))
+        assert np.array_equal(m.to_numeric(0.5, 2.0, [2, 0]), np.zeros((2, 2)))
 
     def test_zero_point_raises(self):
         m = omega_matrix([("e", 1)], 4, 0)
@@ -325,7 +390,7 @@ class TestSparseColumns:
             "add": m + m.scale(-one),
             "matmul": dense([[one, one]]) @ dense([[one], [-one]]),
             "transpose": m.transpose(),
-            "submatrix": m.submatrix([1, 0], [2, 1]),
+            "submatrix": submatrix(m, [1, 0], [2, 1]),
         }
         for name, r in results.items():
             assert not _stores_a_zero(r), name
@@ -334,7 +399,7 @@ class TestSparseColumns:
         assert results["map"][0, 0] == ZERO and results["map"][0, 2] == mono(1, 0)
         assert results["transpose"].entries == [list(col) for col in zip(*m.entries)]
         assert results["submatrix"].entries == [[ZERO, mono(0, 1)], [mono(1, 0), ZERO]]
-        assert m.submatrix([1, 1], [1]).entries == [[mono(0, 1)], [mono(0, 1)]]
+        assert submatrix(m, [1, 1], [1]).entries == [[mono(0, 1)], [mono(0, 1)]]
 
     @pytest.mark.parametrize("n,d", sector_pairs(5))
     def test_builders_store_no_zero(self, n, d):

@@ -84,7 +84,7 @@ class TestBlocks:
         mat = itw.i_matrix_numeric(n, d, u, v)
         full_r = np.hstack([momentum_basis(rows, m) for m in range(n)])
         assert np.allclose(full_r.conj().T @ full_r, np.eye(len(mat)), atol=1e-12)
-        for m, block in enumerate(blocks(mat, rows, cols)):
+        for m, block in enumerate(blocks(itw.i_matrix_numeric(n, d, u, v, cols.reps), rows, cols)):
             expect = momentum_basis(rows, m).conj().T @ mat @ momentum_basis(cols, m)
             assert block.shape == expect.shape
             assert np.max(np.abs(block - expect), initial=0.0) < 1e-12 * np.max(np.abs(mat))
@@ -103,6 +103,22 @@ class TestBlocks:
             u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
             expect = min_singular_scaled(itw.i_matrix_numeric(n, d, u, v))
             assert abs(itw.min_singular_value(n, d, u, v) - expect) <= 1e-9 * expect
+
+    @pytest.mark.parametrize("n,d", [(6, 2), (7, 1)])
+    def test_only_the_representatives_columns_are_evaluated(self, n, d, monkeypatch):
+        link, spin = link_orbits(n, d), spin_orbits(n, d)
+        evaluate = RingMatrix.to_numeric
+        asked = []
+
+        def recorded(self, u, v, cols=None):
+            asked.append(None if cols is None else list(cols))
+            return evaluate(self, u, v, cols)
+
+        monkeypatch.setattr(RingMatrix, "to_numeric", recorded)
+        (lam, mu), = points(n, d, 1)
+        vfy.sorted_spectra(n, d, lam, mu)
+        itw.critical_scan(n, d, [lam], [mu, 2 * mu])
+        assert asked == [list(link.reps), list(spin.reps)] + [list(link.reps)] * 2
 
     def test_on_curve_point_is_singular_in_both(self):
         lam, mu = math.pi / 2, math.pi / 4

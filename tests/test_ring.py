@@ -22,7 +22,7 @@ from eptl.ring import (
     trig_cos,
     trig_sin,
 )
-from oracles import dense, div_terms, matmul_dense, mul_terms
+from oracles import dense, div_terms, matmul_dense, mul_terms, u_pow
 
 
 def _coeffs():
@@ -54,7 +54,7 @@ class TestArithmetic:
     def test_binomial_square(self):
         beta = beta_poly()
         expected = (
-            LaurentPoly.u_pow(4) + LaurentPoly.const(2) + LaurentPoly.u_pow(-4)
+            u_pow(4) + LaurentPoly.const(2) + u_pow(-4)
         )
         assert beta * beta == expected
 
@@ -161,6 +161,14 @@ class TestPackedKernel:
         p * p
         assert p._packed is not None and q._packed is None
         assert p == q and hash(p) == hash(q)
+
+    def test_hash_taken_before_packing_holds_after(self):
+        p = long_gaussian_poly(random.Random(23))
+        before = hash(p)
+        packed(p)
+        assert hash(p) == before
+        q = LaurentPoly(dict(reversed(p.terms.items())))  # equal, built apart
+        assert q == p and hash(q) == before
 
     @pytest.mark.parametrize("ev", [1 << 30, -(1 << 30) - 1, 1 << 40])
     def test_v_exponent_outside_packed_range_raises(self, ev):
