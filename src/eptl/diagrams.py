@@ -9,7 +9,9 @@ scores one power of the contractible weight, otherwise one power of the
 non-contractible weight.  Scalars are tracked as the exponent pair
 ``(nbeta, nalpha)`` so the caller chooses the substitution.
 
-Nodes are tagged tuples ``('b', i)`` / ``('t', i)``.  A link state acts
+Nodes are tagged tuples ``('b', i)`` / ``('t', i)`` in the public
+``conn`` view; :func:`compose` and :func:`act_on_link` walk flat int
+tables instead (see :class:`AffineDiagram`).  A link state acts
 by attaching to the *top* of a diagram; in a product built with
 :func:`word_diagram` the rightmost generator therefore acts first.
 """
@@ -17,39 +19,77 @@ by attaching to the *top* of a diagram; in a product built with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .states import LinkState
 
 
 class AffineDiagram:
-    """Immutable cylinder connectivity with accumulated loop exponents."""
+    """Immutable cylinder connectivity with accumulated loop exponents.
 
-    __slots__ = ("n", "conn", "nbeta", "nalpha")
+    ``conn`` maps each tagged node to ``(partner, crossings)``.  The walks
+    read the same chords from two flat int lists, ``to[x]`` (the partner
+    node) and ``cr[x]`` (the signed crossings from x to its partner), with
+    top i coded as i and bottom i as n + i (index 0 is unused).  Either
+    form is built from the other the first time it is read.
+    """
+
+    __slots__ = ("n", "nbeta", "nalpha", "_conn", "_tables")
 
     def __init__(self, n, conn, nbeta=0, nalpha=0):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "conn", conn)
+        object.__setattr__(self, "_conn", conn)
+        object.__setattr__(self, "_tables", None)
         object.__setattr__(self, "nbeta", nbeta)
         object.__setattr__(self, "nalpha", nalpha)
 
+    @classmethod
+    def from_tables(cls, n, to, cr, nbeta=0, nalpha=0) -> "AffineDiagram":
+        """The diagram with the flat tables ``to`` and ``cr``, taken as they are."""
+        diag = cls(n, None, nbeta, nalpha)
+        object.__setattr__(diag, "_tables", (to, cr))
+        return diag
+
     def __setattr__(self, *a):
         raise AttributeError("AffineDiagram is immutable")
+
+    @property
+    def conn(self) -> dict:
+        if self._conn is None:
+            n = self.n
+            node = [None] + [("t", i) for i in range(1, n + 1)] + [("b", i) for i in range(1, n + 1)]
+            to, cr = self._tables
+            object.__setattr__(self, "_conn", {node[x]: (node[to[x]], cr[x]) for x in range(1, 2 * n + 1)})
+        return self._conn
+
+    def tables(self) -> tuple:
+        """The flat tables ``(to, cr)``; cached, so treat them as read-only."""
+        if self._tables is None:
+            n = self.n
+            to, cr = [0] * (2 * n + 1), [0] * (2 * n + 1)
+            for (side, i), ((side2, j), s) in self._conn.items():
+                x = i if side == "t" else n + i
+                to[x] = j if side2 == "t" else n + j
+                cr[x] = s
+            object.__setattr__(self, "_tables", (to, cr))
+        return self._tables
 
     def __eq__(self, other):
         if not isinstance(other, AffineDiagram):
             return NotImplemented
         return (
             self.n == other.n
-            and self.conn == other.conn
+            and self.tables() == other.tables()
             and self.nbeta == other.nbeta
             and self.nalpha == other.nalpha
         )
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.conn.items()), self.nbeta, self.nalpha))
+        to, cr = self.tables()
+        return hash((self.n, tuple(to), tuple(cr), self.nbeta, self.nalpha))
 
     def same_connectivity(self, other) -> bool:
-        return self.n == other.n and self.conn == other.conn
+        return self.n == other.n and self.tables() == other.tables()
 
     def __repr__(self):
         chords = []
@@ -78,12 +118,13 @@ def identity_diagram(n: int) -> AffineDiagram:
     return AffineDiagram(n, conn)
 
 
+@lru_cache(maxsize=None)
 def generator_diagram(kind: str, n: int, i: int | None = None) -> AffineDiagram:
     """Build id, e_i, or the translation diagrams.
 
     kind is one of 'id', 'e', 'omega', 'omega_inv'; for 'e' the site
     index i in 1..n is required (i = n couples sites n and 1 through the
-    boundary).
+    boundary).  Cached: diagrams are immutable, so callers share them.
     """
     if kind == "id":
         return identity_diagram(n)
@@ -125,72 +166,53 @@ def compose(top: AffineDiagram, bottom: AffineDiagram) -> AffineDiagram:
     if top.n != bottom.n:
         raise ValueError("site-count mismatch")
     n = top.n
-    conn: dict = {}
+    ut, uc = top.tables()
+    lt, lc = bottom.tables()
+    # the bottom node n+k of top is glued to the top node k of bottom;
+    # glued[k] marks that interface point as traversed
+    glued = [False] * (n + 1)
+    to, cr = [0] * (2 * n + 1), [0] * (2 * n + 1)
     nbeta = top.nbeta + bottom.nbeta
     nalpha = top.nalpha + bottom.nalpha
-    visited = set()  # (layer, node) pairs
 
-    def walk(layer, node):
-        # traverse the chord in `layer` from `node`, hopping through the
-        # interface until an outer node is reached; returns (layer,node,s)
-        s = 0
+    # chains from the outer boundary (the tops of top, then the bottoms of
+    # bottom), each crossing the interface until it reaches an outer node
+    layers = ((ut, uc), (lt, lc))
+    for start in range(1, 2 * n + 1):
+        if to[start]:
+            continue
+        x, s, low = start, 0, start > n  # low: walking bottom
         while True:
-            diag = top if layer == "U" else bottom
-            partner, ds = diag.conn[node]
-            s += ds
-            visited.add((layer, node))
-            visited.add((layer, partner))
-            node = partner
-            if layer == "U":
-                if node[0] == "t":
-                    return ("U", node, s)
-                layer = "L"  # U-bottom i glued to L-top i
-                node = ("t", node[1])
-            else:
-                if node[0] == "b":
-                    return ("L", node, s)
-                layer = "U"
-                node = ("b", node[1])
+            t, c = layers[low]
+            y = t[x]
+            s += c[x]
+            if (y > n) == low:  # a top of top or a bottom of bottom
+                break
+            k = y if low else y - n  # the interface point reached
+            glued[k] = True
+            x, low = n + k if low else k, not low
+        to[start], cr[start] = y, s
+        to[y], cr[y] = start, -s
 
-    # chains from the outer boundary
-    for i in range(1, n + 1):
-        for layer, node in (("U", ("t", i)), ("L", ("b", i))):
-            if (layer, node) in visited:
-                continue
-            visited.add((layer, node))
-            end_layer, end_node, s = walk(layer, node)
-            _pair(conn, node, end_node, s)
+    # untouched interface points close loops: bottom's top k, its partner
+    # top k', then top's chord from its bottom n+k' back to the interface
+    for k in range(1, n + 1):
+        if glued[k]:
+            continue
+        x, s = k, 0
+        while True:
+            y = lt[x]
+            s += lc[x]
+            glued[x] = glued[y] = True
+            x = ut[n + y] - n
+            s += uc[n + y]
+            if x == k:
+                break
+        if abs(s) > 1:
+            raise AssertionError(f"loop with |winding| {abs(s)} > 1")
+        nbeta, nalpha = nbeta + (s == 0), nalpha + (s != 0)
 
-    # untouched interface chords close loops
-    for i in range(1, n + 1):
-        for layer, node in (("L", ("t", i)), ("U", ("b", i))):
-            if (layer, node) in visited:
-                continue
-            # walk a loop starting through this chord
-            start = (layer, node)
-            cur_layer, cur_node = layer, node
-            s = 0
-            while True:
-                diag = top if cur_layer == "U" else bottom
-                partner, ds = diag.conn[cur_node]
-                s += ds
-                visited.add((cur_layer, cur_node))
-                visited.add((cur_layer, partner))
-                if cur_layer == "U":
-                    nxt = ("L", ("t", partner[1]))
-                else:
-                    nxt = ("U", ("b", partner[1]))
-                if nxt == start:
-                    break
-                cur_layer, cur_node = nxt
-            if s == 0:
-                nbeta += 1
-            else:
-                if abs(s) != 1:
-                    raise AssertionError(f"loop with |winding| {abs(s)} > 1")
-                nalpha += 1
-
-    return AffineDiagram(n, conn, nbeta, nalpha)
+    return AffineDiagram.from_tables(n, to, cr, nbeta, nalpha)
 
 
 def word_diagram(word, n: int) -> AffineDiagram:
@@ -200,10 +222,11 @@ def word_diagram(word, n: int) -> AffineDiagram:
     the leftmost token ends up at the bottom of the stack, so the
     rightmost acts first on a link state.
     """
-    diag = identity_diagram(n)
+    diag = None
     for tok in word:
-        diag = compose(top=_token_diagram(tok, n), bottom=diag)
-    return diag
+        top = _token_diagram(tok, n)
+        diag = top if diag is None else compose(top=top, bottom=diag)
+    return identity_diagram(n) if diag is None else diag
 
 
 def _token_diagram(tok, n: int) -> AffineDiagram:
@@ -245,50 +268,50 @@ def act_on_link(diag: AffineDiagram, w: LinkState):
     if diag.n != w.n_sites:
         raise ValueError("site-count mismatch")
     n = diag.n
-    arcs = w.arc_partner()
-    defects = set(w.defects)
-    visited_tops = set()
+    to, cr = diag.tables()
+    partner, crossing = w.arcs()  # partner 0 at a defect
+    seen = [False] * (n + 1)  # top sites traversed
     nbeta, nalpha = diag.nbeta, diag.nalpha
 
-    def run(start_node):
-        # start_node is a diagram node; traverse diagram chord first
+    def run(x):
+        # from diagram node x, alternate diagram chords and arcs of w until
+        # a bottom node; returns (bottom site, crossings), or None at a defect
         s = 0
-        node = start_node
         while True:
-            partner, ds = diag.conn[node]
-            s += ds
-            if partner[0] == "b":
-                return partner[1], s, False
-            q = partner[1]
-            visited_tops.add(q)
-            if q in defects:
-                return q, s, True
-            q2, ds2 = arcs[q]
-            s += ds2
-            visited_tops.add(q2)
-            node = ("t", q2)
+            y = to[x]
+            s += cr[x]
+            if y > n:
+                return y - n, s
+            seen[y] = True
+            x = partner[y]
+            if not x:
+                return None
+            s += crossing[y]
+            seen[x] = True
 
     # defect chains
     travel = []
     new_defects = []
-    for p in sorted(defects):
-        visited_tops.add(p)
-        q, s, hit_defect = run(("t", p))
-        if hit_defect:
+    for p in w.defects:
+        seen[p] = True
+        end = run(p)
+        if end is None:
             return None
-        travel.append((p, q, s))
-        new_defects.append(q)
+        travel.append((p, *end))
+        new_defects.append(end[0])
 
     # remaining bottom nodes pair into arcs
     new_pairs = []
-    done_bottoms = set(new_defects)
+    done = [False] * (n + 1)
+    for q in new_defects:
+        done[q] = True
     for q1 in range(1, n + 1):
-        if q1 in done_bottoms:
+        if done[q1]:
             continue
-        done_bottoms.add(q1)
-        q2, s, hit_defect = run(("b", q1))
-        assert not hit_defect
-        done_bottoms.add(q2)
+        end = run(n + q1)
+        assert end is not None
+        q2, s = end
+        done[q1] = done[q2] = True
         if s == 0:
             new_pairs.append((min(q1, q2), max(q1, q2)))
         elif s == 1:
@@ -301,29 +324,19 @@ def act_on_link(diag: AffineDiagram, w: LinkState):
 
     # leftover top nodes close loops
     for p in range(1, n + 1):
-        if p in visited_tops:
+        if seen[p]:
             continue
-        start = ("t", p)
-        node = start
-        s = 0
+        x, s = p, 0
         while True:
-            partner, ds = diag.conn[node]
-            s += ds
-            visited_tops.add(node[1])
-            q = partner[1]
-            visited_tops.add(q)
-            q2, ds2 = arcs[q]
-            s += ds2
-            visited_tops.add(q2)
-            if ("t", q2) == start:
+            y = to[x]
+            s += cr[x] + crossing[y]
+            x = partner[y]
+            seen[y] = seen[x] = True
+            if x == p:
                 break
-            node = ("t", q2)
-        if s == 0:
-            nbeta += 1
-        else:
-            if abs(s) != 1:
-                raise AssertionError(f"loop with |winding| {abs(s)} > 1")
-            nalpha += 1
+        if abs(s) > 1:
+            raise AssertionError(f"loop with |winding| {abs(s)} > 1")
+        nbeta, nalpha = nbeta + (s == 0), nalpha + (s != 0)
 
     # a planar diagram on a valid state gives a valid state
     state = LinkState(n, new_pairs, new_defects, validate=False)

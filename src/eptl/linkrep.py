@@ -281,14 +281,12 @@ def state_diagram(w: LinkState) -> AffineDiagram:
     ``w`` (below): the result carries the closed loops and, per defect of
     the upper state, its travel to a defect of ``w``.
     """
-    conn = {}
-    for i, (j, s) in w.arc_partner().items():
-        conn[("t", i)] = (("t", j), s)
-        conn[("b", i)] = (("b", j), s)
-    for p in w.defects:
-        conn[("t", p)] = (("b", p), 0)
-        conn[("b", p)] = (("t", p), 0)
-    return AffineDiagram(w.n_sites, conn)
+    n = w.n_sites
+    partner, crossing = w.arcs()
+    sites = range(1, n + 1)
+    # an arc i-j on both rows, or the through line top i - bottom i at a defect
+    to = [0] + [partner[i] or n + i for i in sites] + [n + partner[i] if partner[i] else i for i in sites]
+    return AffineDiagram.from_tables(n, to, crossing + crossing[1:])
 
 
 def _pair_weight(res, n: int, twists) -> LaurentPoly:
@@ -345,7 +343,17 @@ def gram_matrix(
     In 'tilde' mode only the column of each translation orbit's
     representative is closed; every other column is one of these moved
     by a power of the translation's permutation (see :class:`Orbits`).
+
+    Without twists the matrix is cached: treat the result as read-only.
     """
+    if twists is None:
+        return _gram(n, d, mode, loop_variables)
+    return _gram.__wrapped__(n, d, mode, loop_variables, twists)  # not cached
+
+
+@lru_cache(maxsize=None)
+def _gram(n: int, d: int, mode: str, loop_variables: bool, twists=None) -> RingMatrix:
+    """The body of :func:`gram_matrix`."""
     if mode == "tilde":
         basis = enumerate_states(n, d)
         if twists is not None:

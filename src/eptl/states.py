@@ -44,13 +44,14 @@ class LinkState:
     defects : iterable of unpaired site positions
     """
 
-    __slots__ = ("n_sites", "pairs", "defects", "_hash")
+    __slots__ = ("n_sites", "pairs", "defects", "_hash", "_arcs")
 
     def __init__(self, n_sites, pairs, defects, validate=True):
         object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "pairs", tuple(sorted(tuple(p) for p in pairs)))
         object.__setattr__(self, "defects", tuple(sorted(defects)))
         object.__setattr__(self, "_hash", hash((n_sites, self.pairs, self.defects)))
+        object.__setattr__(self, "_arcs", None)
         if validate:
             self._validate()
 
@@ -101,22 +102,20 @@ class LinkState:
     def sort_key(self):
         return (self.boundary_arcs, self.pairs, self.defects)
 
-    def arc_partner(self) -> dict:
-        """site -> (site', signed seam crossings traversing site -> site').
-
-        Crossing sign: moving left through the boundary counts +1.
-        """
-        n = self.n_sites
-        out = {}
-        for i, j in self.pairs:
-            jm = (j - 1) % n + 1
-            if j <= n:
-                out[i] = (jm, 0)
-                out[jm] = (i, 0)
-            else:
-                out[i] = (jm, -1)   # opening travels rightward through the seam
-                out[jm] = (i, 1)
-        return out
+    def arcs(self) -> tuple:
+        """Flat arc table, cached, by site 1..n: ``partner[i]``, the other end
+        of the arc at i (0 at a defect), and ``crossing[i]``, its seam
+        crossings from i (moving left through the boundary counts +1)."""
+        if self._arcs is None:
+            n = self.n_sites
+            partner, crossing = [0] * (n + 1), [0] * (n + 1)
+            for i, j in self.pairs:
+                if j > n:
+                    j -= n
+                    crossing[i], crossing[j] = -1, 1  # the opening travels rightward through the seam
+                partner[i], partner[j] = j, i
+            object.__setattr__(self, "_arcs", (partner, crossing))
+        return self._arcs
 
     def __eq__(self, other):
         if not isinstance(other, LinkState):
@@ -198,10 +197,6 @@ def enumerate_states(n: int, d: int) -> tuple:
 def standard_states(n: int, d: int) -> tuple:
     """The r=0 stratum: link states with no boundary arcs."""
     return tuple(w for w in enumerate_states(n, d) if w.boundary_arcs == 0)
-
-
-def stratum(n: int, d: int, r: int) -> tuple:
-    return tuple(w for w in enumerate_states(n, d) if w.boundary_arcs == r)
 
 
 def bijection_C(w: LinkState) -> LinkState:

@@ -40,11 +40,15 @@ route, and is kept only as a reference for the tests:
   ``json.dumps(..., indent=1)``, against the hand-written layout with one
   rendering per distinct entry of ``cli._matrix_json``;
 * ``gram_matrix_full``: every pair of states closed, against the
-  orbit-representative columns of ``linkrep.gram_matrix`` in 'tilde' mode.
+  orbit-representative columns of ``linkrep.gram_matrix`` in 'tilde' mode;
+* ``compose_dicts`` and ``act_on_link_dicts``: the strand walks on
+  tagged-tuple node dicts and ``arc_partner``, against the flat int
+  tables walked by ``diagrams.compose`` and ``diagrams.act_on_link``.
 
 ``dense`` builds a ``RingMatrix`` from a literal list of rows,
-``submatrix`` picks rows and columns of one, and ``u_pow`` and
-``max_exponents`` build and read polynomials.
+``submatrix`` picks rows and columns of one, ``u_pow`` and
+``max_exponents`` build and read polynomials, and ``stratum`` picks the
+states with r boundary arcs.
 """
 
 from cmath import exp, sin
@@ -52,7 +56,15 @@ from collections import Counter
 
 import numpy as np
 
-from eptl.diagrams import AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
+from eptl.diagrams import (
+    ActResult,
+    AffineDiagram,
+    _pair,
+    act_on_link,
+    compose,
+    generator_diagram,
+    identity_diagram,
+)
 from eptl.linkrep import RingMatrix, _label_str, act_weight, hamiltonian_link, loop_weight, state_diagram
 from eptl.projectors import _sine, wenzl_jones
 from eptl.ring import GR_ONE, ONE, ZERO, GaussianInt, LaurentPoly, beta_poly
@@ -90,6 +102,11 @@ def max_exponents(p: LaurentPoly) -> tuple:
     return (max(e[0] for e in p.terms), max(e[1] for e in p.terms))
 
 
+def stratum(n: int, d: int, r: int) -> tuple:
+    """The link states of the d-defect module with r boundary arcs."""
+    return tuple(w for w in enumerate_states(n, d) if w.boundary_arcs == r)
+
+
 def gram_matrix_full(n: int, d: int, loop_variables: bool = False) -> RingMatrix:
     """The periodic Gram matrix with every column state closed against
     every row state; oracle for ``gram_matrix(n, d, loop_variables=...)``."""
@@ -106,6 +123,200 @@ def gram_matrix_full(n: int, d: int, loop_variables: bool = False) -> RingMatrix
         for wc in basis
     ]
     return RingMatrix(columns, list(basis), list(basis))
+
+
+def arc_partner(w: LinkState) -> dict:
+    """site -> (site', signed seam crossings traversing site -> site');
+    oracle for the flat table ``LinkState.arcs``.
+
+    Crossing sign: moving left through the boundary counts +1.
+    """
+    n = w.n_sites
+    out = {}
+    for i, j in w.pairs:
+        jm = (j - 1) % n + 1
+        if j <= n:
+            out[i] = (jm, 0)
+            out[jm] = (i, 0)
+        else:
+            out[i] = (jm, -1)   # opening travels rightward through the seam
+            out[jm] = (i, 1)
+    return out
+
+
+def compose_dicts(top: AffineDiagram, bottom: AffineDiagram) -> AffineDiagram:
+    """Stack ``top`` above ``bottom`` and trace, on the tagged-tuple
+    ``conn`` dicts; oracle for the flat-table walk of ``diagrams.compose``.
+
+    The result represents the algebra product bottom*top, i.e. acting on
+    a link state attached above, ``top`` is applied first.
+    """
+    if top.n != bottom.n:
+        raise ValueError("site-count mismatch")
+    n = top.n
+    conn: dict = {}
+    nbeta = top.nbeta + bottom.nbeta
+    nalpha = top.nalpha + bottom.nalpha
+    visited = set()  # (layer, node) pairs
+
+    def walk(layer, node):
+        # traverse the chord in `layer` from `node`, hopping through the
+        # interface until an outer node is reached; returns (layer,node,s)
+        s = 0
+        while True:
+            diag = top if layer == "U" else bottom
+            partner, ds = diag.conn[node]
+            s += ds
+            visited.add((layer, node))
+            visited.add((layer, partner))
+            node = partner
+            if layer == "U":
+                if node[0] == "t":
+                    return ("U", node, s)
+                layer = "L"  # U-bottom i glued to L-top i
+                node = ("t", node[1])
+            else:
+                if node[0] == "b":
+                    return ("L", node, s)
+                layer = "U"
+                node = ("b", node[1])
+
+    # chains from the outer boundary
+    for i in range(1, n + 1):
+        for layer, node in (("U", ("t", i)), ("L", ("b", i))):
+            if (layer, node) in visited:
+                continue
+            visited.add((layer, node))
+            end_layer, end_node, s = walk(layer, node)
+            _pair(conn, node, end_node, s)
+
+    # untouched interface chords close loops
+    for i in range(1, n + 1):
+        for layer, node in (("L", ("t", i)), ("U", ("b", i))):
+            if (layer, node) in visited:
+                continue
+            # walk a loop starting through this chord
+            start = (layer, node)
+            cur_layer, cur_node = layer, node
+            s = 0
+            while True:
+                diag = top if cur_layer == "U" else bottom
+                partner, ds = diag.conn[cur_node]
+                s += ds
+                visited.add((cur_layer, cur_node))
+                visited.add((cur_layer, partner))
+                if cur_layer == "U":
+                    nxt = ("L", ("t", partner[1]))
+                else:
+                    nxt = ("U", ("b", partner[1]))
+                if nxt == start:
+                    break
+                cur_layer, cur_node = nxt
+            if s == 0:
+                nbeta += 1
+            else:
+                if abs(s) != 1:
+                    raise AssertionError(f"loop with |winding| {abs(s)} > 1")
+                nalpha += 1
+
+    return AffineDiagram(n, conn, nbeta, nalpha)
+
+
+def act_on_link_dicts(diag: AffineDiagram, w: LinkState):
+    """Apply a diagram to a link state attached above it, on the
+    tagged-tuple ``conn`` dict and :func:`arc_partner`; oracle for the
+    flat-table walk of ``diagrams.act_on_link``.
+
+    Returns None when two defects get connected, otherwise an ActResult
+    whose exponents count the loops closed (on top of the exponents the
+    diagram had already accumulated).
+    """
+    if diag.n != w.n_sites:
+        raise ValueError("site-count mismatch")
+    n = diag.n
+    arcs = arc_partner(w)
+    defects = set(w.defects)
+    visited_tops = set()
+    nbeta, nalpha = diag.nbeta, diag.nalpha
+
+    def run(start_node):
+        # start_node is a diagram node; traverse diagram chord first
+        s = 0
+        node = start_node
+        while True:
+            partner, ds = diag.conn[node]
+            s += ds
+            if partner[0] == "b":
+                return partner[1], s, False
+            q = partner[1]
+            visited_tops.add(q)
+            if q in defects:
+                return q, s, True
+            q2, ds2 = arcs[q]
+            s += ds2
+            visited_tops.add(q2)
+            node = ("t", q2)
+
+    # defect chains
+    travel = []
+    new_defects = []
+    for p in sorted(defects):
+        visited_tops.add(p)
+        q, s, hit_defect = run(("t", p))
+        if hit_defect:
+            return None
+        travel.append((p, q, s))
+        new_defects.append(q)
+
+    # remaining bottom nodes pair into arcs
+    new_pairs = []
+    done_bottoms = set(new_defects)
+    for q1 in range(1, n + 1):
+        if q1 in done_bottoms:
+            continue
+        done_bottoms.add(q1)
+        q2, s, hit_defect = run(("b", q1))
+        assert not hit_defect
+        done_bottoms.add(q2)
+        if s == 0:
+            new_pairs.append((min(q1, q2), max(q1, q2)))
+        elif s == 1:
+            if not q1 < q2:
+                raise AssertionError("inconsistent leftward wrap")
+            new_pairs.append((q2, q1 + n))
+        else:
+            # q1 is the arc's smaller end, so a planar diagram winds it 0 or +1
+            raise AssertionError(f"arc {q1}-{q2} reached with winding {s}")
+
+    # leftover top nodes close loops
+    for p in range(1, n + 1):
+        if p in visited_tops:
+            continue
+        start = ("t", p)
+        node = start
+        s = 0
+        while True:
+            partner, ds = diag.conn[node]
+            s += ds
+            visited_tops.add(node[1])
+            q = partner[1]
+            visited_tops.add(q)
+            q2, ds2 = arcs[q]
+            s += ds2
+            visited_tops.add(q2)
+            if ("t", q2) == start:
+                break
+            node = ("t", q2)
+        if s == 0:
+            nbeta += 1
+        else:
+            if abs(s) != 1:
+                raise AssertionError(f"loop with |winding| {abs(s)} > 1")
+            nalpha += 1
+
+    # a planar diagram on a valid state gives a valid state
+    state = LinkState(n, new_pairs, new_defects, validate=False)
+    return ActResult(state, nbeta, nalpha, tuple(travel))
 
 
 def matrix_json_dict(m: RingMatrix) -> dict:

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from eptl.diagrams import (
+    AffineDiagram,
     act_on_link,
     compose,
     generator_diagram,
@@ -10,6 +13,7 @@ from eptl.diagrams import (
 from eptl.linkrep import state_diagram
 from eptl.states import LinkState, enumerate_states
 from eptl.transfer import tile_diagram
+from oracles import act_on_link_dicts, arc_partner, compose_dicts
 
 
 def e(i, n):
@@ -222,3 +226,97 @@ class TestActionResultsAreValid:
                     LinkState(n, s.pairs, s.defects)  # raises on an invalid state
                     results += 1
         assert results >= len(diagrams)
+
+
+def random_words(n, count, seed):
+    """``count`` seeded words of 1-8 tokens on n sites."""
+    rng = random.Random(seed)
+    tokens = [("omega", 1), ("omega", -1)] + ([("e", i) for i in range(1, n + 1)] if n >= 2 else [])
+    return [[rng.choice(tokens) for _ in range(rng.randint(1, 8))] for _ in range(count)]
+
+
+def word_dicts(word, n):
+    """The word's diagram composed on the dict oracle, from the identity up."""
+    diag = identity_diagram(n)
+    for kind, arg in word:
+        top = generator_diagram(kind, n, arg) if kind == "e" else om(n, arg)
+        diag = compose_dicts(top=top, bottom=diag)
+    return diag
+
+
+def assert_involution(to, cr, nodes):
+    """The properties of every flat table: ``to`` pairs each node with a
+    partner that points back, and the crossings change sign on the way back."""
+    for x in nodes:
+        assert to[to[x]] == x
+        assert cr[to[x]] == -cr[x]
+
+
+class TestFlatWalksAgainstDictOracles:
+    """``act_on_link`` and ``compose`` walk flat int tables; the oracles walk
+    the tagged-tuple dicts that the tables replaced."""
+
+    @staticmethod
+    def diagrams(n):
+        words = random_words(n, 24, seed=2200 + n)
+        out = [om(n), om(n, -1)] + ([e(i, n) for i in range(1, n + 1)] if n >= 2 else [])
+        out += [word_diagram(w, n) for w in words]
+        out += [tile_diagram(n, c) for c in range(1 << n)]
+        out += [state_diagram(w) for d in range(n % 2, n + 1, 2) for w in enumerate_states(n, d)]
+        return words, out
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_words_match_the_dict_composition(self, n):
+        for word in random_words(n, 24, seed=2200 + n):
+            got, expect = word_diagram(word, n), word_dicts(word, n)
+            assert got.conn == expect.conn
+            assert (got.nbeta, got.nalpha) == (expect.nbeta, expect.nalpha)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_act_matches_the_dict_walk(self, n):
+        states = [w for d in range(n % 2, n + 1, 2) for w in enumerate_states(n, d)]
+        _, diagrams = self.diagrams(n)
+        null = 0
+        for diag in diagrams:
+            for w in states:
+                got, expect = act_on_link(diag, w), act_on_link_dicts(diag, w)
+                assert got == expect
+                null += got is None
+        assert (null or n == 1) and null < len(diagrams) * len(states)  # one defect joins no other
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_compose_matches_the_dict_walk(self, n):
+        _, diagrams = self.diagrams(n)
+        gens = diagrams[: n + 2 if n >= 2 else 2]
+        rng = random.Random(2300 + n)
+        pairs = [(a, b) for a in diagrams for b in gens]
+        pairs += [(b, a) for a in diagrams for b in gens]
+        pairs += [(a, a) for a in diagrams]
+        pairs += [(rng.choice(diagrams), rng.choice(diagrams)) for _ in range(400)]
+        loops = [0, 0]
+        for top, bottom in pairs:
+            got, expect = compose(top=top, bottom=bottom), compose_dicts(top=top, bottom=bottom)
+            assert got.conn == expect.conn
+            assert (got.nbeta, got.nalpha) == (expect.nbeta, expect.nalpha)
+            assert got.tables() == AffineDiagram(n, expect.conn).tables()
+            assert_involution(*got.tables(), range(1, 2 * n + 1))
+            loops[0] += got.nbeta > top.nbeta + bottom.nbeta
+            loops[1] += got.nalpha > top.nalpha + bottom.nalpha
+        # an odd n leaves a through line, so no loop winds the cylinder
+        assert (loops[0] or n == 1) and (loops[1] or n % 2)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tables_are_involutions(self, n):
+        _, diagrams = self.diagrams(n)
+        for diag in diagrams:
+            assert_involution(*diag.tables(), range(1, 2 * n + 1))
+        for d in range(n % 2, n + 1, 2):
+            for w in enumerate_states(n, d):
+                partner, crossing = w.arcs()
+                assert {i: (partner[i], crossing[i]) for i in range(1, n + 1) if partner[i]} == arc_partner(w)
+                assert_involution(partner, crossing, [i for i in range(1, n + 1) if partner[i]])
+
+    def test_conn_view_round_trips(self):
+        for diag in self.diagrams(6)[1]:
+            again = AffineDiagram(6, diag.conn, diag.nbeta, diag.nalpha)
+            assert again == diag and hash(again) == hash(diag)

@@ -177,6 +177,7 @@ class TestGramOrbitBuild:
             return act(diagram, w)
 
         monkeypatch.setattr(linkrep, "act_on_link", counted)
+        linkrep._gram.cache_clear()  # a cached build would close nothing
         gram_matrix(n, d)
         assert len(closed) == len(basis) * len(orbits.reps)
         assert set(closed) == {basis[j] for j in orbits.reps}

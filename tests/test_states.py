@@ -11,8 +11,8 @@ from eptl.states import (
     paths_and_height,
     standard_dim,
     standard_states,
-    stratum,
 )
+from oracles import stratum
 
 
 class TestEnumeration:
