@@ -18,10 +18,9 @@ by attaching to the *top* of a diagram; in a product built with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .states import LinkState
+from .states import LinkState, index_table
 
 
 class AffineDiagram:
@@ -242,20 +241,33 @@ def _token_diagram(tok, n: int) -> AffineDiagram:
     raise ValueError(f"unknown word token {tok!r}")
 
 
-@dataclass(frozen=True)
 class ActResult:
-    """Outcome of a diagram acting on a link state."""
+    """Outcome of a diagram acting on a link state: the target ``state``
+    and its position ``index`` in :func:`eptl.states.enumerate_states`,
+    the loop exponents, ``travel`` (per defect: top position, bottom
+    position, crossings) and ``twist``, the defects' total leftward
+    displacement, the sum of p - q + n s over ``travel``."""
 
-    state: LinkState
-    nbeta: int
-    nalpha: int
-    travel: tuple  # per-defect (top position, bottom position, crossings)
+    __slots__ = ("state", "index", "nbeta", "nalpha", "travel", "twist")
 
-    @property
-    def twist(self) -> int:
-        """Total leftward displacement exponent of the defects."""
-        n = self.state.n_sites
-        return sum(p - q + n * s for p, q, s in self.travel)
+    def __init__(self, state, index, nbeta, nalpha, travel, twist):
+        self.state = state
+        self.index = index
+        self.nbeta = nbeta
+        self.nalpha = nalpha
+        self.travel = travel
+        self.twist = twist
+
+    def _fields(self):
+        return self.state, self.index, self.nbeta, self.nalpha, self.travel, self.twist
+
+    def __eq__(self, other):
+        if not isinstance(other, ActResult):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return "ActResult(state={!r}, index={}, nbeta={}, nalpha={}, travel={}, twist={})".format(*self._fields())
 
 
 def act_on_link(diag: AffineDiagram, w: LinkState):
@@ -263,7 +275,9 @@ def act_on_link(diag: AffineDiagram, w: LinkState):
 
     Returns None when two defects get connected, otherwise an ActResult
     whose exponents count the loops closed (on top of the exponents the
-    diagram had already accumulated).
+    diagram had already accumulated).  The walk collects the target's
+    code, its arc openers and defects (see :func:`eptl.states.state_code`),
+    and looks the basis state up in :func:`eptl.states.index_table`.
     """
     if diag.n != w.n_sites:
         raise ValueError("site-count mismatch")
@@ -291,33 +305,33 @@ def act_on_link(diag: AffineDiagram, w: LinkState):
 
     # defect chains
     travel = []
-    new_defects = []
+    code = twist = 0
+    done = [False] * (n + 1)  # bottom sites reached
     for p in w.defects:
         seen[p] = True
         end = run(p)
         if end is None:
             return None
-        travel.append((p, *end))
-        new_defects.append(end[0])
-
-    # remaining bottom nodes pair into arcs
-    new_pairs = []
-    done = [False] * (n + 1)
-    for q in new_defects:
+        q, s = end
+        travel.append((p, q, s))
         done[q] = True
+        code |= 1 << (q - 1)
+        twist += p - q + n * s
+
+    # remaining bottom nodes pair into arcs, each opened at its left end
     for q1 in range(1, n + 1):
         if done[q1]:
             continue
         end = run(n + q1)
         assert end is not None
         q2, s = end
-        done[q1] = done[q2] = True
+        done[q2] = True
         if s == 0:
-            new_pairs.append((min(q1, q2), max(q1, q2)))
+            code |= 1 << (q1 - 1)
         elif s == 1:
             if not q1 < q2:
                 raise AssertionError("inconsistent leftward wrap")
-            new_pairs.append((q2, q1 + n))
+            code |= 1 << (q2 - 1)  # the arc wraps: it opens at q2 and closes at q1
         else:
             # q1 is the arc's smaller end, so a planar diagram winds it 0 or +1
             raise AssertionError(f"arc {q1}-{q2} reached with winding {s}")
@@ -338,6 +352,6 @@ def act_on_link(diag: AffineDiagram, w: LinkState):
             raise AssertionError(f"loop with |winding| {abs(s)} > 1")
         nbeta, nalpha = nbeta + (s == 0), nalpha + (s != 0)
 
-    # a planar diagram on a valid state gives a valid state
-    state = LinkState(n, new_pairs, new_defects, validate=False)
-    return ActResult(state, nbeta, nalpha, tuple(travel))
+    # a planar diagram on a valid state gives a basis state
+    index, state = index_table(n, len(travel))[code]
+    return ActResult(state, index, nbeta, nalpha, tuple(travel), twist)

@@ -223,7 +223,9 @@ def act_weight(res, n: int) -> LaurentPoly:
 
 def link_image(diagrams, w: LinkState) -> dict:
     """Image of ``w`` under a diagram combination ``{diagram: coefficient}``,
-    as a sparse vector ``state -> LaurentPoly``; zero components are dropped."""
+    as a sparse vector ``basis index -> LaurentPoly`` over
+    :func:`eptl.states.enumerate_states` of w's sector; zero components
+    are dropped."""
     n = w.n_sites
     out: dict = {}
     for diag, coeff in diagrams.items():
@@ -233,12 +235,12 @@ def link_image(diagrams, w: LinkState) -> dict:
         t = loop_weight(res.nbeta, res.nalpha, res.twist, n)
         if coeff is not ONE:
             t = coeff * t
-        target = res.state
-        if out and target in out:  # a state hashes in Python: skip it while out is empty
-            t = out.pop(target) + t
+        k = res.index
+        if k in out:
+            t = out.pop(k) + t
             if not t:
                 continue
-        out[target] = t
+        out[k] = t
     return out
 
 
@@ -246,9 +248,7 @@ def link_matrix(diagrams, n: int, d: int) -> RingMatrix:
     """Exact matrix of a diagram combination ``{diagram: coefficient}`` on
     the d-defect module, in :func:`eptl.states.enumerate_states` order."""
     basis = enumerate_states(n, d)
-    index = {w: k for k, w in enumerate(basis)}
-    columns = [link_image(diagrams, w) for w in basis]
-    return RingMatrix.from_columns(columns, index, list(basis), list(basis))
+    return RingMatrix([link_image(diagrams, w) for w in basis], list(basis), list(basis))
 
 
 def omega_matrix(word, n: int, d: int) -> RingMatrix:

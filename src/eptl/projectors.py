@@ -31,7 +31,7 @@ from .diagrams import AffineDiagram, compose, generator_diagram, identity_diagra
 from .intertwiner import det_exact
 from .linkrep import RingMatrix, gram_matrix, gram_pair, link_image, link_matrix
 from .ring import ONE, ZERO, LaurentPoly, alpha_poly, beta_poly, trig_cos, trig_sin
-from .states import LinkState, bijection_C, enumerate_states, standard_dim
+from .states import LinkState, bijection_C, enumerate_states, index_table, standard_dim, state_code
 
 
 # ---------------------------------------------------------------------
@@ -188,11 +188,12 @@ def embed(word: TLWord, n: int, sites) -> dict:
 
 def u_transform_state(w: LinkState):
     """The change-of-basis image of a single state, as (image, den):
-    the projector on the m = d + 2r defects of C(w) acting on w, link
-    state -> numerator over den = [m]!; ({w: 1}, 1) without boundary arcs.
+    the projector on the m = d + 2r defects of C(w) acting on w, basis
+    index -> numerator over den = [m]! (see :func:`link_image`); w's own
+    index -> 1, over 1, without boundary arcs.
     """
     if w.boundary_arcs == 0:
-        return {w: ONE}, ONE
+        return {index_table(w.n_sites, w.n_defects)[state_code(w)][0]: ONE}, ONE
     sites = bijection_C(w).defects
     proj = wenzl_jones(len(sites))
     return link_image(embed(proj, w.n_sites, sites), w), proj.den
@@ -205,9 +206,8 @@ def u_transform(n: int, d: int):
     the Laurent-polynomial matrix U divided by dens[j].
     """
     basis = enumerate_states(n, d)
-    index = {w: k for k, w in enumerate(basis)}
     columns, dens = zip(*map(u_transform_state, basis))
-    return RingMatrix.from_columns(columns, index, list(basis), list(basis)), list(dens)
+    return RingMatrix(list(columns), list(basis), list(basis)), list(dens)
 
 
 def gamma_matrix(n: int, d: int):
@@ -274,9 +274,10 @@ def k_factor(d: int, r: int, n_ambient: int | None = None, mode: str = "closed_f
         w_ref = reference_state(d, r)
         proj = wenzl_jones(d + 2 * r)  # its window spans the whole cylinder
         total = ZERO
-        for target, num in link_image(proj.diagrams, w_ref).items():
+        basis = enumerate_states(d + 2 * r, d)
+        for k, num in link_image(proj.diagrams, w_ref).items():
             # the second Gram slot carries the twist-1/v action
-            total = total + num.flip_v() * gram_pair(w_ref, target)
+            total = total + num.flip_v() * gram_pair(w_ref, basis[k])
         return total, proj.den
     raise ValueError(f"unknown mode {mode!r}")
 

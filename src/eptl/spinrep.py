@@ -37,7 +37,7 @@ from .states import module_dim
 class SpinSector:
     """The fixed total-spin subspace with (n+d)/2 up spins."""
 
-    __slots__ = ("n", "d", "configs", "index")
+    __slots__ = ("n", "d", "configs", "index", "_labels")
 
     def __init__(self, n: int, d: int):
         if d < 0 or d > n or (n - d) % 2:
@@ -50,6 +50,7 @@ class SpinSector:
         )
         self.index = {m: k for k, m in enumerate(self.configs)}
         assert len(self.configs) == module_dim(n, d)
+        self._labels = [self.ket(m) for m in self.configs]
 
     def __len__(self):
         return len(self.configs)
@@ -57,8 +58,9 @@ class SpinSector:
     def ket(self, mask: int) -> str:
         return "".join("+" if mask >> s & 1 else "-" for s in range(self.n))
 
-    def labels(self):
-        return [self.ket(m) for m in self.configs]
+    def labels(self) -> list:
+        """The kets of the basis masks, built once: treat them as read-only."""
+        return self._labels
 
 
 @lru_cache(maxsize=None)

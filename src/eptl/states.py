@@ -9,7 +9,9 @@ actually ends at site ``j - n``.  The number of wrapping arcs is the
 boundary-arc count ``r``.
 
 The basis of the d-defect module is enumerated in ascending ``r`` with a
-lexicographic tiebreak on the sorted arc list.
+lexicographic tiebreak on the sorted arc list.  A state is determined by
+its code, the bitmask of its arc openers and defects; ``index_table``
+maps each code of a sector to the basis position and the basis state.
 """
 
 from __future__ import annotations
@@ -192,6 +194,21 @@ def enumerate_states(n: int, d: int) -> tuple:
     states.sort(key=LinkState.sort_key)
     assert len(states) == module_dim(n, d)
     return tuple(states)
+
+
+def state_code(w: LinkState) -> int:
+    """The +1 sites of ``w.walk_steps()`` as a bitmask, bit i-1 for site i:
+    the arc openers and the defects, which determine the state."""
+    return sum(1 << (i - 1) for i, _ in w.pairs) + sum(1 << (p - 1) for p in w.defects)
+
+
+@lru_cache(maxsize=None)
+def index_table(n: int, d: int) -> dict:
+    """``state_code(w) -> (k, w)`` over ``w = enumerate_states(n, d)[k]``.
+
+    Cached: the basis states are shared, and the table is read-only.
+    """
+    return {state_code(w): (k, w) for k, w in enumerate(enumerate_states(n, d))}
 
 
 def standard_states(n: int, d: int) -> tuple:

@@ -53,22 +53,19 @@ def tile_diagram(n: int, config: int) -> AffineDiagram:
     outer edge (between tile n and tile 1) cross the boundary.
     """
     # edge j sits between tile j and tile j+1; edge 0 is the glued one
+    # each tile lists its left-edge node first, so the glued edge lists the
+    # tile-1 side first, also at n = 1 where tile 1 is tile n
     edge_nodes: dict = {j: [] for j in range(n)}
     for i in range(1, n + 1):
         left, right = (i - 1) % n, i % n
-        if config >> (i - 1) & 1:
-            edge_nodes[right].append(("t", i))
-            edge_nodes[left].append(("b", i))
-        else:
-            edge_nodes[left].append(("t", i))
-            edge_nodes[right].append(("b", i))
+        second = config >> (i - 1) & 1
+        edge_nodes[left].append(("b", i) if second else ("t", i))
+        edge_nodes[right].append(("t", i) if second else ("b", i))
 
     conn: dict = {}
     for edge, (a, b) in edge_nodes.items():
-        cross = 0
-        if edge == 0 and n > 1:
-            # moving from the tile-1 side to the tile-n side is leftward
-            cross = 1 if a[1] == 1 else -1
+        # moving from the tile-1 side to the tile-n side is leftward
+        cross = 1 if edge == 0 else 0
         conn[a] = (b, cross)
         conn[b] = (a, -cross)
     return AffineDiagram(n, conn)
@@ -94,12 +91,11 @@ def transfer_table(n: int, d: int) -> tuple:
     """
     basis = enumerate_states(n, d)
     dim = len(basis)
-    index = {w: j for j, w in enumerate(basis)}
 
     def act_all(diag):
         # (row, nbeta, nalpha, twist) per column; row -1 where two defects join
         res = (act_on_link(diag, w) for w in basis)
-        rows = [(index[r.state], r.nbeta, r.nalpha, r.twist) if r else (-1, 0, 0, 0) for r in res]
+        rows = [(r.index, r.nbeta, r.nalpha, r.twist) if r else (-1, 0, 0, 0) for r in res]
         return np.array(rows, dtype=np.int32).reshape(dim, 4).T
 
     powers = link_orbits(n, d).powers  # P^r, and P^-r is powers[-r]

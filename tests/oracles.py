@@ -315,8 +315,10 @@ def act_on_link_dicts(diag: AffineDiagram, w: LinkState):
             nalpha += 1
 
     # a planar diagram on a valid state gives a valid state
-    state = LinkState(n, new_pairs, new_defects, validate=False)
-    return ActResult(state, nbeta, nalpha, tuple(travel))
+    state = LinkState(n, new_pairs, new_defects)
+    index = enumerate_states(n, len(new_defects)).index(state)
+    twist = sum(p - q + n * s for p, q, s in travel)
+    return ActResult(state, index, nbeta, nalpha, tuple(travel), twist)
 
 
 def matrix_json_dict(m: RingMatrix) -> dict:

@@ -206,8 +206,8 @@ class TestAction:
 
 
 class TestActionResultsAreValid:
-    """``act_on_link`` skips the validation of the states it builds, so
-    every result is validated here."""
+    """``act_on_link`` looks its result up by the code it walks, with no
+    validation, so every result is validated here."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_every_result_validates(self, n):
@@ -283,6 +283,22 @@ class TestFlatWalksAgainstDictOracles:
                 assert got == expect
                 null += got is None
         assert (null or n == 1) and null < len(diagrams) * len(states)  # one defect joins no other
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_results_land_on_basis_indices(self, n):
+        words, _ = self.diagrams(n)
+        diagrams = [om(n), om(n, -1)] + [e(i, n) for i in range(1, n + 1) if n >= 2]
+        diagrams += [word_diagram(w, n) for w in words]
+        for d in range(n % 2, n + 1, 2):
+            basis = enumerate_states(n, d)
+            for diag in diagrams:
+                for w in basis:
+                    res = act_on_link(diag, w)
+                    if res is None:
+                        continue
+                    assert basis.index(res.state) == res.index
+                    assert res.state is basis[res.index]  # the shared basis state, not a copy
+                    assert res.twist == act_on_link_dicts(diag, w).twist
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_compose_matches_the_dict_walk(self, n):

@@ -183,6 +183,33 @@ class TestGramOrbitBuild:
         assert set(closed) == {basis[j] for j in orbits.reps}
 
 
+def test_builders_construct_no_link_state(monkeypatch):
+    from eptl.diagrams import generator_diagram
+    from eptl.ring import ONE
+    from eptl.states import index_table
+    from eptl.transfer import transfer_table
+
+    n, d = 8, 0
+    index_table(n, d)  # the basis and its table are built once, before counting
+    link_orbits(n, d)
+    built = []
+    init = LinkState.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinkState, "__init__", counted)
+    combination = {generator_diagram("e", n, 3): ONE, word_diagram([("omega", 1), ("e", 8)], n): B}
+    assert linkrep.link_matrix(combination, n, d).cols == 70
+    assert len(transfer_table.__wrapped__(n, d)[0])
+    for loop_variables in (False, True):
+        assert linkrep._gram.__wrapped__(n, d, "tilde", loop_variables).cols == 70
+    assert not built
+    LinkState(2, [(1, 2)], [], validate=False)  # the counter sees a construction
+    assert len(built) == 1
+
+
 class TestGramInvariants:
     @pytest.mark.parametrize("n,d", sector_pairs(8))
     def test_transpose_symmetry(self, n, d):

@@ -6,9 +6,11 @@ from operator import matmul
 import numpy as np
 import pytest
 
+from eptl.intertwiner import i_matrix
 from eptl.linkrep import RingMatrix
 from eptl.ring import alpha_poly, beta_poly
 from eptl.spinrep import (
+    SpinSector,
     _token_images,
     ebar_matrix,
     hamiltonian,
@@ -40,6 +42,18 @@ class TestSector:
         sec = spin_sector(4, 0)
         assert list(sec.configs) == sorted(sec.configs)
         assert sec.labels()[0] == "++--"
+
+    @pytest.mark.parametrize("n,d", sectors(6, n_min=0))
+    def test_labels_are_the_kets_built_once(self, n, d, monkeypatch):
+        sec = spin_sector(n, d)
+        assert sec.labels() == [sec.ket(m) for m in sec.configs]
+        joins = []
+        ket = SpinSector.ket
+        monkeypatch.setattr(SpinSector, "ket", lambda self, m: joins.append(m) or ket(self, m))
+        m = tau_matrix(["id"], n, d)
+        assert m.row_labels is m.col_labels is sec.labels()
+        assert i_matrix.__wrapped__(n, d).row_labels is sec.labels()
+        assert not joins
 
 
 class TestLocalGenerators:

@@ -7,10 +7,12 @@ from eptl.states import (
     bijection_C,
     bijection_C_inverse,
     enumerate_states,
+    index_table,
     module_dim,
     paths_and_height,
     standard_dim,
     standard_states,
+    state_code,
 )
 from oracles import stratum
 
@@ -23,6 +25,16 @@ class TestEnumeration:
         states = enumerate_states(n, d)
         assert len(states) == comb(n, (n - d) // 2)
         assert len(set(states)) == len(states)
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in range(0, 11) for d in range(n % 2, n + 1, 2)])
+    def test_index_table_keys_the_walk_steps(self, n, d):
+        basis = enumerate_states(n, d)
+        table = index_table(n, d)
+        assert len(table) == len(basis)
+        for k, w in enumerate(basis):
+            code = sum(1 << (i - 1) for i, step in enumerate(w.walk_steps(), start=1) if step == 1)
+            assert state_code(w) == code
+            assert table[code][0] == k and table[code][1] is w
 
     def test_four_zero(self):
         states = enumerate_states(4, 0)
