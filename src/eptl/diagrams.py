@@ -9,11 +9,12 @@ scores one power of the contractible weight, otherwise one power of the
 non-contractible weight.  Scalars are tracked as the exponent pair
 ``(nbeta, nalpha)`` so the caller chooses the substitution.
 
-Nodes are tagged tuples ``('b', i)`` / ``('t', i)`` in the public
-``conn`` view; :func:`compose` and :func:`act_on_link` walk flat int
-tables instead (see :class:`AffineDiagram`).  A link state acts
-by attaching to the *top* of a diagram; in a product built with
-:func:`word_diagram` the rightmost generator therefore acts first.
+Every diagram is two flat int tables over its nodes, top i coded as i
+and bottom i as n + i (see :class:`AffineDiagram`); :func:`chord_diagram`
+writes them from a chord list, and :func:`compose` and
+:func:`act_on_link` walk them.  A link state acts by attaching to the
+*top* of a diagram; in a product built with :func:`word_diagram` the
+rightmost generator therefore acts first.
 """
 
 from __future__ import annotations
@@ -26,95 +27,57 @@ from .states import LinkState, index_table
 class AffineDiagram:
     """Immutable cylinder connectivity with accumulated loop exponents.
 
-    ``conn`` maps each tagged node to ``(partner, crossings)``.  The walks
-    read the same chords from two flat int lists, ``to[x]`` (the partner
-    node) and ``cr[x]`` (the signed crossings from x to its partner), with
-    top i coded as i and bottom i as n + i (index 0 is unused).  Either
-    form is built from the other the first time it is read.
+    The chords are two int tuples over the nodes, top i coded as i and
+    bottom i as n + i (index 0 is unused): ``to[x]`` is the partner node of
+    x and ``cr[x]`` the signed crossings from x to its partner.
     """
 
-    __slots__ = ("n", "nbeta", "nalpha", "_conn", "_tables")
+    __slots__ = ("n", "to", "cr", "nbeta", "nalpha")
 
-    def __init__(self, n, conn, nbeta=0, nalpha=0):
+    def __init__(self, n, to, cr, nbeta=0, nalpha=0):
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_conn", conn)
-        object.__setattr__(self, "_tables", None)
+        object.__setattr__(self, "to", tuple(to))
+        object.__setattr__(self, "cr", tuple(cr))
         object.__setattr__(self, "nbeta", nbeta)
         object.__setattr__(self, "nalpha", nalpha)
-
-    @classmethod
-    def from_tables(cls, n, to, cr, nbeta=0, nalpha=0) -> "AffineDiagram":
-        """The diagram with the flat tables ``to`` and ``cr``, taken as they are."""
-        diag = cls(n, None, nbeta, nalpha)
-        object.__setattr__(diag, "_tables", (to, cr))
-        return diag
 
     def __setattr__(self, *a):
         raise AttributeError("AffineDiagram is immutable")
 
-    @property
-    def conn(self) -> dict:
-        if self._conn is None:
-            n = self.n
-            node = [None] + [("t", i) for i in range(1, n + 1)] + [("b", i) for i in range(1, n + 1)]
-            to, cr = self._tables
-            object.__setattr__(self, "_conn", {node[x]: (node[to[x]], cr[x]) for x in range(1, 2 * n + 1)})
-        return self._conn
-
-    def tables(self) -> tuple:
-        """The flat tables ``(to, cr)``; cached, so treat them as read-only."""
-        if self._tables is None:
-            n = self.n
-            to, cr = [0] * (2 * n + 1), [0] * (2 * n + 1)
-            for (side, i), ((side2, j), s) in self._conn.items():
-                x = i if side == "t" else n + i
-                to[x] = j if side2 == "t" else n + j
-                cr[x] = s
-            object.__setattr__(self, "_tables", (to, cr))
-        return self._tables
-
     def __eq__(self, other):
         if not isinstance(other, AffineDiagram):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.tables() == other.tables()
-            and self.nbeta == other.nbeta
-            and self.nalpha == other.nalpha
-        )
+        return self.same_connectivity(other) and (self.nbeta, self.nalpha) == (other.nbeta, other.nalpha)
 
     def __hash__(self):
-        to, cr = self.tables()
-        return hash((self.n, tuple(to), tuple(cr), self.nbeta, self.nalpha))
+        return hash((self.n, self.to, self.cr, self.nbeta, self.nalpha))
 
     def same_connectivity(self, other) -> bool:
-        return self.n == other.n and self.tables() == other.tables()
+        return self.n == other.n and self.to == other.to and self.cr == other.cr
 
     def __repr__(self):
+        n = self.n
         chords = []
-        seen = set()
-        for a, (b, s) in sorted(self.conn.items()):
-            if a in seen:
-                continue
-            seen.add(a)
-            seen.add(b)
-            tag = f"{a[0]}{a[1]}-{b[0]}{b[1]}"
-            if s:
-                tag += f"({s:+d})"
-            chords.append(tag)
-        return f"AffineDiagram(n={self.n}, [{' '.join(chords)}], b^{self.nbeta} a^{self.nalpha})"
+        for x, y in enumerate(self.to):
+            if x < y:
+                tag = "-".join(f"t{z}" if z <= n else f"b{z - n}" for z in (x, y))
+                chords.append(f"{tag}({self.cr[x]:+d})" if self.cr[x] else tag)
+        return f"AffineDiagram(n={n}, [{' '.join(chords)}], b^{self.nbeta} a^{self.nalpha})"
 
 
-def _pair(conn, a, b, s):
-    conn[a] = (b, s)
-    conn[b] = (a, -s)
+def chord_diagram(n: int, chords) -> AffineDiagram:
+    """The diagram on n sites with a chord x-y crossing the seam s times
+    from x to y for each ``(x, y, s)`` in ``chords`` (top i is node i,
+    bottom i is node n + i); the chords must cover every node once."""
+    to, cr = [0] * (2 * n + 1), [0] * (2 * n + 1)
+    for x, y, s in chords:
+        to[x], cr[x] = y, s
+        to[y], cr[y] = x, -s
+    return AffineDiagram(n, to, cr)
 
 
 def identity_diagram(n: int) -> AffineDiagram:
-    conn = {}
-    for i in range(1, n + 1):
-        _pair(conn, ("b", i), ("t", i), 0)
-    return AffineDiagram(n, conn)
+    return chord_diagram(n, [(i, n + i, 0) for i in range(1, n + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -127,7 +90,6 @@ def generator_diagram(kind: str, n: int, i: int | None = None) -> AffineDiagram:
     """
     if kind == "id":
         return identity_diagram(n)
-    conn: dict = {}
     if kind == "e":
         if n < 2:
             raise ValueError("e generators need at least 2 sites")
@@ -135,24 +97,14 @@ def generator_diagram(kind: str, n: int, i: int | None = None) -> AffineDiagram:
             raise ValueError(f"site index {i} out of range")
         j = i + 1 if i < n else 1
         cross = 0 if i < n else -1
-        _pair(conn, ("t", i), ("t", j), cross)
-        _pair(conn, ("b", i), ("b", j), cross)
-        for k in range(1, n + 1):
-            if k != i and k != j:
-                _pair(conn, ("b", k), ("t", k), 0)
-        return AffineDiagram(n, conn)
+        through = [(k, n + k, 0) for k in range(1, n + 1) if k != i and k != j]
+        return chord_diagram(n, [(i, j, cross), (n + i, n + j, cross), *through])
     if kind in ("omega", "omega_inv") and n < 1:
         raise ValueError("the translation needs at least one site")
     if kind == "omega":
-        for j in range(2, n + 1):
-            _pair(conn, ("t", j), ("b", j - 1), 0)
-        _pair(conn, ("t", 1), ("b", n), 1)
-        return AffineDiagram(n, conn)
+        return chord_diagram(n, [(j, n + j - 1, 0) for j in range(2, n + 1)] + [(1, 2 * n, 1)])
     if kind == "omega_inv":
-        for j in range(1, n):
-            _pair(conn, ("t", j), ("b", j + 1), 0)
-        _pair(conn, ("t", n), ("b", 1), -1)
-        return AffineDiagram(n, conn)
+        return chord_diagram(n, [(j, n + j + 1, 0) for j in range(1, n)] + [(n, n + 1, -1)])
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
@@ -165,8 +117,8 @@ def compose(top: AffineDiagram, bottom: AffineDiagram) -> AffineDiagram:
     if top.n != bottom.n:
         raise ValueError("site-count mismatch")
     n = top.n
-    ut, uc = top.tables()
-    lt, lc = bottom.tables()
+    ut, uc = top.to, top.cr
+    lt, lc = bottom.to, bottom.cr
     # the bottom node n+k of top is glued to the top node k of bottom;
     # glued[k] marks that interface point as traversed
     glued = [False] * (n + 1)
@@ -211,7 +163,7 @@ def compose(top: AffineDiagram, bottom: AffineDiagram) -> AffineDiagram:
             raise AssertionError(f"loop with |winding| {abs(s)} > 1")
         nbeta, nalpha = nbeta + (s == 0), nalpha + (s != 0)
 
-    return AffineDiagram.from_tables(n, to, cr, nbeta, nalpha)
+    return AffineDiagram(n, to, cr, nbeta, nalpha)
 
 
 def word_diagram(word, n: int) -> AffineDiagram:
@@ -282,7 +234,7 @@ def act_on_link(diag: AffineDiagram, w: LinkState):
     if diag.n != w.n_sites:
         raise ValueError("site-count mismatch")
     n = diag.n
-    to, cr = diag.tables()
+    to, cr = diag.to, diag.cr
     partner, crossing = w.arcs()  # partner 0 at a defect
     seen = [False] * (n + 1)  # top sites traversed
     nbeta, nalpha = diag.nbeta, diag.nalpha

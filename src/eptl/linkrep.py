@@ -286,7 +286,7 @@ def state_diagram(w: LinkState) -> AffineDiagram:
     sites = range(1, n + 1)
     # an arc i-j on both rows, or the through line top i - bottom i at a defect
     to = [0] + [partner[i] or n + i for i in sites] + [n + partner[i] if partner[i] else i for i in sites]
-    return AffineDiagram.from_tables(n, to, crossing + crossing[1:])
+    return AffineDiagram(n, to, crossing + crossing[1:])
 
 
 def _pair_weight(res, n: int, twists) -> LaurentPoly:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagrams import AffineDiagram, compose, generator_diagram, identity_diagram
+from .diagrams import AffineDiagram, chord_diagram, compose, generator_diagram, identity_diagram
 from .intertwiner import det_exact
 from .linkrep import RingMatrix, gram_matrix, gram_pair, link_image, link_matrix
 from .ring import ONE, ZERO, LaurentPoly, alpha_poly, beta_poly, trig_cos, trig_sin
@@ -38,23 +38,26 @@ from .states import LinkState, bijection_C, enumerate_states, index_table, stand
 # window diagrams: AffineDiagrams on p sites that never cross the seam
 # ---------------------------------------------------------------------
 
-def _relabel(diag: AffineDiagram, n: int, node, through=()) -> AffineDiagram:
-    """The diagram on n sites with each chord a-b of ``diag`` drawn as
-    node(a)-node(b), plus a through line at each site in ``through``.
+def _relabel(diag: AffineDiagram, n: int, sites, flip=False) -> AffineDiagram:
+    """The diagram on n sites with each chord of ``diag`` moved from slot k
+    to site ``sites[k-1]``, top and bottom swapped if ``flip``, plus a
+    through line at every site that ``sites`` misses.
 
-    Seam crossings are kept as they are, so ``node`` must not move a
+    Seam crossings are kept as they are, so ``sites`` must not move a
     chord across the seam; window diagrams have none.
     """
-    conn = {node(a): (node(b), s) for a, (b, s) in diag.conn.items()}
-    for site in through:
-        conn[("b", site)] = (("t", site), 0)
-        conn[("t", site)] = (("b", site), 0)
-    return AffineDiagram(n, conn)
+    node = [0, *(s + n * flip for s in sites), *(s + n * (not flip) for s in sites)]
+    chords = [(node[x], node[y], diag.cr[x]) for x, y in enumerate(diag.to) if x < y]
+    chords += [(k, n + k, 0) for k in set(range(1, n + 1)).difference(sites)]
+    return chord_diagram(n, chords)
 
 
 def _chords(diag: AffineDiagram):
-    """Sorted chord list; orders the terms of a :class:`TLWord`."""
-    return tuple(sorted((a, b) for a, (b, _) in diag.conn.items() if a < b))
+    """Sorted chord list, bottom nodes ranked before top ones; orders the
+    terms of a :class:`TLWord`."""
+    n = diag.n
+    rank = [0, *range(n + 1, 2 * n + 1), *range(1, n + 1)]
+    return tuple(sorted((rank[x], rank[y]) for x, y in enumerate(diag.to) if rank[x] < rank[y]))
 
 
 class TLWord:
@@ -79,11 +82,11 @@ class TLWord:
         """(numerator, word) pairs, ordered by chord list."""
         return [(self.diagrams[m], self.words[m]) for m in sorted(self.diagrams, key=_chords)]
 
-    def _mapped(self, node, word_of) -> "TLWord":
+    def _mapped(self, sites, flip, word_of) -> "TLWord":
         p = self.size
         diagrams, words = {}, {}
         for m, c in self.diagrams.items():
-            mm = _relabel(m, p, node)
+            mm = _relabel(m, p, sites, flip)
             diagrams[mm] = c
             words[mm] = word_of(self.words[m])
         return TLWord(p, diagrams, words, self.den)
@@ -91,14 +94,11 @@ class TLWord:
     def reflected(self) -> "TLWord":
         """Vertical-mirror image: window slot i -> p+1-i."""
         p = self.size
-        return self._mapped(
-            lambda x: (x[0], p + 1 - x[1]), lambda w: tuple(p - k for k in reversed(w))
-        )
+        return self._mapped(range(p, 0, -1), False, lambda w: tuple(p - k for k in w))
 
     def word_reversed(self) -> "TLWord":
         """Horizontal-mirror image: every representative word reversed."""
-        flip = {"b": "t", "t": "b"}
-        return self._mapped(lambda x: (flip[x[0]], x[1]), lambda w: tuple(reversed(w)))
+        return self._mapped(range(1, self.size + 1), True, lambda w: tuple(reversed(w)))
 
 
 def _sine(k: int) -> LaurentPoly:
@@ -129,9 +129,7 @@ def _wenzl_diagrams(p: int):
     if p == 1:
         return {identity_diagram(1): (ONE, ())}
     # [p-1]! wj_{p-1} with a through line added at site p
-    base = {
-        _relabel(m, p, lambda x: x, through=[p]): cw for m, cw in _wenzl_diagrams(p - 1).items()
-    }
+    base = {_relabel(m, p, range(1, p)): cw for m, cw in _wenzl_diagrams(p - 1).items()}
     qp = _qint(p)
     out = {m: (c * qp, w) for m, (c, w) in base.items()}
 
@@ -144,7 +142,7 @@ def _wenzl_diagrams(p: int):
         tail_word = tail_word + (k,)
         for m2, (c2, w2) in base.items():
             prod = compose(top=tail, bottom=m2)  # product wj * (e-word)
-            mm = AffineDiagram(p, prod.conn)
+            mm = AffineDiagram(p, prod.to, prod.cr)
             cc = c2 * _qint(k) * beta_poly() ** prod.nbeta
             word = w2 + tail_word
             if mm in out:
@@ -179,11 +177,7 @@ def embed(word: TLWord, n: int, sites) -> dict:
     cylinder, and ActResult.twist already measures full-cylinder displacement.
     """
     sites = tuple(sites)
-    others = sorted(set(range(1, n + 1)).difference(sites))
-    return {
-        _relabel(m, n, lambda x: (x[0], sites[x[1] - 1]), others): c
-        for m, c in word.diagrams.items()
-    }
+    return {_relabel(m, n, sites): c for m, c in word.diagrams.items()}
 
 
 def u_transform_state(w: LinkState):
@@ -194,9 +188,11 @@ def u_transform_state(w: LinkState):
     """
     if w.boundary_arcs == 0:
         return {index_table(w.n_sites, w.n_defects)[state_code(w)][0]: ONE}, ONE
-    sites = bijection_C(w).defects
+    n = w.n_sites
+    # the defects of C(w): w's defects and the ends of its boundary arcs
+    sites = sorted([*w.defects, *(k for i, j in w.pairs if j > n for k in (i, j - n))])
     proj = wenzl_jones(len(sites))
-    return link_image(embed(proj, w.n_sites, sites), w), proj.den
+    return link_image(embed(proj, n, sites), w), proj.den
 
 
 def u_transform(n: int, d: int):
@@ -309,12 +305,13 @@ def gamma_block_report(n: int, d: int):
                     if not gamma[i, j].is_zero():
                         failures.append(("off-block", r1, r2, i, j))
     v = LaurentPoly.v_pow(1)
+    replaced = [bijection_C(w) for w in basis]
     for r, idx in strata.items():
         k_num, k_den = k_factor(d, r, n_ambient=n)
         twists = [ONE] * r + [v] * d + [ONE] * r
         for i in idx:
             for j in idx:
-                pair = gram_pair(bijection_C(basis[j]), bijection_C(basis[i]), twists)
+                pair = gram_pair(replaced[j], replaced[i], twists)
                 if gamma[i, j] * k_den != k_num * pair * dens[i] * dens[j]:
                     failures.append(("block", r, i, j))
     return not failures, failures

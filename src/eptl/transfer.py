@@ -25,7 +25,7 @@ from math import prod
 
 import numpy as np
 
-from .diagrams import AffineDiagram, act_on_link
+from .diagrams import AffineDiagram, act_on_link, chord_diagram
 from .linkrep import hamiltonian_link, link_orbits, omega_matrix
 from .states import LinkState, enumerate_states, module_dim
 
@@ -59,16 +59,10 @@ def tile_diagram(n: int, config: int) -> AffineDiagram:
     for i in range(1, n + 1):
         left, right = (i - 1) % n, i % n
         second = config >> (i - 1) & 1
-        edge_nodes[left].append(("b", i) if second else ("t", i))
-        edge_nodes[right].append(("t", i) if second else ("b", i))
-
-    conn: dict = {}
-    for edge, (a, b) in edge_nodes.items():
-        # moving from the tile-1 side to the tile-n side is leftward
-        cross = 1 if edge == 0 else 0
-        conn[a] = (b, cross)
-        conn[b] = (a, -cross)
-    return AffineDiagram(n, conn)
+        edge_nodes[left].append(n + i if second else i)
+        edge_nodes[right].append(i if second else n + i)
+    # moving from the tile-1 side to the tile-n side is leftward
+    return chord_diagram(n, [(a, b, int(edge == 0)) for edge, (a, b) in edge_nodes.items()])
 
 
 @lru_cache(maxsize=None)

@@ -43,7 +43,9 @@ route, and is kept only as a reference for the tests:
   orbit-representative columns of ``linkrep.gram_matrix`` in 'tilde' mode;
 * ``compose_dicts`` and ``act_on_link_dicts``: the strand walks on
   tagged-tuple node dicts and ``arc_partner``, against the flat int
-  tables walked by ``diagrams.compose`` and ``diagrams.act_on_link``.
+  tables walked by ``diagrams.compose`` and ``diagrams.act_on_link``;
+  ``conn_view`` reads a diagram's chords as such a dict, keyed by
+  ``('t', i)`` / ``('b', i)``, and ``from_conn`` builds a diagram from one.
 
 ``dense`` builds a ``RingMatrix`` from a literal list of rows,
 ``submatrix`` picks rows and columns of one, ``u_pow`` and
@@ -56,15 +58,7 @@ from collections import Counter
 
 import numpy as np
 
-from eptl.diagrams import (
-    ActResult,
-    AffineDiagram,
-    _pair,
-    act_on_link,
-    compose,
-    generator_diagram,
-    identity_diagram,
-)
+from eptl.diagrams import ActResult, AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
 from eptl.linkrep import RingMatrix, _label_str, act_weight, hamiltonian_link, loop_weight, state_diagram
 from eptl.projectors import _sine, wenzl_jones
 from eptl.ring import GR_ONE, ONE, ZERO, GaussianInt, LaurentPoly, beta_poly
@@ -144,9 +138,28 @@ def arc_partner(w: LinkState) -> dict:
     return out
 
 
+def conn_view(diag: AffineDiagram) -> dict:
+    """Tagged node -> (tagged partner, signed crossings), for every node of
+    ``diag``; top i is ``('t', i)`` and bottom i is ``('b', i)``."""
+    n = diag.n
+    node = [None] + [("t", i) for i in range(1, n + 1)] + [("b", i) for i in range(1, n + 1)]
+    return {node[x]: (node[diag.to[x]], diag.cr[x]) for x in range(1, 2 * n + 1)}
+
+
+def from_conn(n: int, conn: dict, nbeta=0, nalpha=0) -> AffineDiagram:
+    """The diagram whose :func:`conn_view` is ``conn``."""
+    to, cr = [0] * (2 * n + 1), [0] * (2 * n + 1)
+    for (side, i), ((side2, j), s) in conn.items():
+        x = i if side == "t" else n + i
+        to[x] = j if side2 == "t" else n + j
+        cr[x] = s
+    return AffineDiagram(n, to, cr, nbeta, nalpha)
+
+
 def compose_dicts(top: AffineDiagram, bottom: AffineDiagram) -> AffineDiagram:
-    """Stack ``top`` above ``bottom`` and trace, on the tagged-tuple
-    ``conn`` dicts; oracle for the flat-table walk of ``diagrams.compose``.
+    """Stack ``top`` above ``bottom`` and trace, on the tagged-tuple dicts
+    of :func:`conn_view`; oracle for the flat-table walk of
+    ``diagrams.compose``.
 
     The result represents the algebra product bottom*top, i.e. acting on
     a link state attached above, ``top`` is applied first.
@@ -154,6 +167,7 @@ def compose_dicts(top: AffineDiagram, bottom: AffineDiagram) -> AffineDiagram:
     if top.n != bottom.n:
         raise ValueError("site-count mismatch")
     n = top.n
+    views = {"U": conn_view(top), "L": conn_view(bottom)}
     conn: dict = {}
     nbeta = top.nbeta + bottom.nbeta
     nalpha = top.nalpha + bottom.nalpha
@@ -164,8 +178,7 @@ def compose_dicts(top: AffineDiagram, bottom: AffineDiagram) -> AffineDiagram:
         # interface until an outer node is reached; returns (layer,node,s)
         s = 0
         while True:
-            diag = top if layer == "U" else bottom
-            partner, ds = diag.conn[node]
+            partner, ds = views[layer][node]
             s += ds
             visited.add((layer, node))
             visited.add((layer, partner))
@@ -188,7 +201,8 @@ def compose_dicts(top: AffineDiagram, bottom: AffineDiagram) -> AffineDiagram:
                 continue
             visited.add((layer, node))
             end_layer, end_node, s = walk(layer, node)
-            _pair(conn, node, end_node, s)
+            conn[node] = (end_node, s)
+            conn[end_node] = (node, -s)
 
     # untouched interface chords close loops
     for i in range(1, n + 1):
@@ -200,8 +214,7 @@ def compose_dicts(top: AffineDiagram, bottom: AffineDiagram) -> AffineDiagram:
             cur_layer, cur_node = layer, node
             s = 0
             while True:
-                diag = top if cur_layer == "U" else bottom
-                partner, ds = diag.conn[cur_node]
+                partner, ds = views[cur_layer][cur_node]
                 s += ds
                 visited.add((cur_layer, cur_node))
                 visited.add((cur_layer, partner))
@@ -219,13 +232,13 @@ def compose_dicts(top: AffineDiagram, bottom: AffineDiagram) -> AffineDiagram:
                     raise AssertionError(f"loop with |winding| {abs(s)} > 1")
                 nalpha += 1
 
-    return AffineDiagram(n, conn, nbeta, nalpha)
+    return from_conn(n, conn, nbeta, nalpha)
 
 
 def act_on_link_dicts(diag: AffineDiagram, w: LinkState):
     """Apply a diagram to a link state attached above it, on the
-    tagged-tuple ``conn`` dict and :func:`arc_partner`; oracle for the
-    flat-table walk of ``diagrams.act_on_link``.
+    tagged-tuple dict of :func:`conn_view` and :func:`arc_partner`;
+    oracle for the flat-table walk of ``diagrams.act_on_link``.
 
     Returns None when two defects get connected, otherwise an ActResult
     whose exponents count the loops closed (on top of the exponents the
@@ -234,6 +247,7 @@ def act_on_link_dicts(diag: AffineDiagram, w: LinkState):
     if diag.n != w.n_sites:
         raise ValueError("site-count mismatch")
     n = diag.n
+    conn = conn_view(diag)
     arcs = arc_partner(w)
     defects = set(w.defects)
     visited_tops = set()
@@ -244,7 +258,7 @@ def act_on_link_dicts(diag: AffineDiagram, w: LinkState):
         s = 0
         node = start_node
         while True:
-            partner, ds = diag.conn[node]
+            partner, ds = conn[node]
             s += ds
             if partner[0] == "b":
                 return partner[1], s, False
@@ -296,7 +310,7 @@ def act_on_link_dicts(diag: AffineDiagram, w: LinkState):
         node = start
         s = 0
         while True:
-            partner, ds = diag.conn[node]
+            partner, ds = conn[node]
             s += ds
             visited_tops.add(node[1])
             q = partner[1]
@@ -497,7 +511,7 @@ def _wenzl_diagrams_reference(p: int):
         for mx, (cx, wx) in xs.items():
             for my, (cy, wy) in ys.items():
                 prod = compose(top=my, bottom=mx)
-                key = AffineDiagram(p, prod.conn)
+                key = AffineDiagram(p, prod.to, prod.cr)
                 c = cx * cy * beta ** prod.nbeta
                 if key in out:
                     c0, w0 = out[key]
@@ -549,7 +563,7 @@ def _tile_diagram_sequential(n: int, config: int) -> AffineDiagram:
     else:
         conn[open_right] = (left_pending, -1)
         conn[left_pending] = (open_right, 1)
-    return AffineDiagram(n, conn)
+    return from_conn(n, conn)
 
 
 def to_numeric_entrywise(m: RingMatrix, u: complex, v: complex) -> np.ndarray:

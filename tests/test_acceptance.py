@@ -13,7 +13,6 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 from eptl import intertwiner as itw
 from eptl import projectors as prj

@@ -185,6 +185,7 @@ class TestGramOrbitBuild:
 
 def test_builders_construct_no_link_state(monkeypatch):
     from eptl.diagrams import generator_diagram
+    from eptl.projectors import u_transform
     from eptl.ring import ONE
     from eptl.states import index_table
     from eptl.transfer import transfer_table
@@ -205,6 +206,7 @@ def test_builders_construct_no_link_state(monkeypatch):
     assert len(transfer_table.__wrapped__(n, d)[0])
     for loop_variables in (False, True):
         assert linkrep._gram.__wrapped__(n, d, "tilde", loop_variables).cols == 70
+    assert u_transform(n, d)[0].cols == 70
     assert not built
     LinkState(2, [(1, 2)], [], validate=False)  # the counter sees a construction
     assert len(built) == 1

@@ -1,6 +1,6 @@
 import pytest
 
-from eptl.diagrams import generator_diagram, identity_diagram
+from eptl.diagrams import generator_diagram, identity_diagram, word_diagram
 from eptl.intertwiner import det_exact, gram_det_exact, i_matrix
 from eptl.linkrep import gram_matrix, gram_pair, link_image
 from eptl.projectors import (
@@ -24,8 +24,8 @@ from eptl.ring import (
     trig_cos,
     trig_sin,
 )
-from eptl.states import LinkState, enumerate_states
-from oracles import dense
+from eptl.states import LinkState, bijection_C, enumerate_states
+from oracles import conn_view, dense
 
 B = beta_poly()
 UNIT = (ONE, ONE)
@@ -85,6 +85,21 @@ class TestProjectorCombination:
             assert set(other.diagrams) == set(wj.diagrams)
             for m, c in wj.diagrams.items():
                 assert other.diagrams[m] == c
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+    def test_words_give_their_diagrams(self, p):
+        wj = wenzl_jones(p)
+        for combination in (wj, wj.reflected(), wj.word_reversed()):
+            for m, word in combination.words.items():
+                assert word_diagram([("e", k) for k in word], p).same_connectivity(m), word
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_terms_follow_the_tagged_chord_order(self, p):
+        # the order that `projector --check wj` prints: chords sorted on
+        # tagged nodes, ('b', i) before ('t', j)
+        wj = wenzl_jones(p)
+        tagged = lambda m: sorted((a, b) for a, (b, _) in conn_view(m).items() if a < b)
+        assert wj.terms == [(wj.diagrams[m], wj.words[m]) for m in sorted(wj.diagrams, key=tagged)]
 
     def test_generator_annihilation_on_states(self):
         # applying the 2-strand projector then a cup across its window kills
@@ -159,6 +174,18 @@ class TestChangeOfBasis:
             if w.boundary_arcs == 0:
                 assert u_transform_state(w) == ({enumerate_states(6, 2).index(w): ONE}, ONE)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_projector_sites_are_the_defects_of_c(self, n, monkeypatch):
+        import eptl.projectors as prj
+
+        sites = []
+        monkeypatch.setattr(prj, "embed", lambda word, n, at: sites.append(tuple(at)) or {})
+        for d in range(n % 2, n + 1, 2):
+            for w in enumerate_states(n, d):
+                sites.clear()
+                u_transform_state(w)
+                assert sites == ([bijection_C(w).defects] if w.boundary_arcs else []), w
+
     def test_six_site_worked_pairing(self):
         # the transformed pairing of the two 6-site states with one
         # boundary arc and two defects equals v^2 times the block factor
@@ -214,6 +241,14 @@ class TestGamma:
     def test_block_structure(self, n, d):
         ok, failures = gamma_block_report(n, d)
         assert ok, failures[:5]
+
+    def test_block_report_replaces_each_state_once(self, monkeypatch):
+        import eptl.projectors as prj
+
+        replaced = []
+        monkeypatch.setattr(prj, "bijection_C", lambda w: replaced.append(w) or bijection_C(w))
+        assert gamma_block_report(6, 2)[0]
+        assert replaced == list(enumerate_states(6, 2))
 
     def test_full_defect_gamma(self):
         for n in (3, 4, 5):

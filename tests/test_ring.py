@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import eptl
-from eptl.linkrep import RingMatrix, loop_weight
+from eptl.linkrep import loop_weight
 from eptl.ring import (
     ONE,
     GaussianInt,

@@ -56,11 +56,18 @@ class TestTiles:
 
 
 class TestTransferProperties:
-    def test_zero_anisotropy(self):
+    @pytest.mark.parametrize("n,d", SECTORS_TO_7 + [(8, 0), (8, 2)])
+    def test_zero_anisotropy(self, n, d):
         lam, mu = math.pi / 3, 0.3
-        t = transfer_matrix(4, 2, lam, 0.0, mu)
-        om = omega_matrix([("omega", 1)], 4, 2).to_numeric(cmath.exp(1j * lam / 2), cmath.exp(1j * mu))
-        assert np.max(np.abs(t - math.sin(lam) ** 4 * om)) < 1e-13
+        t = transfer_matrix(n, d, lam, 0.0, mu)
+        om = omega_matrix([("omega", 1)], n, d).to_numeric(cmath.exp(1j * lam / 2), cmath.exp(1j * mu))
+        assert np.max(np.abs(t - math.sin(lam) ** n * om)) < 1e-13
+
+    def test_one_site_closed_form(self):
+        # the one tile's first filling is the translation (twist v), its second the inverse
+        lam, nu, mu = 1.1, 0.4 + 0.3j, 0.7
+        expect = cmath.sin(lam - nu) * cmath.exp(1j * mu) + cmath.sin(nu) * cmath.exp(-1j * mu)
+        assert abs(transfer_matrix(1, 1, lam, nu, mu)[0, 0] - expect) < 1e-14
 
     @pytest.mark.parametrize("n,d", [(4, 0), (5, 1), (6, 0), (6, 2), (7, 1), (8, 2)])
     def test_commuting_family(self, n, d):
