@@ -16,7 +16,7 @@ kernel of :mod:`eptl.ring`: each entry is the tuple of
 each update a_ij*piv - a_ik*a_kj is two :func:`eptl.ring.mul_into` calls
 into one accumulator, and :func:`eptl.ring.quotient` divides it by the
 previous pivot.  It takes integer coefficients only, which every matrix
-it sees has (``I``, the loop-variable and the open Gram matrices).
+it sees has (``I`` and the open Gram matrices).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from math import comb, inf, log, pi, sin
 
 import numpy as np
 
-from .linkrep import RingMatrix, gram_matrix, link_orbits, loop_variables_to_uv
+from .linkrep import RingMatrix, gram_matrix, link_orbits
 from .momentum import blocks, by_shape, check_covariant
 from .ring import (
     GR_I, KEY_RANGE, ONE, ZERO, LaurentPoly, bracket, mul_into, packed, quotient, trig_sin, unpacked
@@ -157,10 +157,19 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def gram_det_exact(n: int, d: int) -> LaurentPoly:
-    """Exact determinant of the periodic Gram matrix, computed through the
-    compressed loop-variable encoding and substituted back to (u, v)."""
-    compressed = gram_matrix(n, d, loop_variables=True)
-    return loop_variables_to_uv(det_exact(compressed), n, d)
+    """Exact determinant of the periodic Gram matrix.
+
+    Once :func:`factorization_check` finds G = transpose(I(u, 1/v)) @
+    I(u, v) entry by entry, det G = flip_v(det I) * det I; a failed check
+    raises ValueError.
+    """
+    ok, report = factorization_check(n, d)
+    if not ok:
+        raise ValueError(
+            f"Gram factorization fails at n={n} d={d}: {len(report['mismatches'])} mismatched entries"
+        )
+    det = det_exact(i_matrix(n, d))
+    return det.flip_v() * det
 
 
 # ---------------------------------------------------------------------

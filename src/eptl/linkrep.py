@@ -39,8 +39,8 @@ class RingMatrix:
         self._terms = None
 
     @staticmethod
-    def identity(n, labels=None):
-        labels = labels if labels is not None else list(range(n))
+    def identity(n):
+        labels = list(range(n))
         return RingMatrix([{j: ONE} for j in range(n)], labels, labels)
 
     @staticmethod
@@ -319,13 +319,7 @@ def gram_pair(w1: LinkState, w2: LinkState, twists=None) -> LaurentPoly:
     return _pair_weight(act_on_link(state_diagram(w2), w1), w1.n_sites, twists)
 
 
-def gram_matrix(
-    n: int,
-    d: int,
-    mode: str = "tilde",
-    twists=None,
-    loop_variables: bool = False,
-) -> RingMatrix:
+def gram_matrix(n: int, d: int, mode: str = "tilde", twists=None) -> RingMatrix:
     """Gram matrix on the periodic basis ('tilde') or its r=0 stratum ('open').
 
     Entry (i, j) is the pairing with the *column* state in the first
@@ -334,12 +328,6 @@ def gram_matrix(
     row-first convention common in displays.  (For d = 0 the matrix is
     symmetric.)
 
-    ``loop_variables=True`` returns entries as monomials in compressed
-    variables instead of (u, v): exponent pair (contractible loops,
-    non-contractible loops) when d = 0 and (contractible loops, net
-    defect displacement) when d > 0.  Useful for exact determinants;
-    it takes no twists.
-
     In 'tilde' mode only the column of each translation orbit's
     representative is closed; every other column is one of these moved
     by a power of the translation's permutation (see :class:`Orbits`).
@@ -347,12 +335,12 @@ def gram_matrix(
     Without twists the matrix is cached: treat the result as read-only.
     """
     if twists is None:
-        return _gram(n, d, mode, loop_variables)
-    return _gram.__wrapped__(n, d, mode, loop_variables, twists)  # not cached
+        return _gram(n, d, mode)
+    return _gram.__wrapped__(n, d, mode, twists)  # not cached
 
 
 @lru_cache(maxsize=None)
-def _gram(n: int, d: int, mode: str, loop_variables: bool, twists=None) -> RingMatrix:
+def _gram(n: int, d: int, mode: str, twists=None) -> RingMatrix:
     """The body of :func:`gram_matrix`."""
     if mode == "tilde":
         basis = enumerate_states(n, d)
@@ -362,18 +350,15 @@ def _gram(n: int, d: int, mode: str, loop_variables: bool, twists=None) -> RingM
         basis = standard_states(n, d)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if loop_variables and twists is not None:
-        raise ValueError("twist vectors do not apply to loop variables")
-
-    def weight(res):
-        if loop_variables:
-            return LaurentPoly.monomial(res.nbeta, res.nalpha if d == 0 else res.twist)
-        return _pair_weight(res, n, twists)
 
     closings = [state_diagram(w) for w in basis]
 
     def column(wc):
-        return {i: weight(res) for i, c in enumerate(closings) if (res := act_on_link(c, wc)) is not None}
+        return {
+            i: _pair_weight(res, n, twists)
+            for i, c in enumerate(closings)
+            if (res := act_on_link(c, wc)) is not None
+        }
 
     if mode == "open" or n == 0:  # no translation: on no sites the one empty state closes to 1
         return RingMatrix([column(wc) for wc in basis], list(basis), list(basis))
@@ -387,14 +372,3 @@ def _gram(n: int, d: int, mode: str, loop_variables: bool, twists=None) -> RingM
         for p in powers[:length]:
             columns[p[j]] = {p[i]: e for i, e in col.items()}
     return RingMatrix(columns, list(basis), list(basis))
-
-
-def loop_variables_to_uv(p: LaurentPoly, n: int, d: int) -> LaurentPoly:
-    """Undo the compressed encoding of :func:`gram_matrix`."""
-    re: dict = {}
-    im: dict = {}
-    for (a, b), c in p.terms.items():
-        # beta^a and alpha^b (or v^b) are cached apart: few distinct a and b, many pairs
-        other = loop_weight(0, b, 0, n) if d == 0 else loop_weight(0, 0, b, n)
-        mul_into(re, im, packed(LaurentPoly.const(c) * other), packed(loop_weight(a, 0, 0, n)))
-    return unpacked(re, im)

@@ -149,7 +149,8 @@ RELATIONS = {
 
 
 def algebra_cases(n_max: int, d_filter=None, seed: int = 0):
-    """Defining relations in the diagram calculus and both representations."""
+    """Defining relations in the link and the spin representation; the
+    diagram calculus itself is checked by the test suite."""
     for n, d in _sectors(n_max, 2, d_filter):
         for rep_name, matrix_of in (("link", omega_matrix), ("spin", tau_matrix)):
             for cname, fn in RELATIONS.items():
@@ -206,8 +207,9 @@ def gram_cases(n_max: int, d_filter=None, seed: int = 0):
         yield "gram/twist-vector-independence/n5d1", twist_vector_independence
 
 
-# exact determinant sectors past n = 6; (7,1) and (8,2) stay out, their
-# Gram determinants take minutes
+# exact determinant sectors past n = 6.  (7,1) and (8,2) are not listed,
+# though through the factorization their Gram determinants take 0.25 s and
+# 0.8 s CPU on a 2-core host; at (8,0) det I alone takes over ten minutes
 EXACT_DET_EXTRA = ((7, 3), (7, 5), (8, 4), (8, 6))
 
 

@@ -41,6 +41,11 @@ route, and is kept only as a reference for the tests:
   rendering per distinct entry of ``cli._matrix_json``;
 * ``gram_matrix_full``: every pair of states closed, against the
   orbit-representative columns of ``linkrep.gram_matrix`` in 'tilde' mode;
+  with ``loop_variables=True`` its entries are monomials in the loop
+  counts, which ``loop_variables_to_uv`` substitutes back to (u, v);
+* ``gram_det_loop_variables``: the Bareiss determinant of that
+  loop-variable Gram matrix, substituted back, against the factorization
+  through ``I`` of ``intertwiner.gram_det_exact``;
 * ``compose_dicts`` and ``act_on_link_dicts``: the strand walks on
   tagged-tuple node dicts and ``arc_partner``, against the flat int
   tables walked by ``diagrams.compose`` and ``diagrams.act_on_link``;
@@ -59,9 +64,10 @@ from collections import Counter
 import numpy as np
 
 from eptl.diagrams import ActResult, AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
+from eptl.intertwiner import det_exact
 from eptl.linkrep import RingMatrix, _label_str, act_weight, hamiltonian_link, loop_weight, state_diagram
 from eptl.projectors import _sine, wenzl_jones
-from eptl.ring import GR_ONE, ONE, ZERO, GaussianInt, LaurentPoly, beta_poly
+from eptl.ring import GR_ONE, ONE, ZERO, GaussianInt, LaurentPoly, beta_poly, mul_into, packed, unpacked
 from eptl.spinrep import hamiltonian_numeric
 from eptl.states import LinkState, enumerate_states
 from eptl.transfer import tile_diagram
@@ -103,7 +109,13 @@ def stratum(n: int, d: int, r: int) -> tuple:
 
 def gram_matrix_full(n: int, d: int, loop_variables: bool = False) -> RingMatrix:
     """The periodic Gram matrix with every column state closed against
-    every row state; oracle for ``gram_matrix(n, d, loop_variables=...)``."""
+    every row state; oracle for ``gram_matrix(n, d)``.
+
+    ``loop_variables=True`` gives each entry as a monomial in compressed
+    variables instead of (u, v): exponent pair (contractible loops,
+    non-contractible loops) when d = 0 and (contractible loops, net
+    defect displacement) when d > 0.
+    """
     basis = enumerate_states(n, d)
 
     def weight(res):
@@ -117,6 +129,23 @@ def gram_matrix_full(n: int, d: int, loop_variables: bool = False) -> RingMatrix
         for wc in basis
     ]
     return RingMatrix(columns, list(basis), list(basis))
+
+
+def loop_variables_to_uv(p: LaurentPoly, n: int, d: int) -> LaurentPoly:
+    """Undo the compressed encoding of ``gram_matrix_full(..., True)``."""
+    re: dict = {}
+    im: dict = {}
+    for (a, b), c in p.terms.items():
+        # beta^a and alpha^b (or v^b) are cached apart: few distinct a and b, many pairs
+        other = loop_weight(0, b, 0, n) if d == 0 else loop_weight(0, 0, b, n)
+        mul_into(re, im, packed(LaurentPoly.const(c) * other), packed(loop_weight(a, 0, 0, n)))
+    return unpacked(re, im)
+
+
+def gram_det_loop_variables(n: int, d: int) -> LaurentPoly:
+    """The periodic Gram determinant eliminated in the loop variables and
+    substituted back; oracle for ``intertwiner.gram_det_exact``."""
+    return loop_variables_to_uv(det_exact(gram_matrix_full(n, d, True)), n, d)
 
 
 def arc_partner(w: LinkState) -> dict:
@@ -556,13 +585,10 @@ def _tile_diagram_sequential(n: int, config: int) -> AffineDiagram:
             conn[to_prev] = (open_right, 0)
         open_right = to_right
     # glue the outer edge: from the tile-n side to the tile-1 side is
-    # rightward through the boundary
-    if n == 1:
-        conn[open_right] = (left_pending, -1) if open_right != left_pending else (left_pending, 0)
-        conn[left_pending] = (open_right, 1) if open_right != left_pending else (open_right, 0)
-    else:
-        conn[open_right] = (left_pending, -1)
-        conn[left_pending] = (open_right, 1)
+    # rightward through the boundary, also at n = 1, where it joins the
+    # two nodes of the one tile
+    conn[open_right] = (left_pending, -1)
+    conn[left_pending] = (open_right, 1)
     return from_conn(n, conn)
 
 

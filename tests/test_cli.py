@@ -3,6 +3,7 @@ import json
 import random
 import re
 import warnings
+from functools import reduce
 
 import pytest
 
@@ -13,6 +14,8 @@ from eptl.linkrep import gram_matrix
 from eptl.ring import ONE, ZERO, GaussianInt, LaurentPoly
 from eptl.spinrep import ebar_matrix, hamiltonian, omegabar_matrix
 from oracles import dense, matrix_json_dict
+
+TWO = LaurentPoly.const(2)
 
 
 # one twist per defect for gram --open --twists; the sectors below have d <= 2
@@ -498,6 +501,77 @@ class TestVerify:
         witness = cases["intertwine/n4d2"]()
         assert witness is not None and witness.startswith("generator (")
         assert witness.endswith(original(4, 2).col_labels[2].ascii())
+
+    @pytest.mark.parametrize("name", list(vfy.RELATIONS))
+    @pytest.mark.parametrize("base", [vfy.omega_matrix, vfy.tau_matrix], ids=["link", "spin"])
+    def test_relations_return_a_witness_on_a_perturbed_matrix(self, base, name):
+        # e_4 acts as 2 e_3: scaled, and no longer commuting with e_2
+        def token(tok, n, d):
+            return base([("e", 3)], n, d).scale(TWO) if tok == ("e", 4) else base([tok], n, d)
+
+        def perturbed(word, n, d):
+            return reduce(lambda a, b: a @ b, (token(tok, n, d) for tok in word))
+
+        witness = {
+            "squares": "square relation fails at site 4",
+            "distant-commute": "distant generators 2,4 do not commute",
+            "contraction": "contraction fails at 1,4",
+            "translate": "translation conjugation fails at 1",
+            "power": "power relation fails, sign 1",
+            "boundary-sandwich": "boundary contraction fails, sign 1",
+            "wrap-weight": "wrap sandwich fails, start 2 sign 1",
+        }
+        assert vfy.RELATIONS[name](4, 2, base) is None
+        assert vfy.RELATIONS[name](4, 2, perturbed) == witness[name]
+
+    @pytest.mark.parametrize(
+        "patch,witness",
+        [
+            ("gram_tilde", "periodic Gram determinant"),
+            ("intertwiner", "intertwiner determinant"),
+            ("leading_exponents", "leading exponents"),
+        ],
+    )
+    def test_exact_determinant_case_names_the_broken_identity(self, monkeypatch, patch, witness):
+        from eptl import intertwiner as itw
+
+        assert vfy.exact_determinants(4, 0) is None
+        if patch == "leading_exponents":
+            monkeypatch.setattr(itw, "leading_exponents", lambda n, d: (0, 0))
+        else:
+            formulas = itw.det_formulas
+
+            def changed(n, d, which):
+                return formulas(n, d, which) * (TWO if which == patch else ONE)
+
+            monkeypatch.setattr(itw, "det_formulas", changed)
+        assert vfy.exact_determinants(4, 0) == witness
+
+    def test_failed_factorization_fails_the_determinant_suite(self, monkeypatch, capsys):
+        from eptl import intertwiner as itw
+        from eptl.linkrep import RingMatrix
+
+        gram_matrix = itw.gram_matrix
+
+        def changed(n, d):
+            g = gram_matrix(n, d)
+            columns = [dict(col) for col in g.columns]
+            columns[0][0] = columns[0].get(0, ZERO) + ONE
+            return RingMatrix(columns, g.row_labels, g.col_labels)
+
+        monkeypatch.setattr(itw, "gram_matrix", changed)
+        itw.gram_det_exact.cache_clear()  # a cached determinant would skip the check
+        with pytest.raises(ValueError, match="n=4 d=0: 1 mismatched entries"):
+            itw.gram_det_exact(4, 0)
+        code, out = run_cli(capsys, "verify", "--suite", "determinants", "--n-max", "4")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert failed == [
+            f"FAIL determinants/exact/n{n}d{d}: exception: ValueError("
+            f"'Gram factorization fails at n={n} d={d}: 1 mismatched entries')"
+            for n, d in ((2, 0), (2, 2), (3, 1), (3, 3), (4, 0), (4, 2), (4, 4))
+        ]
+        assert out.splitlines()[-1].startswith("suite determinants: 7 cases, 7 failures")
 
 
 def _no_work(*args, **kwargs):

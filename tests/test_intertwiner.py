@@ -29,8 +29,16 @@ from eptl.projectors import same_ratio
 from eptl.ring import GR_I, ONE, ZERO, LaurentPoly, beta_poly, packed, quotient
 from eptl.spinrep import spin_sector, tau_matrix
 from eptl.states import LinkState, enumerate_states
+from eptl.verify import EXACT_DET_EXTRA
 from oracles import (
-    dense, det_bareiss_laurent, det_cofactor, min_singular_scaled, submatrix, to_numeric_entrywise
+    dense,
+    det_bareiss_laurent,
+    det_cofactor,
+    gram_det_loop_variables,
+    gram_matrix_full,
+    min_singular_scaled,
+    submatrix,
+    to_numeric_entrywise,
 )
 
 
@@ -201,7 +209,7 @@ class TestDeterminants:
     # gram_det_exact(6, 0) is checked against its closed form
     @pytest.mark.parametrize("n,d", [s for s in sectors(6) if s != (6, 0)] + [(7, 3), (7, 5)])
     def test_kernel_matches_laurent_oracle_on_loop_variable_gram(self, n, d):
-        m = gram_matrix(n, d, loop_variables=True)
+        m = gram_matrix_full(n, d, loop_variables=True)
         assert det_exact(m) == det_bareiss_laurent(m)
 
     def test_non_real_coefficient_is_refused(self):
@@ -251,6 +259,11 @@ class TestDeterminants:
         det = gram_det_exact(n, d)
         formula = det_formulas(n, d, "gram_tilde")
         assert matches_up_to_sign(det, formula), (n, d)
+
+    @pytest.mark.parametrize("n,d", sectors(6) + list(EXACT_DET_EXTRA))
+    def test_gram_det_equals_the_loop_variable_oracle(self, n, d):
+        det = gram_det_exact(n, d)
+        assert det.terms == gram_det_loop_variables(n, d).terms
 
     @pytest.mark.parametrize("n,d", sectors(6))
     def test_intertwiner_det_matches_formula(self, n, d):

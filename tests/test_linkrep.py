@@ -13,13 +13,20 @@ from eptl.linkrep import (
     gram_pair,
     hamiltonian_link,
     link_orbits,
-    loop_variables_to_uv,
     omega_matrix,
 )
 from eptl.ring import ZERO, GaussianInt, LaurentPoly, alpha_poly, beta_poly
 from eptl.spinrep import hamiltonian, spin_orbits
 from eptl.states import LinkState, enumerate_states
-from oracles import dense, gram_matrix_full, matmul_dense, mul_terms, submatrix, to_numeric_entrywise
+from oracles import (
+    dense,
+    gram_matrix_full,
+    loop_variables_to_uv,
+    matmul_dense,
+    mul_terms,
+    submatrix,
+    to_numeric_entrywise,
+)
 
 B = beta_poly()
 
@@ -157,11 +164,10 @@ class TestGramMatrix:
 class TestGramOrbitBuild:
     # the orbit build is covariant by construction, so it is compared with
     # the full loop rather than checked with check_covariant
-    @pytest.mark.parametrize("loop_variables", [False, True])
     @pytest.mark.parametrize("n,d", [(n, d) for n in range(11) for d in range(n % 2, n + 1, 2)])
-    def test_equals_the_full_loop(self, n, d, loop_variables):
-        got = gram_matrix(n, d, loop_variables=loop_variables)
-        expect = gram_matrix_full(n, d, loop_variables)
+    def test_equals_the_full_loop(self, n, d):
+        got = gram_matrix(n, d)
+        expect = gram_matrix_full(n, d)
         assert got == expect
         assert got.row_labels == expect.row_labels and got.col_labels == expect.col_labels
 
@@ -204,8 +210,7 @@ def test_builders_construct_no_link_state(monkeypatch):
     combination = {generator_diagram("e", n, 3): ONE, word_diagram([("omega", 1), ("e", 8)], n): B}
     assert linkrep.link_matrix(combination, n, d).cols == 70
     assert len(transfer_table.__wrapped__(n, d)[0])
-    for loop_variables in (False, True):
-        assert linkrep._gram.__wrapped__(n, d, "tilde", loop_variables).cols == 70
+    assert linkrep._gram.__wrapped__(n, d, "tilde").cols == 70
     assert u_transform(n, d)[0].cols == 70
     assert not built
     LinkState(2, [(1, 2)], [], validate=False)  # the counter sees a construction
@@ -247,7 +252,7 @@ class TestGramInvariants:
     @pytest.mark.parametrize("n,d", sector_pairs(5))
     def test_loop_variable_encoding_matches(self, n, d):
         direct = gram_matrix(n, d)
-        packed = gram_matrix(n, d, loop_variables=True)
+        packed = gram_matrix_full(n, d, loop_variables=True)
         unpacked = packed.map(lambda p: loop_variables_to_uv(p, n, d))
         assert unpacked == direct
 
@@ -441,12 +446,7 @@ class TestSparseColumns:
             i_matrix(n, d),
             u_transform(n, d)[0],
             gram_matrix(n, d),
-            gram_matrix(n, d, loop_variables=True),
             gram_matrix(n, d, mode="open"),
         ]
         for m in built:
             assert not _stores_a_zero(m)
-
-    def test_open_loop_variables_refuse_twists(self):
-        with pytest.raises(ValueError, match="loop variables"):
-            gram_matrix(5, 1, mode="open", twists=[LaurentPoly.v_pow(1)], loop_variables=True)

@@ -250,6 +250,17 @@ class TestGamma:
         assert gamma_block_report(6, 2)[0]
         assert replaced == list(enumerate_states(6, 2))
 
+    @pytest.mark.parametrize("i,j,failure", [(0, 5, ("off-block", 0, 2, 0, 5)), (5, 5, ("block", 2, 5, 5))])
+    def test_block_report_names_a_changed_entry(self, monkeypatch, i, j, failure):
+        import eptl.projectors as prj
+
+        gamma, dens = gamma_matrix(4, 0)
+        entries = gamma.entries
+        entries[i][j] = entries[i][j] + ONE
+        changed = dense(entries, gamma.row_labels, gamma.col_labels)
+        monkeypatch.setattr(prj, "gamma_matrix", lambda n, d: (changed, dens))
+        assert gamma_block_report(4, 0) == (False, [failure])
+
     def test_full_defect_gamma(self):
         for n in (3, 4, 5):
             g = gamma_matrix(n, n)
