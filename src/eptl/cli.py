@@ -71,12 +71,15 @@ def _ratio_repr(num: LaurentPoly, den: LaurentPoly) -> str:
 
 
 def _parse_monomial(text: str) -> LaurentPoly:
-    """Parse twist entries like '1', 'v', 'v^-2', 'u^2 v^-1', 'u*v'."""
-    text = text.strip().replace("*", " ")
-    if text == "1":
+    """Parse twist entries like '1', 'v', 'v^-2', 'u^2 v^-1', 'u*v'; an
+    empty or blank entry is refused."""
+    parts = text.replace("*", " ").split()
+    if not parts:
+        raise ValueError(f"empty --twists entry {text!r}")
+    if parts == ["1"]:
         return LaurentPoly.one()
     eu = ev = 0
-    for part in text.split():
+    for part in parts:
         var = part[0]
         if var not in ("u", "v"):
             raise ValueError(f"cannot parse monomial part {part!r}")

@@ -10,13 +10,12 @@ commute, so the order is irrelevant.  The module also provides exact
 determinants, the closed-form determinant products, and the numeric
 criticality scan.
 
-``det_exact`` is a fraction-free (Bareiss) elimination on the packed
-kernel of :mod:`eptl.ring`: each entry is the tuple of
-``(eu * 2^32 + ev, coefficient, 0)`` triples of :func:`eptl.ring.packed`,
-each update a_ij*piv - a_ik*a_kj is two :func:`eptl.ring.mul_into` calls
-into one accumulator, and :func:`eptl.ring.quotient` divides it by the
-previous pivot.  It takes integer coefficients only, which every matrix
-it sees has (``I`` and the open Gram matrices).
+``det_exact`` is a fraction-free (Bareiss) elimination on the stored
+triples of :mod:`eptl.ring`: each update a_ij*piv - a_ik*a_kj is two
+:func:`eptl.ring.mul_into` calls into one accumulator, and
+:func:`eptl.ring.quotient` divides it by the previous pivot.  It takes
+integer coefficients only, which every matrix it sees has (``I`` and the
+open Gram matrices).
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ import numpy as np
 
 from .linkrep import RingMatrix, gram_matrix, link_orbits
 from .momentum import blocks, by_shape, check_covariant
-from .ring import (
-    GR_I, KEY_RANGE, ONE, ZERO, LaurentPoly, bracket, mul_into, packed, quotient, trig_sin, unpacked
-)
+from .ring import GR_I, KEY_RANGE, ONE, ZERO, LaurentPoly, bracket, collect, exponents, mul_into, quotient, trig_sin
 from .spinrep import act, spin_orbits, spin_sector
 from .states import LinkState, enumerate_states, module_dim, standard_dim
 
@@ -107,9 +104,9 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
     """Fraction-free (Bareiss) determinant of a Laurent-polynomial matrix
     with integer coefficients.
 
-    The elimination runs on the packed triples of :mod:`eptl.ring`.  A
-    non-real coefficient, or exponents so large that a product of two
-    minors could leave the packed range, raise ValueError up front.
+    The elimination runs on the triples of :mod:`eptl.ring`.  A non-real
+    coefficient, or exponents so large that a product of two minors could
+    leave the packed range, raise ValueError up front.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
@@ -117,16 +114,17 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
     if n == 0:
         return ONE
     # every intermediate is a minor, and a product of two minors is formed
-    exps = (abs(x) for col in m.columns for e in col.values() for ex in e.terms for x in ex)
+    entries = [e for col in m.columns for e in col.values()]
+    exps = (abs(x) for e in entries for k, _, _ in e.triples for x in exponents(k))
     emax = max(exps, default=0)
     if 2 * n * emax >= KEY_RANGE:
         raise ValueError(f"exponent {emax} too large for a packed {n}x{n} determinant")
-    non_real = [c for col in m.columns for e in col.values() for c in e.terms.values() if c.im]
+    non_real = [e for e in entries if any(i for _, _, i in e.triples)]
     if non_real:
-        raise ValueError(f"det_exact takes integer coefficients only, got {non_real[0]!r}")
-    a = [[packed(m[i, j]) for j in range(n)] for i in range(n)]
+        raise ValueError(f"det_exact takes integer coefficients only, got the entry {non_real[0]!r}")
+    a = [[m[i, j].triples for j in range(n)] for i in range(n)]
     sign = 1
-    prev = packed(ONE)
+    prev = ONE.triples
     im: dict = {}  # stays empty: every entry is real
     for k in range(n - 1):
         if not a[k][k]:
@@ -151,7 +149,7 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
                 row_i[j] = quotient(t, prev) if t else ()
             row_i[k] = ()
         prev = piv
-    det = unpacked({key: c for key, c, _ in a[n - 1][n - 1]}, im)
+    det = collect({key: c for key, c, _ in a[n - 1][n - 1]}, im)
     return -det if sign < 0 else det
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .diagrams import AffineDiagram, act_on_link, word_diagram
 from .momentum import Orbits
-from .ring import ONE, ZERO, LaurentPoly, alpha_poly, beta_poly, mul_into, packed, unpacked
+from .ring import ONE, ZERO, LaurentPoly, alpha_poly, beta_poly, check_range, collect, exponents, mul_into, product
 from .states import LinkState, enumerate_states, standard_states
 
 
@@ -67,9 +67,13 @@ class RingMatrix:
             raise ValueError("shape mismatch")
         # column j of the product pushes column j of other through our
         # columns, gathering the products of each entry; an entry with more
-        # than one sums them on packed ints and is unpacked once, and a lone
-        # product keeps the monomial path of LaurentPoly.__mul__
+        # than one sums them into one pair of dicts, and a lone product takes
+        # the monomial path of ring.product.  Every entry is checked once here.
         left = self.columns
+        for m in (self, other):
+            for col in m.columns:
+                for e in col.values():
+                    check_range(e.triples)
         out = []
         for col in other.columns:
             products: dict = {}
@@ -83,14 +87,14 @@ class RingMatrix:
             column = {}
             for i, pairs in products.items():
                 if len(pairs) == 1:
-                    column[i] = pairs[0][0] * pairs[0][1]
+                    column[i] = product(pairs[0][0].triples, pairs[0][1].triples)
                     continue
                 re: dict = {}
                 im: dict = {}
                 for a, b in pairs:
-                    mul_into(re, im, packed(a), packed(b))
-                e = unpacked(re, im)
-                if e.terms:
+                    mul_into(re, im, a.triples, b.triples)
+                e = collect(re, im)
+                if e:
                     column[i] = e
             out.append(column)
         return RingMatrix(out, self.row_labels, other.col_labels)
@@ -146,7 +150,7 @@ class RingMatrix:
             terms, starts = [], [0]
             for j, col in enumerate(self.columns):
                 terms += [
-                    (i, j, c.to_complex(), eu, ev) for i, e in col.items() for (eu, ev), c in e.terms.items()
+                    (i, j, complex(r, c), *exponents(k)) for i, e in col.items() for k, r, c in e.triples
                 ]
                 starts.append(len(terms))
             arrays = [np.array(a) for a in zip(*terms)] if terms else [np.zeros(0, dtype=int)] * 5

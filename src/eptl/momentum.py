@@ -47,7 +47,7 @@ class Orbits:
         if None in entries or len({i for i, _ in entries}) != len(entries):
             raise ValueError("the translation is not a monomial matrix")
         c = entries[0][1]
-        if any(e != c for _, e in entries) or len(c.terms) != 1:
+        if any(e != c for _, e in entries) or len(c.triples) != 1:
             raise ValueError("the translation is not one monomial times a permutation")
         self.n = n
         self.perm = [i for i, _ in entries]

@@ -1,22 +1,24 @@
 """Exact scalar arithmetic for the periodic Temperley-Lieb toolkit.
 
 Everything downstream is computed over the ring of Laurent polynomials in
-two variables ``u`` and ``v`` with Gaussian-integer coefficients.  Two
-types live here:
-
-``GaussianInt``
-    An exact element of Z[i], stored as a pair of Python ints.
+two variables ``u`` and ``v`` with Gaussian-integer coefficients.
 
 ``LaurentPoly``
-    A sparse Laurent polynomial, stored as a dict mapping exponent pairs
-    ``(eu, ev)`` to nonzero ``GaussianInt`` coefficients.  The zero
-    polynomial has an empty term map.
+    A sparse Laurent polynomial, stored as one tuple ``triples`` of
+    ``(key, re, im)`` ints: the term ``(re + im*i) u^eu v^ev`` has the key
+    ``eu * 2^32 + ev``.  The triples are in ascending key order, which is
+    the lex order on ``(eu, ev)``, and no coefficient is zero, so equal
+    polynomials have equal tuples.  The zero polynomial is ``()``.
 
-All exact arithmetic past a sum runs on plain ints: :func:`packed`
-turns a polynomial into ``(key, re, im)`` triples with the key
-``eu * 2^32 + ev``, :func:`mul_into` adds a product into two dicts
+``GaussianInt``
+    A plain record of the int parts ``re`` and ``im`` of a coefficient:
+    the values of the read-only view ``LaurentPoly.terms``, ``(eu, ev) ->
+    GaussianInt``, and an input of the constructor.
+
+The kernels read and build the triples directly: :func:`product`
+multiplies two of them, :func:`mul_into` adds a product into two dicts
 key -> int, :func:`quotient` divides such a dict exactly by real triples,
-and :func:`unpacked` builds the result, one ``GaussianInt`` per term.
+and :func:`collect` sorts the sums back into a polynomial.
 ``LaurentPoly.__mul__``, ``exact_div``, ``RingMatrix @`` and the Bareiss
 determinant ``det_exact`` all run on these four.
 
@@ -43,89 +45,24 @@ is resolved once and for all as ``i*u``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from math import fsum
 from operator import index
+from types import MappingProxyType
+from typing import NamedTuple
 
 
-class GaussianInt:
-    """An exact Gaussian integer a + b*i with a, b in Z.
+class GaussianInt(NamedTuple):
+    """The coefficient re + im*i of a term."""
 
-    Instances are immutable; arithmetic returns new objects.  The parts
-    are taken through ``operator.index``, so a ``Fraction`` or a float is
-    refused.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", index(re))
-        object.__setattr__(self, "im", index(im))
-
-    def __setattr__(self, *a):
-        raise AttributeError("GaussianInt is immutable")
-
-    @staticmethod
-    def _fast(re: int, im: int) -> "GaussianInt":
-        out = object.__new__(GaussianInt)
-        object.__setattr__(out, "re", re)
-        object.__setattr__(out, "im", im)
-        return out
-
-    def __add__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt._fast(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianInt") -> "GaussianInt":
-        return GaussianInt._fast(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt._fast(-self.re, -self.im)
-
-    def __mul__(self, other: "GaussianInt") -> "GaussianInt":
-        a, b, c, d = self.re, self.im, other.re, other.im
-        if not b and not d:
-            return GaussianInt._fast(a * c, 0)
-        return GaussianInt._fast(a * c - b * d, a * d + b * c)
-
-    def __truediv__(self, other: "GaussianInt") -> "GaussianInt":
-        """Exact quotient; raises ValueError when it is not in Z[i]."""
-        c, d = other.re, other.im
-        n = c * c + d * d
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Z[i]")
-        a, b = self.re, self.im
-        re, r1 = divmod(a * c + b * d, n)
-        im, r2 = divmod(b * c - a * d, n)
-        if r1 or r2:
-            raise ValueError(f"{self!r} is not divisible by {other!r} in Z[i]")
-        return GaussianInt._fast(re, im)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GaussianInt):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-    def __repr__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+    re: int
+    im: int = 0
 
 
-GR_ONE = GaussianInt(1)
 GR_I = GaussianInt(0, 1)
 
-# i^k for k mod 4, as Gaussian integers
-_I_POW = (GR_ONE, GR_I, GaussianInt(-1), GaussianInt(0, -1))
+# i^k for k mod 4
+_I_POW = (GaussianInt(1), GR_I, GaussianInt(-1), GaussianInt(0, -1))
 
 
 def i_power(k: int) -> GaussianInt:
@@ -133,146 +70,209 @@ def i_power(k: int) -> GaussianInt:
     return _I_POW[k % 4]
 
 
-class LaurentPoly:
-    """Sparse bivariate Laurent polynomial over Z[i].
+# A term u^eu v^ev is keyed eu * 2^32 + ev: adding two keys multiplies the
+# monomials, and the int order of the keys is the lex order on (eu, ev),
+# as long as every v exponent lies in [-KEY_RANGE, KEY_RANGE), as it does
+# in every stored polynomial.  The operands of a product, a shift, flip_v
+# and exact_div take half that range (check_range), so every key they
+# make decodes.
+_SHIFT = 32
+KEY_RANGE = 1 << (_SHIFT - 1)
+_MASK = (1 << _SHIFT) - 1
+_V_LIMIT = KEY_RANGE >> 1
 
-    ``terms`` maps ``(eu, ev)`` integer exponent pairs to nonzero
-    ``GaussianInt`` coefficients.  Treat instances as immutable.
+
+def exponents(key: int) -> tuple:
+    """The exponent pair (eu, ev) of a key."""
+    key += KEY_RANGE
+    return key >> _SHIFT, (key & _MASK) - KEY_RANGE
+
+
+def _refuse(ev: int, limit: str = "2^30"):
+    raise ValueError(f"v exponent {ev} outside the packed range [-{limit}, {limit})")
+
+
+def check_range(triples) -> None:
+    """Raise ValueError unless every v exponent of the triples lies in
+    [-2^30, 2^30), the range the operands of a product take."""
+    for k, _, _ in triples:
+        # bit 31 of k + 2^30, that of ev + 2^30, is set exactly off the range
+        if (k + _V_LIMIT) & KEY_RANGE:
+            _refuse(exponents(k)[1])
+
+
+def _coeff_text(re: int, im: int) -> str:
+    if not im:
+        return str(re)
+    if not re:
+        return f"{im}i"
+    return f"{re}{'+' if im > 0 else '-'}{abs(im)}i"
+
+
+class LaurentPoly:
+    """Sparse bivariate Laurent polynomial over Z[i], stored as the tuple
+    ``triples`` (see the module docstring).  Treat instances as immutable.
+
+    ``LaurentPoly(terms)`` builds one from a dict ``(eu, ev) -> c``, with
+    ``c`` a ``GaussianInt`` or an int; zero coefficients are dropped.  The
+    exponents and parts are taken through ``operator.index``, so a
+    ``Fraction`` or a float is refused, and a v exponent outside
+    [-2^31, 2^31) raises ValueError.
 
     Example
     -------
-    ``u^2 + 2 - i*v^-3`` is stored as::
+    ``u^2 + 2 - i*v^-3`` is::
 
-        {(2, 0): 1, (0, 0): 2, (0, -3): -i}
+        LaurentPoly({(2, 0): 1, (0, 0): 2, (0, -3): GaussianInt(0, -1)})
     """
 
-    __slots__ = ("terms", "_packed", "_hash")
+    __slots__ = ("triples",)
 
     def __init__(self, terms=None):
-        self.terms = {} if terms is None else terms
-        self._packed = None  # the triples of packed(), made on first use
-        self._hash = None  # made on first use
+        out = []
+        for (eu, ev), c in (terms or {}).items():
+            re, im = c if isinstance(c, tuple) else (c, 0)
+            re, im, ev = index(re), index(im), index(ev)
+            if not -KEY_RANGE <= ev < KEY_RANGE:
+                _refuse(ev, "2^31")
+            if re or im:
+                out.append(((index(eu) << _SHIFT) + ev, re, im))
+        out.sort()
+        self.triples = tuple(out)
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly({})
+        return _poly(())
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly({(0, 0): GR_ONE})
+        return _poly(((0, 1, 0),))
 
     @staticmethod
     def const(c) -> "LaurentPoly":
-        g = c if isinstance(c, GaussianInt) else GaussianInt(c)
-        return LaurentPoly({(0, 0): g}) if g else LaurentPoly({})
+        return LaurentPoly({(0, 0): c})
 
     @staticmethod
-    def monomial(eu: int, ev: int, coeff=GR_ONE) -> "LaurentPoly":
-        g = coeff if isinstance(coeff, GaussianInt) else GaussianInt(coeff)
-        return LaurentPoly({(eu, ev): g}) if g else LaurentPoly({})
+    def monomial(eu: int, ev: int, coeff=1) -> "LaurentPoly":
+        return LaurentPoly({(eu, ev): coeff})
 
     @staticmethod
     def v_pow(k: int) -> "LaurentPoly":
-        return LaurentPoly({(0, k): GR_ONE})
+        return LaurentPoly({(0, k): 1})
+
+    @property
+    def terms(self):
+        """Read-only view ``(eu, ev) -> GaussianInt`` in ascending order,
+        built afresh on every access."""
+        return MappingProxyType({exponents(k): GaussianInt(r, i) for k, r, i in self.triples})
 
     # -- ring operations ---------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
+        a, b = self.triples, other.triples
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return self if a is self.triples else other
+        # place each term of the shorter side in a copy of the longer one
+        out = list(a)
+        for t in b:
+            k = t[0]
+            j = bisect_left(out, (k,))
+            if j == len(out) or out[j][0] != k:
+                out.insert(j, t)
+                continue
+            _, r, i = out[j]
+            r += t[1]
+            i += t[2]
+            if r or i:
+                out[j] = (k, r, i)
             else:
-                s = s + c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPoly(out)
+                del out[j]
+        return _poly(tuple(out))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return _poly(tuple([(k, -r, -i) for k, r, i in self.triples]))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return LaurentPoly({})
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) == 1:
-            (eu, ev), c = next(iter(a.items()))
-            if c == GR_ONE:
-                return LaurentPoly({(x + eu, y + ev): d for (x, y), d in b.items()})
-            return LaurentPoly({(x + eu, y + ev): c * d for (x, y), d in b.items()})
-        re: dict = {}
-        im: dict = {}
-        mul_into(re, im, packed(self), packed(other))
-        return unpacked(re, im)
+        a, b = self.triples, other.triples
+        check_range(a)
+        check_range(b)
+        return product(a, b)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            if len(self.terms) == 1:
-                (eu, ev), c = next(iter(self.terms.items()))
-                return LaurentPoly({(eu * n, ev * n): _coeff_inv_pow(c, -n)})
-            raise ValueError("negative power of a non-monomial")
-        result = LaurentPoly.one()
+            if len(self.triples) != 1:
+                raise ValueError("negative power of a non-monomial")
+            ((k, r, i),) = self.triples
+            if (r, i) not in _I_POW:
+                raise ValueError(f"negative power of {self!r}, whose coefficient is not a unit")
+            # the unit is i^j, and its n-th power i^(j n)
+            eu, ev = exponents(k)
+            return LaurentPoly.monomial(eu * n, ev * n, i_power(_I_POW.index((r, i)) * n))
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return ONE if result is None else result
 
     def shift(self, du: int, dv: int) -> "LaurentPoly":
-        """Multiply by the monomial u^du v^dv."""
-        return LaurentPoly({(x + du, y + dv): c for (x, y), c in self.terms.items()})
+        """Multiply by the monomial u^du v^dv, with the range rule of ``*``."""
+        if not -_V_LIMIT <= dv < _V_LIMIT:
+            _refuse(dv)
+        d = (du << _SHIFT) + dv
+        # the range check of each term rides in the comprehension
+        out = [
+            (k + d, r, i) if not (k + _V_LIMIT) & KEY_RANGE else _refuse(exponents(k)[1])
+            for k, r, i in self.triples
+        ]
+        return _poly(tuple(out))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.triples == other.triples
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash(self.triples)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.triples
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.triples)
 
     # -- structure ----------------------------------------------------
 
-    def sorted_terms(self):
-        """Terms in ascending lexicographic (eu, ev) order."""
-        return sorted(self.terms.items())
-
     def min_exponents(self) -> tuple:
-        us = [e[0] for e in self.terms]
-        vs = [e[1] for e in self.terms]
+        us, vs = zip(*(exponents(k) for k, _, _ in self.triples))
         return (min(us), min(vs))
 
     def extreme_term_uv(self):
         """The term dominating as u,v -> infinity: max eu, then max ev."""
-        e = max(self.terms, key=lambda t: (t[0], t[1]))
-        return e, self.terms[e]
+        k, r, i = self.triples[-1]
+        return exponents(k), GaussianInt(r, i)
 
     def flip_v(self) -> "LaurentPoly":
-        """Substitute v -> v^-1."""
-        return LaurentPoly({(x, -y): c for (x, y), c in self.terms.items()})
+        """Substitute v -> v^-1, with the range rule of ``*``."""
+        # eu * 2^32 - ev is 2 eu * 2^32 - k
+        out = [
+            (((k + KEY_RANGE) >> _SHIFT << (_SHIFT + 1)) - k, r, i)
+            if not (k + _V_LIMIT) & KEY_RANGE
+            else _refuse(exponents(k)[1])
+            for k, r, i in self.triples
+        ]
+        out.sort()
+        return _poly(tuple(out))
 
     # -- exact division ----------------------------------------------
 
@@ -283,12 +283,14 @@ class LaurentPoly:
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
+        p, q = self.triples, divisor.triples
+        check_range(p)
+        check_range(q)
         # p/q = (p qbar)/(q qbar) with q qbar real: Re and Im divide exactly iff q divides p
-        q = packed(divisor)
         bar = tuple((k, r, -i) for k, r, i in q)
         re: dict = {}
         im: dict = {}
-        mul_into(re, im, packed(self), bar)
+        mul_into(re, im, p, bar)
         qq: dict = {}
         mul_into(qq, {}, q, bar)
         norm = tuple((k, c, 0) for k, c in qq.items() if c)
@@ -296,41 +298,42 @@ class LaurentPoly:
         im = {k: c for k, c, _ in quotient(im, norm)}
         for k in im:
             re.setdefault(k, 0)
-        return unpacked(re, im)
+        return collect(re, im)
 
     # -- numerics and serialization ----------------------------------
 
     def eval_numeric(self, u: complex, v: complex) -> complex:
-        """Substitution homomorphism into C; u, v must be nonzero."""
+        """Substitution homomorphism into C; u, v must be nonzero.
+
+        The terms are summed by ``math.fsum``, part by part, so the value
+        does not depend on the order of the terms."""
         if u == 0 or v == 0:
             raise ValueError("cannot evaluate a Laurent polynomial at zero")
-        total = 0j
-        for (x, y), c in self.terms.items():
-            total += c.to_complex() * (u ** x) * (v ** y)
-        return total
+        terms = []
+        for k, r, i in self.triples:
+            x, y = exponents(k)
+            terms.append(complex(r, i) * (u ** x) * (v ** y))
+        return complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
 
     def to_json_dict(self) -> dict:
-        return {
-            "terms": [
-                {"eu": e[0], "ev": e[1], "re": str(c.re), "im": str(c.im)}
-                for e, c in self.sorted_terms()
-            ]
-        }
+        terms = []
+        for k, r, i in self.triples:
+            eu, ev = exponents(k)
+            terms.append({"eu": eu, "ev": ev, "re": str(r), "im": str(i)})
+        return {"terms": terms}
 
     @staticmethod
     def from_json_dict(d: dict) -> "LaurentPoly":
-        terms = {}
-        for t in d["terms"]:
-            c = GaussianInt(int(t["re"]), int(t["im"]))
-            if c:
-                terms[(int(t["eu"]), int(t["ev"]))] = c
-        return LaurentPoly(terms)
+        return LaurentPoly(
+            {(int(t["eu"]), int(t["ev"])): GaussianInt(int(t["re"]), int(t["im"])) for t in d["terms"]}
+        )
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.triples:
             return "0"
         parts = []
-        for (x, y), c in self.sorted_terms():
+        for k, r, i in self.triples:
+            x, y = exponents(k)
             bits = []
             if x:
                 bits.append(f"u^{x}" if x != 1 else "u")
@@ -338,51 +341,36 @@ class LaurentPoly:
                 bits.append(f"v^{y}" if y != 1 else "v")
             mono = "*".join(bits)
             if not mono:
-                parts.append(f"({c!r})")
-            elif c == GR_ONE:
+                parts.append(f"({_coeff_text(r, i)})")
+            elif r == 1 and not i:
                 parts.append(mono)
             else:
-                parts.append(f"({c!r})*{mono}")
+                parts.append(f"({_coeff_text(r, i)})*{mono}")
         return " + ".join(parts)
 
 
+def _poly(triples: tuple) -> LaurentPoly:
+    """The polynomial stored as ``triples``, taken as they are: sorted
+    by key, no zero coefficient, every key decoding."""
+    p = _new(LaurentPoly)
+    p.triples = triples
+    return p
+
+
+_new = object.__new__
+
+
+ZERO = LaurentPoly.zero()
+ONE = LaurentPoly.one()
+
+
 # ---------------------------------------------------------------------
-# the packed product kernel
+# the product kernel on triples
 # ---------------------------------------------------------------------
-
-# A term u^eu v^ev is keyed eu * 2^32 + ev: adding two keys multiplies the
-# monomials, and the int order of the keys is the lex order on (eu, ev),
-# as long as every v exponent lies in [-KEY_RANGE, KEY_RANGE).  packed()
-# admits half that range, so the sum of two keys always decodes.
-_SHIFT = 32
-KEY_RANGE = 1 << (_SHIFT - 1)
-_MASK = (1 << _SHIFT) - 1
-_V_LIMIT = KEY_RANGE >> 1
-
-# shared coefficients for small real results; GaussianInt is immutable
-_SMALL = {k: GaussianInt._fast(k, 0) for k in range(-64, 65)}
-
-
-def packed(p: LaurentPoly) -> tuple:
-    """The terms of ``p`` as ``(eu * 2^32 + ev, re, im)`` triples.
-
-    Cached on ``p`` at first use.  A v exponent outside [-2^30, 2^30)
-    raises ValueError.
-    """
-    out = p._packed
-    if out is None:
-        out = []
-        for (eu, ev), c in p.terms.items():
-            if not -_V_LIMIT <= ev < _V_LIMIT:
-                raise ValueError(f"v exponent {ev} outside the packed range [-2^30, 2^30)")
-            out.append(((eu << _SHIFT) + ev, c.re, c.im))
-        out = p._packed = tuple(out)
-    return out
-
 
 def mul_into(re: dict, im: dict, a, b) -> None:
-    """Add the product of the packed terms ``a`` and ``b`` into ``re`` and
-    ``im``, dicts from a packed key to the real and imaginary parts.
+    """Add the product of the triples ``a`` and ``b`` into ``re`` and
+    ``im``, dicts from a key to the real and imaginary parts.
 
     Every key written to ``im`` is written to ``re`` too; sums that
     cancel stay in the dicts as zeros.
@@ -405,16 +393,49 @@ def mul_into(re: dict, im: dict, a, b) -> None:
                     im[k] = iget(k, 0) + ra * ib
 
 
+def product(a, b) -> LaurentPoly:
+    """The product of the triples ``a`` and ``b``, whose v exponents the
+    caller has checked with :func:`check_range`."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return ZERO
+    if len(a) == 1:
+        # Z[i] has no zero divisors and adding one key keeps the order
+        ((ka, ra, ia),) = a
+        if ia:
+            return _poly(tuple([(k + ka, ra * r - ia * i, ra * i + ia * r) for k, r, i in b]))
+        if ra == 1:
+            return _poly(tuple([(k + ka, r, i) for k, r, i in b]))
+        return _poly(tuple([(k + ka, ra * r, ra * i) for k, r, i in b]))
+    re: dict = {}
+    im: dict = {}
+    mul_into(re, im, a, b)
+    return collect(re, im)
+
+
+def collect(re: dict, im: dict) -> LaurentPoly:
+    """The polynomial with the parts accumulated by :func:`mul_into`,
+    whose keys are all in ``re``; zero sums are dropped."""
+    if im:
+        iget = im.get
+        out = [(k, r, i) for k, r in re.items() if (i := iget(k, 0)) or r]
+    else:
+        out = [(k, r, 0) for k, r in re.items() if r]
+    out.sort()
+    return _poly(tuple(out))
+
+
 def _box(keys) -> tuple:
-    """(min u, max u, min v, max v) over packed keys."""
+    """(min u, max u, min v, max v) over keys."""
     vs = [((k + KEY_RANGE) & _MASK) - KEY_RANGE for k in keys]
     return (min(keys) + KEY_RANGE) >> _SHIFT, (max(keys) + KEY_RANGE) >> _SHIFT, min(vs), max(vs)
 
 
 def quotient(a: dict, b) -> tuple:
-    """The exact quotient of ``a``, a dict from a packed key to an int
-    (zero sums allowed), by the nonzero real packed terms ``b``, as packed
-    triples.
+    """The exact quotient of ``a``, a dict from a key to an int (zero sums
+    allowed), by the nonzero real triples ``b``, as triples in no
+    particular order.
 
     The division goes by lex-leading terms, each step removing the largest
     key left.  A nonzero remainder, or a quotient term outside the box
@@ -458,39 +479,6 @@ def quotient(a: dict, b) -> tuple:
     return tuple(quot)
 
 
-def unpacked(re: dict, im: dict) -> LaurentPoly:
-    """The polynomial with the parts accumulated by :func:`mul_into`,
-    whose keys are all in ``re``; zero sums are dropped."""
-    terms = {}
-    small = _SMALL.get
-    iget = im.get
-    for k, r in re.items():
-        i = iget(k) if im else None
-        if i:
-            c = GaussianInt._fast(r, i)
-        elif r:
-            c = small(r)
-            if c is None:
-                c = GaussianInt._fast(r, 0)
-        else:
-            continue
-        k += KEY_RANGE
-        terms[(k >> _SHIFT, (k & _MASK) - KEY_RANGE)] = c
-    return LaurentPoly(terms)
-
-
-def _coeff_inv_pow(c: GaussianInt, n: int) -> GaussianInt:
-    out = GR_ONE
-    inv = GR_ONE / c
-    for _ in range(n):
-        out = out * inv
-    return out
-
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
-
-
 # ---------------------------------------------------------------------
 # trigonometric building blocks
 # ---------------------------------------------------------------------
@@ -511,19 +499,18 @@ def trig_cos(two_k: int) -> LaurentPoly:
 
 def beta_poly() -> LaurentPoly:
     """Contractible-loop weight u^2 + u^-2 (equal to -C_1 = -2*cos(Lam))."""
-    return LaurentPoly({(2, 0): GR_ONE, (-2, 0): GR_ONE})
+    return LaurentPoly({(2, 0): 1, (-2, 0): 1})
 
 
 def alpha_poly(n_sites: int) -> LaurentPoly:
     """Non-contractible-loop weight v^n + v^-n."""
     if n_sites == 0:
         return LaurentPoly.const(2)
-    return LaurentPoly({(0, n_sites): GR_ONE, (0, -n_sites): GR_ONE})
+    return LaurentPoly({(0, n_sites): 1, (0, -n_sites): 1})
 
 
 def bracket(two_x: int, n_sites: int) -> LaurentPoly:
     """(-u^2)^x v^n - (-u^2)^-x v^-n with x = two_x/2, branch (iu)^(2x)."""
-    a = i_power(two_x)
-    b = i_power(-two_x)
-    return LaurentPoly({(two_x, n_sites): a}) + LaurentPoly({(-two_x, -n_sites): -b})
-
+    # -i^(-2x) = i^(2 - 2x)
+    a = LaurentPoly({(two_x, n_sites): i_power(two_x)})
+    return a + LaurentPoly({(-two_x, -n_sites): i_power(2 - two_x)})

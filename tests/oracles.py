@@ -5,7 +5,7 @@ route, and is kept only as a reference for the tests:
 
 * ``det_cofactor``: cofactor expansion, against Bareiss ``det_exact``;
 * ``det_bareiss_laurent``: the Bareiss elimination over ``LaurentPoly``,
-  against the packed-int kernel of ``det_exact``;
+  against the int kernel of ``det_exact``;
 * ``_wenzl_diagrams_reference``: the two-sided idempotent recursion,
   against the one-sided product in ``projectors._wenzl_diagrams``;
 * ``_tile_diagram_sequential``: a left-to-right tile sweep, against
@@ -13,11 +13,11 @@ route, and is kept only as a reference for the tests:
 * ``to_numeric_entrywise``: ``LaurentPoly.eval_numeric`` entry by entry,
   against the vectorized ``RingMatrix.to_numeric``;
 * ``mul_terms``: the term-by-term product on ``(eu, ev)`` keys in
-  ``GaussianInt`` arithmetic, against the packed-int kernel of
-  ``LaurentPoly.__mul__``;
+  Gaussian-integer arithmetic on ``(re, im)`` pairs (``gaussian_mul``),
+  against the int kernel of ``LaurentPoly.__mul__``;
 * ``div_terms``: the lex-leading long division on ``(eu, ev)`` keys in
-  ``GaussianInt`` arithmetic, against the two real packed divisions of
-  ``LaurentPoly.exact_div``;
+  the same arithmetic (``gaussian_div``), against the two real divisions
+  of ``LaurentPoly.exact_div``;
 * ``matmul_dense``: the row-by-column product over dense rows, each
   entry product by ``mul_terms``, against the sparse column push of
   ``RingMatrix.__matmul__``;
@@ -67,7 +67,7 @@ from eptl.diagrams import ActResult, AffineDiagram, act_on_link, compose, genera
 from eptl.intertwiner import det_exact
 from eptl.linkrep import RingMatrix, _label_str, act_weight, hamiltonian_link, loop_weight, state_diagram
 from eptl.projectors import _sine, wenzl_jones
-from eptl.ring import GR_ONE, ONE, ZERO, GaussianInt, LaurentPoly, beta_poly, mul_into, packed, unpacked
+from eptl.ring import ONE, ZERO, GaussianInt, LaurentPoly, beta_poly, collect, mul_into
 from eptl.spinrep import hamiltonian_numeric
 from eptl.states import LinkState, enumerate_states
 from eptl.transfer import tile_diagram
@@ -95,7 +95,7 @@ def submatrix(m: RingMatrix, row_idx, col_idx) -> RingMatrix:
 
 
 def u_pow(k: int) -> LaurentPoly:
-    return LaurentPoly({(k, 0): GR_ONE})
+    return LaurentPoly({(k, 0): 1})
 
 
 def max_exponents(p: LaurentPoly) -> tuple:
@@ -138,8 +138,8 @@ def loop_variables_to_uv(p: LaurentPoly, n: int, d: int) -> LaurentPoly:
     for (a, b), c in p.terms.items():
         # beta^a and alpha^b (or v^b) are cached apart: few distinct a and b, many pairs
         other = loop_weight(0, b, 0, n) if d == 0 else loop_weight(0, 0, b, n)
-        mul_into(re, im, packed(LaurentPoly.const(c) * other), packed(loop_weight(a, 0, 0, n)))
-    return unpacked(re, im)
+        mul_into(re, im, (LaurentPoly.const(c) * other).triples, loop_weight(a, 0, 0, n).triples)
+    return collect(re, im)
 
 
 def gram_det_loop_variables(n: int, d: int) -> LaurentPoly:
@@ -374,37 +374,48 @@ def matrix_json_dict(m: RingMatrix) -> dict:
     }
 
 
+def gaussian_mul(a, b) -> tuple:
+    """The product of two Gaussian integers given as (re, im) pairs."""
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def gaussian_div(a, b) -> tuple:
+    """The exact quotient a / b of (re, im) pairs; raises ValueError when
+    it is not in Z[i] and ZeroDivisionError when b is zero."""
+    n = b[0] * b[0] + b[1] * b[1]
+    if n == 0:
+        raise ZeroDivisionError("division by zero in Z[i]")
+    re, r1 = divmod(a[0] * b[0] + a[1] * b[1], n)
+    im, r2 = divmod(a[1] * b[0] - a[0] * b[1], n)
+    if r1 or r2:
+        raise ValueError(f"{a} is not divisible by {b} in Z[i]")
+    return (re, im)
+
+
 def mul_terms(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Product term by term on ``(eu, ev)`` keys, one ``GaussianInt`` per
-    partial product and partial sum; oracle for ``LaurentPoly.__mul__``."""
+    """Product term by term on ``(eu, ev)`` keys, one :func:`gaussian_mul`
+    per partial product; oracle for ``LaurentPoly.__mul__``."""
     out: dict = {}
     for (x1, y1), c1 in a.terms.items():
         for (x2, y2), c2 in b.terms.items():
             e = (x1 + x2, y1 + y2)
-            p = c1 * c2
-            s = out.get(e)
-            if s is None:
-                out[e] = p
-            else:
-                s = s + p
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
+            p = gaussian_mul(c1, c2)
+            s = out.get(e, (0, 0))
+            out[e] = GaussianInt(s[0] + p[0], s[1] + p[1])
     return LaurentPoly(out)
 
 
 def div_terms(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Exact quotient p / q by lex-leading terms on ``(eu, ev)`` keys in
-    ``GaussianInt`` arithmetic, bounded by the exponent widths of p;
+    Gaussian-integer pair arithmetic, bounded by the exponent widths of p;
     oracle for ``LaurentPoly.exact_div``.  Raises ValueError if not exact."""
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return ZERO
     if len(q.terms) == 1:
-        (eu, ev), c = next(iter(q.terms.items()))
-        return LaurentPoly({(x - eu, y - ev): k / c for (x, y), k in p.terms.items()})
+        (((eu, ev), c),) = q.terms.items()
+        return LaurentPoly({(x - eu, y - ev): gaussian_div(k, c) for (x, y), k in p.terms.items()})
     rem = dict(p.terms)
     div_lead = max(q.terms)
     div_lead_c = q.terms[div_lead]
@@ -419,12 +430,13 @@ def div_terms(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
             raise ValueError("division is not exact")
         lead = max(rem)
         qe = (lead[0] - div_lead[0], lead[1] - div_lead[1])
-        qc = rem[lead] / div_lead_c
+        qc = gaussian_div(rem[lead], div_lead_c)
         quot[qe] = qc
         for (x, y), c in q.terms.items():
             e = (x + qe[0], y + qe[1])
-            s = rem.get(e, GaussianInt(0)) - c * qc
-            if s:
+            s, t = rem.get(e, (0, 0)), gaussian_mul(c, qc)
+            s = (s[0] - t[0], s[1] - t[1])
+            if any(s):
                 rem[e] = s
             else:
                 rem.pop(e, None)
@@ -487,7 +499,7 @@ def det_cofactor(m: RingMatrix) -> LaurentPoly:
 def det_bareiss_laurent(m: RingMatrix) -> LaurentPoly:
     """Fraction-free (Bareiss) determinant with every entry a
     ``LaurentPoly`` and every division :func:`div_terms`; oracle for the
-    packed-int elimination of ``det_exact``."""
+    int elimination of ``det_exact``."""
     n = m.rows
     if n == 0:
         return ONE

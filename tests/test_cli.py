@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import json
 import random
 import re
 import warnings
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +46,17 @@ MATRIX_JSON_CASES = [
     for n, d in MATRIX_SECTORS
     if d or name != "gram-twists"  # no twist to give when d = 0
 ]
+
+
+# the CLI outputs whose sha256 the benchmark pins, by task name: cli/<kind>/n<n>d<d>
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+PINNED_DIGESTS = json.loads(REFERENCE.read_text())["digests"]
+DIGEST_COMMANDS = {
+    "det": ["intertwiner", "--check", "det", "--format", "json"],
+    "factorization": ["intertwiner", "--check", "factorization"],
+    "gamma": ["projector", "--check", "gamma"],
+    "export-gram": ["export", "--what", "gram", "--format", "json"],
+}
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +125,13 @@ class TestMatrices:
         expect = gram_matrix(4, 2, mode="open", twists=[ONE, LaurentPoly.monomial(2, -1)])
         assert code == 0
         assert out == json.dumps(matrix_json_dict(expect), indent=1) + "\n"
+
+    @pytest.mark.parametrize("twists", ["v,", ",v", "v, "])
+    def test_gram_twists_refuse_an_empty_entry(self, capsys, twists):
+        code = main(["gram", "--n", "4", "--d", "2", "--open", "--twists", twists])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: empty --twists entry")
 
     def test_gram_row_first_is_the_transpose(self, capsys):
         def cells(*flags):
@@ -202,6 +222,13 @@ class TestMatrices:
 
 
 class TestChecks:
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_benchmark_digest(self, capsys, name):
+        kind, n, d = re.fullmatch(r"cli/([a-z-]+)/n(\d+)d(\d+)", name).groups()
+        code, out = run_cli(capsys, *DIGEST_COMMANDS[kind], "--n", n, "--d", d)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[name]
+
     def test_intertwiner_factorization(self, capsys):
         code, out = run_cli(
             capsys, "intertwiner", "--n", "5", "--d", "1", "--check", "factorization"

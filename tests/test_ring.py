@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import subprocess
@@ -10,19 +11,19 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import eptl
-from eptl.linkrep import loop_weight
 from eptl.ring import (
     ONE,
+    ZERO,
     GaussianInt,
     LaurentPoly,
     alpha_poly,
     beta_poly,
     bracket,
-    packed,
+    i_power,
     trig_cos,
     trig_sin,
 )
-from oracles import dense, div_terms, matmul_dense, mul_terms, u_pow
+from oracles import dense, div_terms, gaussian_div, matmul_dense, mul_terms, u_pow
 
 
 def _coeffs():
@@ -104,10 +105,6 @@ def long_gaussian_poly(rng, n_terms=24, span=9):
     )
 
 
-def fresh_packing(p):
-    return packed(LaurentPoly(dict(p.terms)))
-
-
 class TestPackedKernel:
     @given(_polys(), _polys())
     @settings(max_examples=80, deadline=None)
@@ -142,41 +139,14 @@ class TestPackedKernel:
             b = dense([[entry() for _ in range(c)] for _ in range(k)])
             assert a @ b == matmul_dense(a, b)
 
-    def test_cache_matches_a_fresh_packing_and_leaves_terms_alone(self):
-        shared = [ONE, loop_weight(2, 1, 3, 4), loop_weight(0, 2, -1, 5), beta_poly()]
-        before = [dict(p.terms) for p in shared]
-        m = dense([shared])
-        m @ m.transpose()  # one entry summing four products packs every factor
-        for p in shared[1:]:
-            p * shared[1]
-        for p, terms in zip(shared, before):
-            assert p._packed is not None
-            assert packed(p) == fresh_packing(p)
-            assert p.terms == terms
-        assert packed(ONE) == ((0, 1, 0),)
-
-    def test_eq_and_hash_ignore_the_cache(self):
-        p = long_gaussian_poly(random.Random(17))
-        q = LaurentPoly(dict(p.terms))
-        p * p
-        assert p._packed is not None and q._packed is None
-        assert p == q and hash(p) == hash(q)
-
-    def test_hash_taken_before_packing_holds_after(self):
-        p = long_gaussian_poly(random.Random(23))
-        before = hash(p)
-        packed(p)
-        assert hash(p) == before
-        q = LaurentPoly(dict(reversed(p.terms.items())))  # equal, built apart
-        assert q == p and hash(q) == before
-
     @pytest.mark.parametrize("ev", [1 << 30, -(1 << 30) - 1, 1 << 40])
     def test_v_exponent_outside_packed_range_raises(self, ev):
-        far = LaurentPoly({(0, ev): GaussianInt(1), (1, 0): GaussianInt(1)})
+        # 2^40 does not decode from a key, so building the polynomial refuses it
+        far = {(0, ev): GaussianInt(1), (1, 0): GaussianInt(1)}
         with pytest.raises(ValueError, match="packed range"):
-            far * beta_poly()
-        m = dense([[far]])
+            LaurentPoly(far) * beta_poly()
         with pytest.raises(ValueError, match="packed range"):
+            m = dense([[LaurentPoly(far)]])
             m @ m
 
     @pytest.mark.parametrize("ev", [(1 << 30) - 1, -(1 << 30)])
@@ -185,6 +155,84 @@ class TestPackedKernel:
         square = edge * edge
         assert square == mul_terms(edge, edge)
         assert (0, 2 * ev) in square.terms
+
+    @pytest.mark.parametrize("ev", [(1 << 30) - 1, -(1 << 30)])
+    def test_a_term_past_the_range_is_refused_before_its_key_wraps(self, ev):
+        edge = LaurentPoly({(0, ev): GaussianInt(1), (1, 0): GaussianInt(0, 1)})
+        square = edge * edge
+        assert edge ** 2 == square
+        for make_more in (
+            lambda: square * square,
+            lambda: square.shift(0, 1),
+            lambda: square.flip_v(),
+            lambda: square.exact_div(ONE),
+            lambda: dense([[square]]) @ dense([[ONE]]),
+            lambda: ONE.shift(0, 2 * ev),
+        ):
+            with pytest.raises(ValueError, match="packed range"):
+                make_more()
+
+
+def _units():
+    return st.integers(0, 3).map(i_power)
+
+
+def fresh(p):
+    return LaurentPoly(dict(p.terms))
+
+
+class TestCanonicalForm:
+    """Equal polynomials have one stored form, whatever route built them."""
+
+    @staticmethod
+    def same(p, q):
+        assert p == q and hash(p) == hash(q) and p.triples == q.triples
+
+    @given(_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_term_order_does_not_matter(self, p):
+        self.same(LaurentPoly(dict(reversed(p.terms.items()))), fresh(p))
+
+    @given(_polys(), _polys())
+    @settings(max_examples=60, deadline=None)
+    def test_a_sum_and_its_difference(self, a, b):
+        self.same(a + b - b, fresh(a))
+
+    @given(_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_flip_and_shift_round_trips(self, p):
+        self.same(p.flip_v().flip_v(), fresh(p))
+        self.same(p.shift(3, -2).shift(-3, 2), fresh(p))
+
+    @given(_polys(), st.integers(-6, 6), st.integers(-6, 6), _units(), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_a_monomial_times_its_inverse_power(self, p, eu, ev, unit, k):
+        m = LaurentPoly.monomial(eu, ev, unit)
+        self.same(m ** k * m ** -k, ONE)
+        self.same(p * m ** k * m ** -k, fresh(p))
+
+    @given(_polys(), _polys())
+    @settings(max_examples=60, deadline=None)
+    def test_a_product_divided_back(self, p, q):
+        assume(q)
+        self.same((p * q).exact_div(q), fresh(p))
+
+    @given(_polys(), _polys(), _polys())
+    @settings(max_examples=60, deadline=None)
+    def test_what_cancels_is_zero(self, p, q, r):
+        for z in (p - p, p + (-p), (p + q) * r - p * r - q * r, p * ZERO, ZERO * p):
+            self.same(z, ZERO)
+            assert not z and z.is_zero() and len(z.terms) == 0 and z.triples == ()
+
+    def test_zero_coefficients_are_dropped_when_built(self):
+        p = LaurentPoly({(1, 2): GaussianInt(0, 0), (0, 0): 3, (2, 0): 0})
+        self.same(p, LaurentPoly.const(3))
+
+    def test_negative_power_of_a_non_unit_is_refused(self):
+        with pytest.raises(ValueError, match="not a unit"):
+            LaurentPoly.monomial(1, 0, GaussianInt(1, 1)) ** -1
+        with pytest.raises(ValueError, match="non-monomial"):
+            beta_poly() ** -1
 
 
 def division_outcome(divide, p, q):
@@ -311,9 +359,11 @@ class TestGaussianIntegers:
     @pytest.mark.parametrize("part", [Fraction(1, 2), 0.5])
     def test_non_integer_parts_refused(self, part):
         with pytest.raises(TypeError):
-            GaussianInt(part)
+            LaurentPoly.const(part)
         with pytest.raises(TypeError):
-            GaussianInt(0, part)
+            LaurentPoly.const(GaussianInt(0, part))
+        with pytest.raises(TypeError):
+            LaurentPoly.monomial(part, 0)
 
     def test_json_with_rational_coefficient_refused(self):
         d = {"terms": [{"eu": 0, "ev": 0, "re": "1/2", "im": "0"}]}
@@ -321,12 +371,12 @@ class TestGaussianIntegers:
             LaurentPoly.from_json_dict(d)
 
     def test_exact_gaussian_division(self):
-        assert GaussianInt(5) / GaussianInt(2, 1) == GaussianInt(2, -1)
-        assert GaussianInt(3, 1) / GaussianInt(0, 1) == GaussianInt(1, -3)
+        assert gaussian_div((5, 0), (2, 1)) == (2, -1)
+        assert gaussian_div((3, 1), (0, 1)) == (1, -3)
         with pytest.raises(ValueError):
-            GaussianInt(3) / GaussianInt(2)
+            gaussian_div((3, 0), (2, 0))
         with pytest.raises(ZeroDivisionError):
-            GaussianInt(3) / GaussianInt(0)
+            gaussian_div((3, 0), (0, 0))
 
     def test_exact_div_refuses_a_quotient_outside_the_ring(self):
         with pytest.raises(ValueError):
@@ -353,3 +403,74 @@ class TestJson:
     def test_roundtrip_property(self, p):
         assert LaurentPoly.from_json_dict(p.to_json_dict()) == p
 
+
+# repr and to_json_dict of fixed polynomials, as the text of every csv,
+# ascii and projector --check wj output writes them
+PINNED_TEXT = [
+    ("zero", LaurentPoly.zero(), "0", '{"terms": []}'),
+    ("one", LaurentPoly.one(), "(1)", '{"terms": [{"eu": 0, "ev": 0, "re": "1", "im": "0"}]}'),
+    ("u_v", LaurentPoly.monomial(1, 1), "u*v", '{"terms": [{"eu": 1, "ev": 1, "re": "1", "im": "0"}]}'),
+    ("constant", LaurentPoly.const(7), "(7)", '{"terms": [{"eu": 0, "ev": 0, "re": "7", "im": "0"}]}'),
+    (
+        "negative",
+        LaurentPoly.monomial(2, -3, -5),
+        "(-5)*u^2*v^-3",
+        '{"terms": [{"eu": 2, "ev": -3, "re": "-5", "im": "0"}]}',
+    ),
+    (
+        "imaginary",
+        LaurentPoly({(0, 2): GaussianInt(0, 3), (-1, 0): GaussianInt(0, -1)}),
+        "(-1i)*u^-1 + (3i)*v^2",
+        '{"terms": [{"eu": -1, "ev": 0, "re": "0", "im": "-1"}, {"eu": 0, "ev": 2, "re": "0", "im": "3"}]}',
+    ),
+    (
+        "mixed",
+        LaurentPoly({(3, 0): GaussianInt(2, -1), (0, -1): GaussianInt(-2, 3)}),
+        "(-2+3i)*v^-1 + (2-1i)*u^3",
+        '{"terms": [{"eu": 0, "ev": -1, "re": "-2", "im": "3"}, {"eu": 3, "ev": 0, "re": "2", "im": "-1"}]}',
+    ),
+    (
+        "huge",
+        LaurentPoly({(0, 0): GaussianInt(2**70 + 1, -(2**65)), (1, -1): GaussianInt(-(2**64) - 3)}),
+        "(1180591620717411303425-36893488147419103232i) + (-18446744073709551619)*u*v^-1",
+        '{"terms": [{"eu": 0, "ev": 0, "re": "1180591620717411303425", "im": "-36893488147419103232"},'
+        ' {"eu": 1, "ev": -1, "re": "-18446744073709551619", "im": "0"}]}',
+    ),
+    (
+        "beta",
+        beta_poly(),
+        "u^-2 + u^2",
+        '{"terms": [{"eu": -2, "ev": 0, "re": "1", "im": "0"}, {"eu": 2, "ev": 0, "re": "1", "im": "0"}]}',
+    ),
+    (
+        "bracket",
+        bracket(3, 4),
+        "(-1i)*u^-3*v^-4 + (-1i)*u^3*v^4",
+        '{"terms": [{"eu": -3, "ev": -4, "re": "0", "im": "-1"}, {"eu": 3, "ev": 4, "re": "0", "im": "-1"}]}',
+    ),
+    (
+        "sine",
+        trig_sin(3),
+        "(-1i)*u^-3 + (-1i)*u^3",
+        '{"terms": [{"eu": -3, "ev": 0, "re": "0", "im": "-1"}, {"eu": 3, "ev": 0, "re": "0", "im": "-1"}]}',
+    ),
+    (
+        "sum",
+        LaurentPoly(
+            {(0, 0): GaussianInt(1), (1, 0): GaussianInt(1), (0, 1): GaussianInt(-1),
+             (-1, 2): GaussianInt(0, 1), (1, 1): GaussianInt(4, 4)}
+        ),
+        "(1i)*u^-1*v^2 + (1) + (-1)*v + u + (4+4i)*u*v",
+        '{"terms": [{"eu": -1, "ev": 2, "re": "0", "im": "1"}, {"eu": 0, "ev": 0, "re": "1", "im": "0"},'
+        ' {"eu": 0, "ev": 1, "re": "-1", "im": "0"}, {"eu": 1, "ev": 0, "re": "1", "im": "0"},'
+        ' {"eu": 1, "ev": 1, "re": "4", "im": "4"}]}',
+    ),
+]
+
+
+class TestText:
+    @pytest.mark.parametrize("name,p,text,json_text", PINNED_TEXT, ids=[t[0] for t in PINNED_TEXT])
+    def test_repr_and_json_are_pinned(self, name, p, text, json_text):
+        assert repr(p) == text
+        assert json.dumps(p.to_json_dict()) == json_text
+        assert LaurentPoly.from_json_dict(json.loads(json_text)) == p
