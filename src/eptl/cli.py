@@ -8,11 +8,10 @@ MAX_SITES, a --d that is no defect count on --n sites, an intertwiner
 --format that its --check does not honour (INTERTWINER_FORMATS), a
 projector --check wj, gamma or recursion past PROJECTOR_MAX_SITES, a non-finite
 --lambda, --mu, --nu, --tol or --lambda-range/--mu-range bound, a
-transfer expansion check where sin(lambda) vanishes or on fewer than 2
-sites, an intertwiner --check intertwine on fewer than 2 sites, a verify
-run that selects no case, and an unwritable --out).  All floating numbers are
-emitted with 17 significant digits; the randomized verify suites take
---seed.
+transfer expansion check or an intertwiner --check intertwine on fewer
+than 2 sites, a verify run that selects no case, and an unwritable
+--out).  All floating numbers are emitted with 17 significant digits;
+the randomized verify suites take --seed.
 """
 
 from __future__ import annotations
@@ -222,7 +221,7 @@ def cmd_intertwiner(args, out) -> int:
         out.write(json.dumps(report | {"ok": ok}) + "\n")
         return 0 if ok else 1
     if args.check == "det":
-        det = itw.det_exact(itw.i_matrix(n, d))
+        det = itw.i_det_exact(n, d)
         formula = itw.det_formulas(n, d, "intertwiner")
         unit = itw.matches_up_to_unit(det, formula)
         out.write(
@@ -296,7 +295,7 @@ def cmd_transfer(args, out) -> int:
         if n < 2:  # never left out of --check all: a check that cannot run does not pass
             raise ValueError(f"the expansion check (--check expand) needs at least 2 sites, --n is {n}")
         results["expansion_defect"] = trf.expansion_defect(n, d, lam, mu)
-    ok = all(v <= trf.DEFECT_TOL[k] for k, v in results.items())
+    ok = all(v <= trf.DEFECT_TOL for v in results.values())
     payload = {k: _fmt(v) for k, v in results.items()} | {"ok": ok}
     out.write(json.dumps(payload) + "\n")
     return 0 if ok else 1

@@ -154,6 +154,13 @@ def det_exact(m: RingMatrix) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
+def i_det_exact(n: int, d: int) -> LaurentPoly:
+    """Exact determinant of the intertwiner matrix.  Cached, so the Gram
+    determinant and the checks of det I share one elimination."""
+    return det_exact(i_matrix(n, d))
+
+
+@lru_cache(maxsize=None)
 def gram_det_exact(n: int, d: int) -> LaurentPoly:
     """Exact determinant of the periodic Gram matrix.
 
@@ -166,7 +173,7 @@ def gram_det_exact(n: int, d: int) -> LaurentPoly:
         raise ValueError(
             f"Gram factorization fails at n={n} d={d}: {len(report['mismatches'])} mismatched entries"
         )
-    det = det_exact(i_matrix(n, d))
+    det = i_det_exact(n, d)
     return det.flip_v() * det
 
 

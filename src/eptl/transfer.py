@@ -11,7 +11,9 @@ Summing the 2^n fillings gives a connectivity acting on link states.
 The all-first-choice filling is the unit translation (this pins the
 tile orientation), so the nu -> 0 limit is sin(lam)^n times the
 translation matrix.  The fillings do not depend on the point, so their
-sum is built once per sector as an integer term table (transfer_table).
+sum is built once per sector as an integer term table (transfer_table),
+whose terms with k second-choice tiles make the coefficient matrix T_k
+of T = sum_k sin(lam - nu)^(n - k) sin(nu)^k T_k (table_matrix).
 Rotating a filling conjugates it by the translation, so the table acts
 with one filling per rotation orbit and reaches the others through the
 translation's permutation of the basis.
@@ -27,20 +29,10 @@ import numpy as np
 
 from .diagrams import AffineDiagram, act_on_link, chord_diagram
 from .linkrep import hamiltonian_link, link_orbits, omega_matrix
-from .states import LinkState, enumerate_states, module_dim
+from .states import enumerate_states, index_table, module_dim
 
 # relative size below which each property defect counts as vanishing
-DEFECT_TOL = {
-    "commute_defect": 1e-9,
-    "translate_defect": 1e-9,
-    "crossing_defect": 1e-9,
-    "expansion_defect": 1e-5,
-}
-# finite-difference step of expansion_defect
-EXPANSION_STEP = 1e-4
-# |sin(lam)| below which the zero-anisotropy limit sin(lam)^n Omega vanishes
-# and the expansion about it, which divides by sin(lam), is undefined
-SIN_FLOOR = 1e-6
+DEFECT_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -133,12 +125,13 @@ def transfer_table(n: int, d: int) -> tuple:
     return keys, coeffs
 
 
-def transfer_matrix(n: int, d: int, lam: float, nu: complex, mu: float) -> np.ndarray:
-    """Numeric transfer matrix on the d-defect module.
+def table_matrix(n: int, d: int, weights, lam: float, mu: float) -> np.ndarray:
+    """The transfer table's terms on the d-defect module, summed with the
+    terms of k second-choice tiles weighted by ``weights[k]``.
 
     Loop weights are beta = 2 cos(lam) and alpha = 2 cos(mu n); the
-    twist is exp(i mu).  A tile filling weighs sin(lam - nu)^(n - k)
-    sin(nu)^k, k its count of second-choice tiles.
+    twist is exp(i mu).  The unit vector of k gives the coefficient
+    matrix T_k of T = sum_k sin(lam - nu)^(n - k) sin(nu)^k T_k.
     """
     keys, coeffs = transfer_table(n, d)
     size = module_dim(n, d)
@@ -147,10 +140,22 @@ def transfer_matrix(n: int, d: int, lam: float, nu: complex, mu: float) -> np.nd
     beta = u * u + 1 / (u * u)
     alpha = v ** n + v ** (-n)
     rows, cols, k, nbeta, nalpha, twist = keys.T
-    weights = sin(lam - nu) ** (n - k) * sin(nu) ** k * beta ** nbeta * alpha ** nalpha * v ** twist
+    terms = weights[k] * beta ** nbeta * alpha ** nalpha * v ** twist
     out = np.zeros((size, size), dtype=complex)
-    np.add.at(out, (rows, cols), coeffs * weights)
+    np.add.at(out, (rows, cols), coeffs * terms)
     return out
+
+
+def transfer_matrix(n: int, d: int, lam: float, nu: complex, mu: float) -> np.ndarray:
+    """Numeric transfer matrix on the d-defect module: a tile filling
+    weighs sin(lam - nu)^(n - k) sin(nu)^k, k its count of second-choice
+    tiles (see :func:`table_matrix`)."""
+    k = np.arange(n + 1)
+    return table_matrix(n, d, sin(lam - nu) ** (n - k) * sin(nu) ** k, lam, mu)
+
+
+def _relative(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1e-30))
 
 
 def commuting_family_defect(n: int, d: int, lam: float, nu1: complex, nu2: complex, mu: float) -> float:
@@ -171,27 +176,16 @@ def translation_invariance_defect(n: int, d: int, lam: float, nu: complex, mu: f
     return float(np.linalg.norm(comm) / scale) if scale else 0.0
 
 
-def reflect_state(w: LinkState) -> LinkState:
-    """Left-right mirror: site p -> n+1-p."""
-    n = w.n_sites
-    pairs = []
-    for i, j in w.pairs:
-        if j <= n:
-            pairs.append((n + 1 - j, n + 1 - i))
-        else:
-            pairs.append((2 * n + 1 - j, 2 * n + 1 - i))
-    defects = [n + 1 - p for p in w.defects]
-    return LinkState(n, pairs, defects)
+def mirror_permutation(n: int, d: int) -> np.ndarray:
+    """Basis index of the mirror image p -> n+1-p of each basis state.
 
-
-def reflection_permutation(n: int, d: int) -> np.ndarray:
-    basis = enumerate_states(n, d)
-    index = {w: k for k, w in enumerate(basis)}
-    size = len(basis)
-    r = np.zeros((size, size))
-    for j, w in enumerate(basis):
-        r[index[reflect_state(w)], j] = 1.0
-    return r
+    The mirror's arc openers are the images of the arc closers, and its
+    defects those of the defects: its code sets bit n-c for each closer
+    c and bit n-p for each defect p.
+    """
+    table = index_table(n, d)
+    ends = ([(j - 1) % n + 1 for _, j in w.pairs] + list(w.defects) for w in enumerate_states(n, d))
+    return np.array([table[sum(1 << (n - s) for s in sites)][0] for sites in ends], dtype=np.intp)
 
 
 def crossing_defect(n: int, d: int, lam: float, nu: complex, mu: float) -> float:
@@ -199,35 +193,24 @@ def crossing_defect(n: int, d: int, lam: float, nu: complex, mu: float) -> float
 
     Reflection maps the twist-v module to the twist-1/v module, so the
     identity compares the crossed matrix at twist v against the
-    reflection conjugate of the original at twist 1/v.
+    mirror conjugate of the original at twist 1/v.
     """
-    lhs = transfer_matrix(n, d, lam, lam - nu, mu)
-    r = reflection_permutation(n, d)
+    p = mirror_permutation(n, d)
     t_flip = transfer_matrix(n, d, lam, nu, -mu)
-    rhs = r.T @ t_flip @ r
-    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-30)
-    return float(np.linalg.norm(lhs - rhs) / scale)
+    return _relative(transfer_matrix(n, d, lam, lam - nu, mu), t_flip[np.ix_(p, p)])
 
 
 def expansion_defect(n: int, d: int, lam: float, mu: float) -> float:
     """Deviation of the first-order anisotropy expansion.
 
-    Richardson-extrapolated central differences of the transfer matrix
-    at zero anisotropy, with step ``EXPANSION_STEP``, against
-    sin(lam)^n * Omega (H/sin(lam) - n cot(lam)), with H the
-    generator-sum matrix.  Raises ValueError when |sin(lam)| is below
-    ``SIN_FLOOR``.
+    T(nu) = sin(lam)^n T_0 + nu sin(lam)^(n-1) (T_1 - n cos(lam) T_0)
+    + O(nu^2), so the expansion about the zero-anisotropy limit
+    sin(lam)^n Omega, with generator sum H, is T_0 = Omega and
+    T_1 = Omega H; neither divides by sin(lam).  Returns the larger
+    relative deviation of the two at (u, v).
     """
-    if abs(sin(lam)) < SIN_FLOOR:
-        raise ValueError(f"sin(lambda) vanishes at lambda = {lam}; the expansion is undefined")
-    h = EXPANSION_STEP
     u, v = exp(1j * lam / 2), exp(1j * mu)
-    d1 = (transfer_matrix(n, d, lam, h, mu) - transfer_matrix(n, d, lam, -h, mu)) / (2 * h)
-    d2 = (transfer_matrix(n, d, lam, 2 * h, mu) - transfer_matrix(n, d, lam, -2 * h, mu)) / (4 * h)
-    deriv = (4 * d1 - d2) / 3
     om = omega_matrix([("omega", 1)], n, d).to_numeric(u, v)
     hmat = hamiltonian_link(n, d).to_numeric(u, v)
-    s, c = np.sin(lam), np.cos(lam)
-    expect = (s ** n) * om @ (hmat / s - n * (c / s) * np.eye(len(hmat)))
-    scale = max(np.linalg.norm(deriv), np.linalg.norm(expect), 1e-30)
-    return float(np.linalg.norm(deriv - expect) / scale)
+    t0, t1 = (table_matrix(n, d, unit, lam, mu) for unit in np.eye(n + 1)[:2])
+    return max(_relative(t0, om), _relative(t1, om @ hmat))

@@ -25,6 +25,17 @@ route, and is kept only as a reference for the tests:
   point, against the cached term table of ``transfer.transfer_matrix``;
 * ``transfer_table_per_config``: every tile filling acting on every
   state, against the rotation-orbit build of ``transfer.transfer_table``;
+* ``transfer_coefficient``: the table's terms of one k with their
+  exact loop weights, a ``RingMatrix`` T_k, against ``transfer.table_matrix``
+  at a unit vector, and for the exact identities T_0 = Omega and
+  T_1 = Omega H;
+* ``reflect_state``, ``reflection_permutation`` and
+  ``crossing_defect_dense``: the mirror built state by state as a
+  ``LinkState`` and applied as a dense matrix, against the code
+  permutation ``transfer.mirror_permutation`` and ``crossing_defect``;
+* ``expansion_defect_finite_difference``: the anisotropy expansion read
+  off ``transfer_matrix`` by central differences in nu, against the
+  coefficient matrices of ``transfer.expansion_defect``;
 * ``u_transform_state_reduced``: the projector acting on the reduced
   cylinder of a state's defects and boundary-arc ends, against the
   full-cylinder action of ``projectors.u_transform_state``;
@@ -65,12 +76,12 @@ import numpy as np
 
 from eptl.diagrams import ActResult, AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
 from eptl.intertwiner import det_exact
-from eptl.linkrep import RingMatrix, _label_str, act_weight, hamiltonian_link, loop_weight, state_diagram
+from eptl.linkrep import RingMatrix, _label_str, act_weight, hamiltonian_link, loop_weight, omega_matrix, state_diagram
 from eptl.projectors import _sine, wenzl_jones
 from eptl.ring import ONE, ZERO, GaussianInt, LaurentPoly, beta_poly, collect, mul_into
 from eptl.spinrep import hamiltonian_numeric
 from eptl.states import LinkState, enumerate_states
-from eptl.transfer import tile_diagram
+from eptl.transfer import tile_diagram, transfer_matrix, transfer_table
 
 
 def dense(rows, row_labels=None, col_labels=None) -> RingMatrix:
@@ -661,6 +672,76 @@ def transfer_table_per_config(n: int, d: int) -> tuple:
     keys = np.array(list(counts), dtype=np.int64).reshape(-1, 6)
     coeffs = np.array(list(counts.values()), dtype=np.int64)
     return keys, coeffs
+
+
+def transfer_coefficient(n: int, d: int, k: int) -> RingMatrix:
+    """The coefficient matrix T_k of T = sum_k sin(lam - nu)^(n - k)
+    sin(nu)^k T_k, exactly: the term table's rows for k, each count times
+    its ``loop_weight``; exact counterpart of ``transfer.table_matrix`` at
+    the unit vector of k."""
+    basis = enumerate_states(n, d)
+    keys, coeffs = transfer_table(n, d)
+    columns = [{} for _ in basis]
+    for (row, col, kk, nbeta, nalpha, twist), c in zip(keys.tolist(), coeffs.tolist()):
+        if kk == k:
+            entry = columns[col].pop(row, ZERO) + LaurentPoly.const(c) * loop_weight(nbeta, nalpha, twist, n)
+            if entry:
+                columns[col][row] = entry
+    return RingMatrix(columns, list(basis), list(basis))
+
+
+def reflect_state(w: LinkState) -> LinkState:
+    """Left-right mirror: site p -> n+1-p."""
+    n = w.n_sites
+    pairs = []
+    for i, j in w.pairs:
+        if j <= n:
+            pairs.append((n + 1 - j, n + 1 - i))
+        else:
+            pairs.append((2 * n + 1 - j, 2 * n + 1 - i))
+    defects = [n + 1 - p for p in w.defects]
+    return LinkState(n, pairs, defects)
+
+
+def reflection_permutation(n: int, d: int) -> np.ndarray:
+    """The mirror as a dense 0/1 float matrix, column j the image of
+    state j; oracle for ``transfer.mirror_permutation``."""
+    basis = enumerate_states(n, d)
+    index = {w: k for k, w in enumerate(basis)}
+    size = len(basis)
+    r = np.zeros((size, size))
+    for j, w in enumerate(basis):
+        r[index[reflect_state(w)], j] = 1.0
+    return r
+
+
+def crossing_defect_dense(n: int, d: int, lam: float, nu: complex, mu: float) -> float:
+    """The crossing defect with the mirror as a dense matrix product;
+    oracle for ``transfer.crossing_defect``."""
+    lhs = transfer_matrix(n, d, lam, lam - nu, mu)
+    r = reflection_permutation(n, d)
+    t_flip = transfer_matrix(n, d, lam, nu, -mu)
+    rhs = r.T @ t_flip @ r
+    scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1e-30)
+    return float(np.linalg.norm(lhs - rhs) / scale)
+
+
+def expansion_defect_finite_difference(n: int, d: int, lam: float, mu: float, h: float = 1e-4) -> float:
+    """Deviation of the first-order anisotropy expansion, read off the
+    transfer matrix by Richardson-extrapolated central differences in nu
+    at 0 with step h, against sin(lam)^n Omega (H/sin(lam) - n cot(lam));
+    oracle for ``transfer.expansion_defect``, undefined where sin(lam)
+    vanishes."""
+    u, v = exp(1j * lam / 2), exp(1j * mu)
+    d1 = (transfer_matrix(n, d, lam, h, mu) - transfer_matrix(n, d, lam, -h, mu)) / (2 * h)
+    d2 = (transfer_matrix(n, d, lam, 2 * h, mu) - transfer_matrix(n, d, lam, -2 * h, mu)) / (4 * h)
+    deriv = (4 * d1 - d2) / 3
+    om = omega_matrix([("omega", 1)], n, d).to_numeric(u, v)
+    hmat = hamiltonian_link(n, d).to_numeric(u, v)
+    s, c = np.sin(lam), np.cos(lam)
+    expect = (s ** n) * om @ (hmat / s - n * (c / s) * np.eye(len(hmat)))
+    scale = max(np.linalg.norm(deriv), np.linalg.norm(expect), 1e-30)
+    return float(np.linalg.norm(deriv - expect) / scale)
 
 
 def u_transform_state_reduced(w: LinkState):

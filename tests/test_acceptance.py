@@ -256,7 +256,7 @@ class TestCriterion8Transfer:
                     bad.append((n, d, "translate"))
                 if trf.crossing_defect(n, d, lam, nu1, mu) > 1e-9:
                     bad.append((n, d, "cross"))
-                if trf.expansion_defect(n, d, lam, mu) > 1e-5:
+                if trf.expansion_defect(n, d, lam, mu) > 1e-9:
                     bad.append((n, d, "expand"))
         report("criterion 8: transfer-matrix properties through n=8", not bad, str(bad))
 

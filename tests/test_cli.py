@@ -574,6 +574,23 @@ class TestVerify:
             monkeypatch.setattr(itw, "det_formulas", changed)
         assert vfy.exact_determinants(4, 0) == witness
 
+    def test_exact_determinant_case_eliminates_once(self, monkeypatch):
+        # the Gram determinant and the checks of det I share one Bareiss run
+        from eptl import intertwiner as itw
+
+        sizes = []
+        det_exact = itw.det_exact
+
+        def counting(m):
+            sizes.append(m.rows)
+            return det_exact(m)
+
+        monkeypatch.setattr(itw, "det_exact", counting)
+        itw.gram_det_exact.cache_clear()
+        itw.i_det_exact.cache_clear()
+        assert vfy.exact_determinants(5, 1) is None
+        assert sizes == [10]
+
     def test_failed_factorization_fails_the_determinant_suite(self, monkeypatch, capsys):
         from eptl import intertwiner as itw
         from eptl.linkrep import RingMatrix
@@ -779,12 +796,13 @@ class TestSurface:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in captured.err
 
+    @pytest.mark.parametrize("check", ["all", "expand"])
     @pytest.mark.parametrize("lam", ["0", "3.141592653589793"])
-    def test_expansion_where_sin_lambda_vanishes_exits_two(self, lam, capsys):
-        code = main(["transfer", "--n", "4", "--d", "0", "--lambda", lam])
+    def test_expansion_runs_and_passes_where_sin_lambda_vanishes(self, lam, check, capsys):
+        code = main(["transfer", "--n", "4", "--d", "0", "--lambda", lam, "--check", check])
         captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "sin(lambda) vanishes" in captured.err
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["ok"] is True
 
     def test_recursion_without_defects_exits_two(self, capsys):
         # d = 0 is refused as it is, not rewritten to d = 1

@@ -6,23 +6,36 @@ import numpy as np
 import pytest
 
 from eptl.diagrams import act_on_link, compose, generator_diagram
-from eptl.linkrep import omega_matrix
+from eptl.linkrep import hamiltonian_link, omega_matrix
 from eptl.states import LinkState, enumerate_states
 from eptl.transfer import (
+    DEFECT_TOL,
     commuting_family_defect,
     crossing_defect,
     expansion_defect,
-    reflect_state,
+    mirror_permutation,
+    table_matrix,
     tile_diagram,
     transfer_matrix,
     transfer_table,
     translation_invariance_defect,
 )
 from eptl.cli import main
-from oracles import _tile_diagram_sequential, transfer_matrix_tilesum, transfer_table_per_config
+from oracles import (
+    _tile_diagram_sequential,
+    crossing_defect_dense,
+    expansion_defect_finite_difference,
+    reflect_state,
+    reflection_permutation,
+    transfer_coefficient,
+    transfer_matrix_tilesum,
+    transfer_table_per_config,
+)
 
 SECTORS_TO_7 = [(n, d) for n in range(1, 8) for d in range(n % 2, n + 1, 2)]
 SECTORS_TO_8 = SECTORS_TO_7 + [(8, d) for d in range(0, 9, 2)]
+SECTORS_TO_10 = SECTORS_TO_8 + [(n, d) for n in (9, 10) for d in range(n % 2, n + 1, 2)]
+EXPANSION_POINTS = [(4, 2, math.pi / 3), (5, 1, 0.7), (6, 0, 1.1), (8, 2, 0.9)]
 
 
 class TestTiles:
@@ -92,16 +105,45 @@ class TestTransferProperties:
         b = transfer_matrix(4, 0, lam, lam - lam / 2, 0.2)
         assert np.max(np.abs(a - b)) == 0.0
 
-    @pytest.mark.parametrize(
-        "n,d,lam", [(4, 2, math.pi / 3), (5, 1, 0.7), (6, 0, 1.1), (8, 2, 0.9)]
-    )
+    @pytest.mark.parametrize("n,d", SECTORS_TO_8)
+    def test_crossing_matches_the_dense_oracle(self, n, d):
+        rng = random.Random(7 * n + d)
+        for _ in range(2):
+            lam, mu = rng.uniform(0.3, 2.7), rng.uniform(-0.8, 0.8)
+            nu = complex(rng.uniform(0.1, 1.2), rng.uniform(-0.3, 0.3))
+            assert crossing_defect(n, d, lam, nu, mu) == crossing_defect_dense(n, d, lam, nu, mu)
+
+    @pytest.mark.parametrize("n,d,lam", EXPANSION_POINTS)
     def test_anisotropy_expansion(self, n, d, lam):
-        assert expansion_defect(n, d, lam, 0.3) < 1e-5
+        assert expansion_defect(n, d, lam, 0.3) < 1e-9
+
+    @pytest.mark.parametrize("n,d,lam", EXPANSION_POINTS)
+    def test_finite_difference_oracle(self, n, d, lam):
+        assert expansion_defect_finite_difference(n, d, lam, 0.3) < 1e-5
 
     @pytest.mark.parametrize("lam", [0.0, math.pi, -math.pi, 1e-7])
-    def test_expansion_refuses_vanishing_sine(self, lam):
-        with pytest.raises(ValueError, match="sin\\(lambda\\) vanishes"):
-            expansion_defect(4, 0, lam, 0.3)
+    def test_expansion_holds_where_sine_vanishes(self, lam):
+        assert expansion_defect(4, 0, lam, 0.3) < DEFECT_TOL
+
+
+class TestCoefficientMatrices:
+    @pytest.mark.parametrize("n,d", SECTORS_TO_8)
+    def test_t0_is_the_translation(self, n, d):
+        assert transfer_coefficient(n, d, 0) == omega_matrix([("omega", 1)], n, d)
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n, d in SECTORS_TO_8 if n >= 2])
+    def test_t1_is_translation_times_hamiltonian(self, n, d):
+        expect = omega_matrix([("omega", 1)], n, d) @ hamiltonian_link(n, d)
+        assert transfer_coefficient(n, d, 1) == expect
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (4, 0), (5, 3), (6, 2)])
+    def test_table_matrix_at_a_unit_vector_evaluates_t_k(self, n, d):
+        lam, mu = 0.8, 0.35
+        u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
+        for k, unit in enumerate(np.eye(n + 1)):
+            want = transfer_coefficient(n, d, k).to_numeric(u, v)
+            got = table_matrix(n, d, unit, lam, mu)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 class TestTransferTable:
@@ -154,10 +196,19 @@ class TestTransferTable:
         argv = ["transfer", "--n", "6", "--d", "2", "--lambda", "1.1", "--nu", "0.4", "--check", "all"]
         assert main(argv) == 0
         assert transfer_table.cache_info().misses == 1
-        assert transfer_table.cache_info().hits >= 8
+        assert transfer_table.cache_info().hits >= 6
 
 
 class TestReflection:
+    @pytest.mark.parametrize("n,d", SECTORS_TO_10)
+    def test_mirror_permutation_is_the_reflection(self, n, d):
+        p = mirror_permutation(n, d)
+        assert np.array_equal(p[p], np.arange(len(p)))
+        basis = enumerate_states(n, d)
+        assert [basis[i] for i in p] == [reflect_state(w) for w in basis]
+        if n <= 8:
+            assert np.array_equal(reflection_permutation(n, d), np.eye(len(p))[p].T)
+
     def test_reflect_involution(self):
         for w in enumerate_states(6, 2):
             assert reflect_state(reflect_state(w)) == w
