@@ -30,7 +30,7 @@ from . import verify as vfy
 from .linkrep import _label_str, gram_matrix
 from .ring import ONE, LaurentPoly
 from .spinrep import ebar_matrix, hamiltonian, omegabar_matrix
-from .states import enumerate_states
+from .states import enumerate_states, module_dim
 
 # the largest --n / --n-max accepted: the README's desk budget of the one-time
 # transfer table build; larger sizes exit 2 before any work starts
@@ -548,7 +548,7 @@ def _check_finite(args):
 
 def _check_sector(args):
     n = getattr(args, "n", None)
-    if n is not None and not (0 <= args.d <= n and (n - args.d) % 2 == 0):
+    if n is not None and not module_dim(n, args.d):
         raise ValueError(f"defect count {args.d} incompatible with {n} sites")
 
 

@@ -80,32 +80,45 @@ def identity_diagram(n: int) -> AffineDiagram:
     return chord_diagram(n, [(i, n + i, 0) for i in range(1, n + 1)])
 
 
-@lru_cache(maxsize=None)
-def generator_diagram(kind: str, n: int, i: int | None = None) -> AffineDiagram:
-    """Build id, e_i, or the translation diagrams.
-
-    kind is one of 'id', 'e', 'omega', 'omega_inv'; for 'e' the site
-    index i in 1..n is required (i = n couples sites n and 1 through the
-    boundary).  Cached: diagrams are immutable, so callers share them.
-    """
-    if kind == "id":
-        return identity_diagram(n)
+def parse_token(tok, n: int) -> tuple:
+    """Check a word token on n sites and return it as ``(kind, arg)``:
+    ``("e", i)`` with 1 <= i <= n needs n >= 2, ``("omega", +1/-1)``
+    needs n >= 1.  The one check of the tokens of both representations."""
+    kind, arg = tok
     if kind == "e":
         if n < 2:
             raise ValueError("e generators need at least 2 sites")
-        if not (1 <= i <= n):
-            raise ValueError(f"site index {i} out of range")
-        j = i + 1 if i < n else 1
-        cross = 0 if i < n else -1
-        through = [(k, n + k, 0) for k in range(1, n + 1) if k != i and k != j]
-        return chord_diagram(n, [(i, j, cross), (n + i, n + j, cross), *through])
-    if kind in ("omega", "omega_inv") and n < 1:
-        raise ValueError("the translation needs at least one site")
-    if kind == "omega":
+        if not 1 <= arg <= n:
+            raise ValueError(f"site index {arg} out of range for {n} sites")
+    elif kind == "omega":
+        if arg not in (1, -1):
+            raise ValueError(f"translation power must be +1 or -1, not {arg!r}")
+        if n < 1:
+            raise ValueError("the translation needs at least one site")
+    else:
+        raise ValueError(f"unknown word token {tok!r}")
+    return kind, arg
+
+
+@lru_cache(maxsize=None)
+def generator_diagram(kind: str, n: int, i: int | None = None) -> AffineDiagram:
+    """Build e_i ('e'), the translation ('omega') or its inverse
+    ('omega_inv'), checked as the tokens ``("e", i)`` and ``("omega",
+    +1/-1)`` by :func:`parse_token`; e_n couples sites n and 1 through the
+    boundary.  Cached: diagrams are immutable, so callers share them.
+    """
+    if kind not in ("e", "omega", "omega_inv"):
+        raise ValueError(f"unknown generator kind {kind!r}")
+    tok = ("e", i) if kind == "e" else ("omega", 1 if kind == "omega" else -1)
+    kind, arg = parse_token(tok, n)
+    if kind == "e":
+        j = arg + 1 if arg < n else 1
+        cross = 0 if arg < n else -1
+        through = [(k, n + k, 0) for k in range(1, n + 1) if k != arg and k != j]
+        return chord_diagram(n, [(arg, j, cross), (n + arg, n + j, cross), *through])
+    if arg == 1:
         return chord_diagram(n, [(j, n + j - 1, 0) for j in range(2, n + 1)] + [(1, 2 * n, 1)])
-    if kind == "omega_inv":
-        return chord_diagram(n, [(j, n + j + 1, 0) for j in range(1, n)] + [(n, n + 1, -1)])
-    raise ValueError(f"unknown generator kind {kind!r}")
+    return chord_diagram(n, [(j, n + j + 1, 0) for j in range(1, n)] + [(n, n + 1, -1)])
 
 
 def compose(top: AffineDiagram, bottom: AffineDiagram) -> AffineDiagram:
@@ -169,41 +182,32 @@ def compose(top: AffineDiagram, bottom: AffineDiagram) -> AffineDiagram:
 def word_diagram(word, n: int) -> AffineDiagram:
     """Diagram of a product of generators, left to right.
 
-    ``word`` is a sequence of ('e', i), ('omega', +1/-1) or 'id' tokens;
-    the leftmost token ends up at the bottom of the stack, so the
-    rightmost acts first on a link state.
+    ``word`` is a sequence of ('e', i) and ('omega', +1/-1) tokens (see
+    :func:`parse_token`), the empty word the identity; the leftmost token
+    ends up at the bottom of the stack, so the rightmost acts first on a
+    link state.
     """
     diag = None
     for tok in word:
-        top = _token_diagram(tok, n)
+        kind, arg = parse_token(tok, n)
+        if kind == "e":
+            top = generator_diagram("e", n, arg)
+        else:
+            top = generator_diagram("omega" if arg == 1 else "omega_inv", n)
         diag = top if diag is None else compose(top=top, bottom=diag)
     return identity_diagram(n) if diag is None else diag
 
 
-def _token_diagram(tok, n: int) -> AffineDiagram:
-    if tok == "id":
-        return generator_diagram("id", n)
-    kind, arg = tok
-    if kind == "e":
-        return generator_diagram("e", n, arg)
-    if kind == "omega":
-        if arg not in (1, -1):
-            raise ValueError(f"translation power must be +1 or -1, not {arg!r}")
-        return generator_diagram("omega" if arg == 1 else "omega_inv", n)
-    raise ValueError(f"unknown word token {tok!r}")
-
-
 class ActResult:
-    """Outcome of a diagram acting on a link state: the target ``state``
-    and its position ``index`` in :func:`eptl.states.enumerate_states`,
-    the loop exponents, ``travel`` (per defect: top position, bottom
-    position, crossings) and ``twist``, the defects' total leftward
-    displacement, the sum of p - q + n s over ``travel``."""
+    """Outcome of a diagram acting on a link state: the target's position
+    ``index`` in :func:`eptl.states.enumerate_states`, the loop exponents,
+    ``travel`` (per defect: top position, bottom position, crossings) and
+    ``twist``, the defects' total leftward displacement, the sum of
+    p - q + n s over ``travel``."""
 
-    __slots__ = ("state", "index", "nbeta", "nalpha", "travel", "twist")
+    __slots__ = ("index", "nbeta", "nalpha", "travel", "twist")
 
-    def __init__(self, state, index, nbeta, nalpha, travel, twist):
-        self.state = state
+    def __init__(self, index, nbeta, nalpha, travel, twist):
         self.index = index
         self.nbeta = nbeta
         self.nalpha = nalpha
@@ -211,7 +215,7 @@ class ActResult:
         self.twist = twist
 
     def _fields(self):
-        return self.state, self.index, self.nbeta, self.nalpha, self.travel, self.twist
+        return self.index, self.nbeta, self.nalpha, self.travel, self.twist
 
     def __eq__(self, other):
         if not isinstance(other, ActResult):
@@ -219,7 +223,7 @@ class ActResult:
         return self._fields() == other._fields()
 
     def __repr__(self):
-        return "ActResult(state={!r}, index={}, nbeta={}, nalpha={}, travel={}, twist={})".format(*self._fields())
+        return "ActResult(index={}, nbeta={}, nalpha={}, travel={}, twist={})".format(*self._fields())
 
 
 def act_on_link(diag: AffineDiagram, w: LinkState):
@@ -229,7 +233,7 @@ def act_on_link(diag: AffineDiagram, w: LinkState):
     whose exponents count the loops closed (on top of the exponents the
     diagram had already accumulated).  The walk collects the target's
     code, its arc openers and defects (see :func:`eptl.states.state_code`),
-    and looks the basis state up in :func:`eptl.states.index_table`.
+    and looks its basis index up in :func:`eptl.states.index_table`.
     """
     if diag.n != w.n_sites:
         raise ValueError("site-count mismatch")
@@ -305,5 +309,4 @@ def act_on_link(diag: AffineDiagram, w: LinkState):
         nbeta, nalpha = nbeta + (s == 0), nalpha + (s != 0)
 
     # a planar diagram on a valid state gives a basis state
-    index, state = index_table(n, len(travel))[code]
-    return ActResult(state, index, nbeta, nalpha, tuple(travel), twist)
+    return ActResult(index_table(n, len(travel))[code], nbeta, nalpha, tuple(travel), twist)

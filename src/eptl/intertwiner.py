@@ -28,9 +28,9 @@ import numpy as np
 
 from .linkrep import RingMatrix, gram_matrix, link_orbits
 from .momentum import blocks, by_shape, check_covariant
-from .ring import GR_I, KEY_RANGE, ONE, ZERO, LaurentPoly, bracket, collect, exponents, mul_into, quotient, trig_sin
+from .ring import GR_I, KEY_RANGE, ONE, ZERO, LaurentPoly, bracket, collect, exponents, mul_into, quotient
 from .spinrep import act, spin_orbits, spin_sector
-from .states import LinkState, enumerate_states, module_dim, standard_dim
+from .states import LinkState, enumerate_states, module_dim
 
 
 def t_tilde_apply(i: int, j: int, vec: dict, n: int) -> dict:
@@ -186,18 +186,12 @@ def det_factors(n: int, d: int, which: str):
 
     which = 'intertwiner': brackets <k + d/2>.
     which = 'gram_tilde':  pairs <k+d/2><-k-d/2>.
-    which = 'gram_open':   sine ratios; the denominator's exponents are
-    negative.
     """
-    if which not in ("intertwiner", "gram_tilde", "gram_open"):
+    if which not in ("intertwiner", "gram_tilde"):
         raise ValueError(f"unknown formula {which!r}")
     half = (n - d) // 2
     factors = []
     for k in range(1, half + 1):
-        if which == "gram_open":
-            e = standard_dim(n, d + 2 * k)
-            factors += [(trig_sin(2 * (d + k + 1)), e), (trig_sin(2 * k), -e)]
-            continue
         e = comb(n, half - k)
         factors.append((bracket(2 * k + d, n), e))
         if which == "gram_tilde":
@@ -205,17 +199,12 @@ def det_factors(n: int, d: int, which: str):
     return factors
 
 
-def det_formulas(n: int, d: int, which: str):
-    """Closed-form determinant products (see :func:`det_factors`); a
-    pair (numerator, denominator) for 'gram_open', a Laurent polynomial
-    otherwise."""
-    num, den = ONE, ONE
+def det_formulas(n: int, d: int, which: str) -> LaurentPoly:
+    """Closed-form determinant products (see :func:`det_factors`)."""
+    out = ONE
     for poly, e in det_factors(n, d, which):
-        if e < 0:
-            den = den * poly ** -e
-        else:
-            num = num * poly ** e
-    return (num, den) if which == "gram_open" else num
+        out = out * poly ** e
+    return out
 
 
 def leading_exponents(n: int, d: int) -> tuple:

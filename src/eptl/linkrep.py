@@ -114,19 +114,6 @@ class RingMatrix:
     def scale(self, c) -> "RingMatrix":
         return self.map(lambda e: e * c)
 
-    def __add__(self, other: "RingMatrix") -> "RingMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        out = []
-        for a, b in zip(self.columns, other.columns):
-            col = dict(a)
-            for i, e in b.items():
-                s = col.pop(i, ZERO) + e
-                if s:
-                    col[i] = s
-            out.append(col)
-        return RingMatrix(out, self.row_labels, self.col_labels)
-
     def __eq__(self, other):
         if not isinstance(other, RingMatrix):
             return NotImplemented
@@ -220,11 +207,6 @@ def loop_weight(nbeta: int, nalpha: int, twist: int, n: int) -> LaurentPoly:
     return p
 
 
-def act_weight(res, n: int) -> LaurentPoly:
-    """Exact weight of an action outcome."""
-    return loop_weight(res.nbeta, res.nalpha, res.twist, n)
-
-
 def link_image(diagrams, w: LinkState) -> dict:
     """Image of ``w`` under a diagram combination ``{diagram: coefficient}``,
     as a sparse vector ``basis index -> LaurentPoly`` over
@@ -298,7 +280,7 @@ def _pair_weight(res, n: int, twists) -> LaurentPoly:
     if res is None:
         return ZERO
     if twists is None:
-        return act_weight(res, n)
+        return loop_weight(res.nbeta, res.nalpha, res.twist, n)
     if len(twists) != len(res.travel):
         raise ValueError("one twist per defect required")
     out = loop_weight(res.nbeta, res.nalpha, 0, n)

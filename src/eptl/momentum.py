@@ -30,17 +30,18 @@ import numpy as np
 class Orbits:
     """Integer tables of a translation Omega = c P on one module.
 
-    ``perm`` is P (Omega e_j = c e_perm[j]) and ``powers[r]`` is P^r as
-    an index array, r < n; as every orbit length divides n, P^-r is
-    ``powers[-r]``.  ``groups[L]`` holds the orbits of length L as rows
-    ``[i_a, P i_a, ..., P^(L-1) i_a]``; ``reps`` and ``lengths`` list
-    every orbit's representative and length in that order.  As the rows
-    of a block, the pairs (orbit a, Fourier index t) are numbered group
-    by group, a * L + t within a group; ``rows_at[m]``, as a column, and
-    ``cols_at[m]`` are the row and the orbit numbers that carry momentum m.
+    ``c`` is c and ``perm`` is P (Omega e_j = c e_perm[j]); ``powers[r]``
+    is P^r as an index array, r < n; as every orbit length divides n,
+    P^-r is ``powers[-r]``.  ``groups[L]`` holds the orbits of length L
+    as rows ``[i_a, P i_a, ..., P^(L-1) i_a]``; ``reps`` and ``lengths``
+    list every orbit's representative and length in that order.  As the
+    rows of a block, the pairs (orbit a, Fourier index t) are numbered
+    group by group, a * L + t within a group; ``rows_at[m]``, as a
+    column, and ``cols_at[m]`` are the row and the orbit numbers that
+    carry momentum m.
     """
 
-    __slots__ = ("n", "perm", "powers", "groups", "reps", "lengths", "rows_at", "cols_at")
+    __slots__ = ("n", "c", "perm", "powers", "groups", "reps", "lengths", "rows_at", "cols_at")
 
     def __init__(self, omega, n: int):
         entries = [next(iter(col.items())) if len(col) == 1 else None for col in omega.columns]
@@ -50,6 +51,7 @@ class Orbits:
         if any(e != c for _, e in entries) or len(c.triples) != 1:
             raise ValueError("the translation is not one monomial times a permutation")
         self.n = n
+        self.c = c
         self.perm = [i for i, _ in entries]
         seen = [False] * len(entries)
         groups: dict = {}

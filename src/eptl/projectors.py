@@ -187,7 +187,7 @@ def u_transform_state(w: LinkState):
     index -> 1, over 1, without boundary arcs.
     """
     if w.boundary_arcs == 0:
-        return {index_table(w.n_sites, w.n_defects)[state_code(w)][0]: ONE}, ONE
+        return {index_table(w.n_sites, w.n_defects)[state_code(w)]: ONE}, ONE
     n = w.n_sites
     # the defects of C(w): w's defects and the ends of its boundary arcs
     sites = sorted([*w.defects, *(k for i, j in w.pairs if j > n for k in (i, j - n))])

@@ -28,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .diagrams import parse_token
 from .linkrep import RingMatrix, translation_sum
 from .momentum import Orbits
 from .ring import ONE
@@ -40,7 +41,7 @@ class SpinSector:
     __slots__ = ("n", "d", "configs", "index", "_labels")
 
     def __init__(self, n: int, d: int):
-        if d < 0 or d > n or (n - d) % 2:
+        if not module_dim(n, d):
             raise ValueError(f"no spin sector for n={n}, d={d}")
         self.n = n
         self.d = d
@@ -73,18 +74,12 @@ def _token_images(tok, sec: SpinSector) -> dict:
 
     Returns ``mask -> ((mask', eu, ev), ...)``: the token sends ``mask``
     to the sum of ``u^eu v^ev |mask'>``.  Every token keeps the total
-    spin, so each ``mask'`` lies in the sector again.  Tokens are those of
-    :func:`eptl.diagrams.word_diagram`.
+    spin, so each ``mask'`` lies in the sector again.  Tokens are checked
+    by :func:`eptl.diagrams.parse_token`.
     """
     n, masks = sec.n, sec.configs
-    if tok == "id":
-        return {m: ((m, 0, 0),) for m in masks}
-    kind, arg = tok
+    kind, arg = parse_token(tok, n)
     if kind == "e":
-        if n < 2:
-            raise ValueError("e generators need at least 2 sites")
-        if not 1 <= arg <= n:
-            raise ValueError(f"site index {arg} out of range for {n} sites")
         bi, bj = 1 << (arg - 1), 1 << (arg % n)  # sites i and i+1 (n+1 is 1)
         both = bi | bj
         images = dict.fromkeys(masks, ())
@@ -94,17 +89,11 @@ def _token_images(tok, sec: SpinSector) -> dict:
             elif m & both == bj:
                 images[m] = ((m ^ both, 0, 2), (m, -2, 0))
         return images
-    if kind == "omega":
-        if arg not in (1, -1):
-            raise ValueError(f"translation power must be +1 or -1, not {arg!r}")
-        if n < 1:
-            raise ValueError("the translation needs at least one site")
-        # the twist v^(2 Sz) is v^(+-d) on the sector
-        top, full = n - 1, (1 << n) - 1
-        if arg == 1:  # left translation: new site s holds old site s+1
-            return {m: ((m >> 1 | (m & 1) << top, 0, sec.d),) for m in masks}
-        return {m: ((m << 1 & full | m >> top, 0, -sec.d),) for m in masks}
-    raise ValueError(f"unknown word token {tok!r}")
+    # the translation; its twist v^(2 Sz) is v^(+-d) on the sector
+    top, full = n - 1, (1 << n) - 1
+    if arg == 1:  # left translation: new site s holds old site s+1
+        return {m: ((m >> 1 | (m & 1) << top, 0, sec.d),) for m in masks}
+    return {m: ((m << 1 & full | m >> top, 0, -sec.d),) for m in masks}
 
 
 def act(images, vec: dict) -> dict:
@@ -122,8 +111,9 @@ def act(images, vec: dict) -> dict:
 
 
 def tau_matrix(word, n: int, d: int) -> RingMatrix:
-    """Exact sector matrix of a generator word (same tokens as word_diagram),
-    as :func:`eptl.linkrep.omega_matrix` acts on the link side.
+    """Exact sector matrix of a generator word of ('e', i) and ('omega',
+    +1/-1) tokens (see :func:`eptl.diagrams.parse_token`), the empty word
+    the identity, as :func:`eptl.linkrep.omega_matrix` acts on the link side.
 
     Column ``mask`` pushes ``{mask: 1}`` through the word, the rightmost
     token acting first.

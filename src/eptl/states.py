@@ -11,7 +11,7 @@ boundary-arc count ``r``.
 The basis of the d-defect module is enumerated in ascending ``r`` with a
 lexicographic tiebreak on the sorted arc list.  A state is determined by
 its code, the bitmask of its arc openers and defects; ``index_table``
-maps each code of a sector to the basis position and the basis state.
+maps each code of a sector to the basis position.
 """
 
 from __future__ import annotations
@@ -22,18 +22,18 @@ from math import comb
 
 
 def module_dim(n: int, d: int) -> int:
-    """Dimension of the periodic d-defect module: C(n, (n-d)/2)."""
-    if (n - d) % 2 or d < 0 or d > n:
+    """Dimension of the periodic d-defect module: C(n, (n-d)/2), and 0
+    off the sectors.  The one test of a sector: 0 <= d <= n, d = n mod 2."""
+    if d < 0 or d > n or (n - d) % 2:
         return 0
     return comb(n, (n - d) // 2)
 
 
 def standard_dim(n: int, d: int) -> int:
-    """Dimension of the r=0 (standard/open) submodule."""
-    if (n - d) % 2 or d < 0 or d > n:
-        return 0
-    k = (n - d) // 2
-    return comb(n, k) - (comb(n, k - 1) if k >= 1 else 0)
+    """Dimension of the r=0 (standard/open) submodule: C(n, k) - C(n, k-1)
+    with k = (n-d)/2, and 0 off the sectors."""
+    dim = module_dim(n, d)
+    return dim - module_dim(n, d + 2) if dim else 0
 
 
 class LinkState:
@@ -180,7 +180,7 @@ def enumerate_states(n: int, d: int) -> tuple:
 
     Raises ValueError unless 0 <= d <= n and d = n mod 2.
     """
-    if d < 0 or d > n or (n - d) % 2:
+    if not module_dim(n, d):
         raise ValueError(f"defect count {d} incompatible with {n} sites")
     n_open = (n + d) // 2
     from itertools import combinations
@@ -204,11 +204,11 @@ def state_code(w: LinkState) -> int:
 
 @lru_cache(maxsize=None)
 def index_table(n: int, d: int) -> dict:
-    """``state_code(w) -> (k, w)`` over ``w = enumerate_states(n, d)[k]``.
+    """``state_code(w) -> k`` over ``w = enumerate_states(n, d)[k]``.
 
-    Cached: the basis states are shared, and the table is read-only.
+    Cached: the table is read-only.
     """
-    return {state_code(w): (k, w) for k, w in enumerate(enumerate_states(n, d))}
+    return {state_code(w): k for k, w in enumerate(enumerate_states(n, d))}
 
 
 def standard_states(n: int, d: int) -> tuple:

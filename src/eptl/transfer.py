@@ -28,7 +28,7 @@ from math import prod
 import numpy as np
 
 from .diagrams import AffineDiagram, act_on_link, chord_diagram
-from .linkrep import hamiltonian_link, link_orbits, omega_matrix
+from .linkrep import hamiltonian_link, link_orbits
 from .states import enumerate_states, index_table, module_dim
 
 # relative size below which each property defect counts as vanishing
@@ -168,11 +168,14 @@ def commuting_family_defect(n: int, d: int, lam: float, nu1: complex, nu2: compl
 
 
 def translation_invariance_defect(n: int, d: int, lam: float, nu: complex, mu: float) -> float:
+    """|T Omega - Omega T| / (|T| |Omega|).  Omega = c P (see
+    :func:`eptl.linkrep.link_orbits`): T Omega and Omega T gather the
+    columns of c T through P and its rows through P^-1."""
     t = transfer_matrix(n, d, lam, nu, mu)
-    u, v = exp(1j * lam / 2), exp(1j * mu)
-    om = omega_matrix([("omega", 1)], n, d).to_numeric(u, v)
-    comm = t @ om - om @ t
-    scale = np.linalg.norm(t) * np.linalg.norm(om)
+    orbits = link_orbits(n, d)
+    c = orbits.c.eval_numeric(exp(1j * lam / 2), exp(1j * mu))
+    comm = c * (t[:, orbits.perm] - t[orbits.powers[-1]])
+    scale = np.linalg.norm(t) * abs(c) * np.sqrt(len(t))
     return float(np.linalg.norm(comm) / scale) if scale else 0.0
 
 
@@ -185,7 +188,7 @@ def mirror_permutation(n: int, d: int) -> np.ndarray:
     """
     table = index_table(n, d)
     ends = ([(j - 1) % n + 1 for _, j in w.pairs] + list(w.defects) for w in enumerate_states(n, d))
-    return np.array([table[sum(1 << (n - s) for s in sites)][0] for sites in ends], dtype=np.intp)
+    return np.array([table[sum(1 << (n - s) for s in sites)] for sites in ends], dtype=np.intp)
 
 
 def crossing_defect(n: int, d: int, lam: float, nu: complex, mu: float) -> float:
@@ -207,10 +210,12 @@ def expansion_defect(n: int, d: int, lam: float, mu: float) -> float:
     + O(nu^2), so the expansion about the zero-anisotropy limit
     sin(lam)^n Omega, with generator sum H, is T_0 = Omega and
     T_1 = Omega H; neither divides by sin(lam).  Returns the larger
-    relative deviation of the two at (u, v).
+    relative deviation of the two at (u, v); with Omega = c P, T_0 is
+    compared as P^-1 T_0 against c and Omega H gathers c H through P^-1.
     """
     u, v = exp(1j * lam / 2), exp(1j * mu)
-    om = omega_matrix([("omega", 1)], n, d).to_numeric(u, v)
+    orbits = link_orbits(n, d)
+    c = orbits.c.eval_numeric(u, v)
     hmat = hamiltonian_link(n, d).to_numeric(u, v)
     t0, t1 = (table_matrix(n, d, unit, lam, mu) for unit in np.eye(n + 1)[:2])
-    return max(_relative(t0, om), _relative(t1, om @ hmat))
+    return max(_relative(t0[orbits.perm], c * np.eye(len(t0))), _relative(t1, c * hmat[orbits.powers[-1]]))

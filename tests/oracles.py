@@ -54,6 +54,9 @@ route, and is kept only as a reference for the tests:
   orbit-representative columns of ``linkrep.gram_matrix`` in 'tilde' mode;
   with ``loop_variables=True`` its entries are monomials in the loop
   counts, which ``loop_variables_to_uv`` substitutes back to (u, v);
+* ``gram_open_det_formula``: the closed-form sine-ratio product of the
+  open Gram determinant, against ``det_exact`` of ``linkrep.gram_matrix``
+  in 'open' mode;
 * ``gram_det_loop_variables``: the Bareiss determinant of that
   loop-variable Gram matrix, substituted back, against the factorization
   through ``I`` of ``intertwiner.gram_det_exact``;
@@ -64,7 +67,7 @@ route, and is kept only as a reference for the tests:
   ``('t', i)`` / ``('b', i)``, and ``from_conn`` builds a diagram from one.
 
 ``dense`` builds a ``RingMatrix`` from a literal list of rows,
-``submatrix`` picks rows and columns of one, ``u_pow`` and
+``submatrix`` picks rows and columns of one, ``matrix_sum`` adds them, ``u_pow`` and
 ``max_exponents`` build and read polynomials, and ``stratum`` picks the
 states with r boundary arcs.
 """
@@ -76,11 +79,11 @@ import numpy as np
 
 from eptl.diagrams import ActResult, AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
 from eptl.intertwiner import det_exact
-from eptl.linkrep import RingMatrix, _label_str, act_weight, hamiltonian_link, loop_weight, omega_matrix, state_diagram
+from eptl.linkrep import RingMatrix, _label_str, hamiltonian_link, loop_weight, omega_matrix, state_diagram
 from eptl.projectors import _sine, wenzl_jones
-from eptl.ring import ONE, ZERO, GaussianInt, LaurentPoly, beta_poly, collect, mul_into
+from eptl.ring import ONE, ZERO, GaussianInt, LaurentPoly, beta_poly, collect, mul_into, trig_sin
 from eptl.spinrep import hamiltonian_numeric
-from eptl.states import LinkState, enumerate_states
+from eptl.states import LinkState, enumerate_states, standard_dim
 from eptl.transfer import tile_diagram, transfer_matrix, transfer_table
 
 
@@ -103,6 +106,16 @@ def submatrix(m: RingMatrix, row_idx, col_idx) -> RingMatrix:
     picked = (m.columns[j] for j in col_idx)
     out = [{t: col[i] for t, i in enumerate(row_idx) if i in col} for col in picked]
     return RingMatrix(out, [m.row_labels[i] for i in row_idx], [m.col_labels[j] for j in col_idx])
+
+
+def matrix_sum(first: RingMatrix, *rest: RingMatrix) -> RingMatrix:
+    """The entrywise sum of matrices of one shape, over their dense rows."""
+    rows = first.entries
+    for m in rest:
+        if (m.rows, m.cols) != (first.rows, first.cols):
+            raise ValueError("shape mismatch")
+        rows = [[a + b for a, b in zip(r, s)] for r, s in zip(rows, m.entries)]
+    return dense(rows, first.row_labels, first.col_labels)
 
 
 def u_pow(k: int) -> LaurentPoly:
@@ -132,7 +145,7 @@ def gram_matrix_full(n: int, d: int, loop_variables: bool = False) -> RingMatrix
     def weight(res):
         if loop_variables:
             return LaurentPoly.monomial(res.nbeta, res.nalpha if d == 0 else res.twist)
-        return act_weight(res, n)
+        return loop_weight(res.nbeta, res.nalpha, res.twist, n)
 
     closings = [state_diagram(w) for w in basis]
     columns = [
@@ -151,6 +164,18 @@ def loop_variables_to_uv(p: LaurentPoly, n: int, d: int) -> LaurentPoly:
         other = loop_weight(0, b, 0, n) if d == 0 else loop_weight(0, 0, b, n)
         mul_into(re, im, (LaurentPoly.const(c) * other).triples, loop_weight(a, 0, 0, n).triples)
     return collect(re, im)
+
+
+def gram_open_det_formula(n: int, d: int) -> tuple:
+    """The closed-form determinant of the open Gram matrix, as the pair
+    (numerator, denominator): for k = 1..(n-d)/2 the sine ratio
+    S_(d+k+1) / S_k to the power ``standard_dim(n, d + 2k)``."""
+    num, den = ONE, ONE
+    for k in range(1, (n - d) // 2 + 1):
+        e = standard_dim(n, d + 2 * k)
+        num = num * trig_sin(2 * (d + k + 1)) ** e
+        den = den * trig_sin(2 * k) ** e
+    return num, den
 
 
 def gram_det_loop_variables(n: int, d: int) -> LaurentPoly:
@@ -372,7 +397,7 @@ def act_on_link_dicts(diag: AffineDiagram, w: LinkState):
     state = LinkState(n, new_pairs, new_defects)
     index = enumerate_states(n, len(new_defects)).index(state)
     twist = sum(p - q + n * s for p, q, s in travel)
-    return ActResult(state, index, nbeta, nalpha, tuple(travel), twist)
+    return ActResult(index, nbeta, nalpha, tuple(travel), twist)
 
 
 def matrix_json_dict(m: RingMatrix) -> dict:
@@ -629,7 +654,6 @@ def transfer_matrix_tilesum(n: int, d: int, lam: float, nu: complex, mu: float) 
     """Every tile filling acting on every state, weighted at the point;
     oracle for ``transfer_matrix``."""
     basis = enumerate_states(n, d)
-    index = {w: k for k, w in enumerate(basis)}
     out = np.zeros((len(basis), len(basis)), dtype=complex)
     u = exp(1j * lam / 2)
     v = exp(1j * mu)
@@ -647,7 +671,7 @@ def transfer_matrix_tilesum(n: int, d: int, lam: float, nu: complex, mu: float) 
             res = act_on_link(diag, w)
             if res is None:
                 continue
-            out[index[res.state], j] += (
+            out[res.index, j] += (
                 weight
                 * (beta ** res.nbeta)
                 * (alpha ** res.nalpha)
@@ -660,7 +684,6 @@ def transfer_table_per_config(n: int, d: int) -> tuple:
     """Every tile filling acting on every state, terms counted in first-seen
     order; oracle for ``transfer.transfer_table``."""
     basis = enumerate_states(n, d)
-    index = {w: j for j, w in enumerate(basis)}
     counts = Counter()
     for config in range(1 << n):
         diag = tile_diagram(n, config)
@@ -668,7 +691,7 @@ def transfer_table_per_config(n: int, d: int) -> tuple:
         for j, w in enumerate(basis):
             res = act_on_link(diag, w)
             if res is not None:
-                counts[index[res.state], j, k, res.nbeta, res.nalpha, res.twist] += 1
+                counts[res.index, j, k, res.nbeta, res.nalpha, res.twist] += 1
     keys = np.array(list(counts), dtype=np.int64).reshape(-1, 6)
     coeffs = np.array(list(counts.values()), dtype=np.int64)
     return keys, coeffs
@@ -773,13 +796,14 @@ def u_transform_state_reduced(w: LinkState):
             continue
         delta = sum(window[p - 1] - window[q - 1] + n * s for p, q, s in res.travel)
         weight = loop_weight(res.nbeta, res.nalpha, delta, n)
+        image = enumerate_states(m, len(res.travel))[res.index]
         pairs = list(interior)
-        for a, b in res.state.pairs:
+        for a, b in image.pairs:
             if b <= m:
                 pairs.append((window[a - 1], window[b - 1]))
             else:
                 pairs.append((window[a - 1], window[b - m - 1] + n))
-        defects = [window[a - 1] for a in res.state.defects]
+        defects = [window[a - 1] for a in image.defects]
         target = LinkState(n, pairs, defects)
         out[target] = out.get(target, ZERO) + coeff * weight
     return {target: num for target, num in out.items() if num}, proj.den

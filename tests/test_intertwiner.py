@@ -25,7 +25,7 @@ from eptl.intertwiner import (
     nearest_bracket,
     t_tilde_apply,
 )
-from eptl.linkrep import RingMatrix, act_weight, gram_matrix
+from eptl.linkrep import RingMatrix, gram_matrix, loop_weight
 from eptl.projectors import same_ratio
 from eptl.ring import GR_I, ONE, ZERO, LaurentPoly, beta_poly, quotient
 from eptl.spinrep import spin_sector, tau_matrix
@@ -37,6 +37,7 @@ from oracles import (
     det_cofactor,
     gram_det_loop_variables,
     gram_matrix_full,
+    gram_open_det_formula,
     min_singular_scaled,
     submatrix,
     to_numeric_entrywise,
@@ -157,8 +158,8 @@ class TestIntertwining:
                 if res is None:
                     rhs = [ZERO] * len(lhs)
                 else:
-                    weight = act_weight(res, n)
-                    rhs = [weight * c for c in coords(intertwine_state(res.state), n, d)]
+                    weight = loop_weight(res.nbeta, res.nalpha, res.twist, n)
+                    rhs = [weight * c for c in coords(intertwine_state(basis[res.index]), n, d)]
                 assert lhs == rhs
 
 
@@ -252,7 +253,7 @@ class TestDeterminants:
         for n, d in [(4, 0), (5, 1), (6, 2), (6, 0)]:
             g = gram_matrix(n, d, mode="open", twists=[LaurentPoly.v_pow(1)] * d)
             det = det_exact(g)
-            f = det_formulas(n, d, "gram_open")
+            f = gram_open_det_formula(n, d)
             assert same_ratio((det, ONE), f) or same_ratio((-det, ONE), f)
 
     @pytest.mark.parametrize("n,d", sectors(6))

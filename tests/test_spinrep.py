@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from eptl.intertwiner import i_matrix
-from eptl.linkrep import RingMatrix
+from eptl.linkrep import RingMatrix, omega_matrix
 from eptl.ring import alpha_poly, beta_poly
 from eptl.spinrep import (
     SpinSector,
@@ -20,7 +20,7 @@ from eptl.spinrep import (
     tau_matrix,
 )
 from eptl.states import module_dim
-from oracles import to_numeric_entrywise
+from oracles import matrix_sum, to_numeric_entrywise
 
 B = beta_poly()
 
@@ -29,8 +29,20 @@ def sectors(n_max, n_min=2):
     return [(n, d) for n in range(n_min, n_max + 1) for d in range(n % 2, n + 1, 2)]
 
 
+BAD_TOKENS = [
+    (("x", 1), 4, "unknown word token"),
+    (("e", 5), 4, "out of range"),
+    (("e", 0), 4, "out of range"),
+    (("e", 1), 1, "at least 2 sites"),
+    (("omega", 0), 4, r"must be \+1 or -1"),
+    (("omega", 2), 4, r"must be \+1 or -1"),
+    (("omega", -5), 4, r"must be \+1 or -1"),
+    (("omega", "1"), 4, r"must be \+1 or -1"),
+]
+
+
 def tokens(n):
-    return ["id"] + [("e", i) for i in range(1, n + 1)] + [("omega", 1), ("omega", -1)]
+    return [("e", i) for i in range(1, n + 1)] + [("omega", 1), ("omega", -1)]
 
 
 class TestSector:
@@ -50,7 +62,7 @@ class TestSector:
         joins = []
         ket = SpinSector.ket
         monkeypatch.setattr(SpinSector, "ket", lambda self, m: joins.append(m) or ket(self, m))
-        m = tau_matrix(["id"], n, d)
+        m = tau_matrix([], n, d)
         assert m.row_labels is m.col_labels is sec.labels()
         assert i_matrix.__wrapped__(n, d).row_labels is sec.labels()
         assert not joins
@@ -118,20 +130,14 @@ class TestTranslation:
 class TestHamiltonian:
     def test_matches_generator_sum(self):
         h = hamiltonian(4, 2)
-        total = None
-        for i in range(1, 5):
-            m = ebar_matrix(i, 4, 2)
-            total = m if total is None else total + m
-        assert h == total
+        assert h == matrix_sum(*(ebar_matrix(i, 4, 2) for i in range(1, 5)))
 
     @pytest.mark.parametrize("n,d", sectors(8))
     def test_matches_generator_sum_in_every_sector(self, n, d):
         # hamiltonian conjugates the n-th generator by the powers of the
         # translation's permutation rather than adding the ebar_matrix
         # results, so the two routes are compared everywhere
-        total = ebar_matrix(1, n, d)
-        for i in range(2, n + 1):
-            total = total + ebar_matrix(i, n, d)
+        total = matrix_sum(*(ebar_matrix(i, n, d) for i in range(1, n + 1)))
         assert hamiltonian(n, d) == total
 
     @pytest.mark.parametrize("n,d", sectors(7))
@@ -175,22 +181,16 @@ class TestWordAction:
             product = reduce(matmul, [tau_matrix([t], n, d) for t in word], ident)
             assert tau_matrix(word, n, d) == product, word
 
-    @pytest.mark.parametrize(
-        "tok,n,message",
-        [
-            (("x", 1), 4, "unknown word token"),
-            (("e", 5), 4, "out of range"),
-            (("e", 0), 4, "out of range"),
-            (("e", 1), 1, "at least 2 sites"),
-            (("omega", 0), 4, r"must be \+1 or -1"),
-            (("omega", 2), 4, r"must be \+1 or -1"),
-            (("omega", -5), 4, r"must be \+1 or -1"),
-            (("omega", "1"), 4, r"must be \+1 or -1"),
-        ],
-    )
+    @pytest.mark.parametrize("tok,n,message", BAD_TOKENS)
     def test_bad_token_raises(self, tok, n, message):
         with pytest.raises(ValueError, match=message):
             tau_matrix([tok], n, n % 2)
+
+    @pytest.mark.parametrize("tok,n,message", BAD_TOKENS)
+    def test_link_side_raises_the_same(self, tok, n, message):
+        # both representations check their tokens with diagrams.parse_token
+        with pytest.raises(ValueError, match=message):
+            omega_matrix([tok], n, n % 2)
 
     def test_every_token_is_checked_before_acting(self):
         # e_1 annihilates the whole d = 4 sector before e_5 would act

@@ -14,7 +14,27 @@ from eptl.states import (
     standard_states,
     state_code,
 )
+from eptl.cli import main
+from eptl.spinrep import spin_sector
 from oracles import stratum
+
+
+@pytest.mark.parametrize("n,d", [(n, d) for n in range(0, 7) for d in range(-1, n + 2)])
+def test_every_sector_rule_agrees_with_module_dim(n, d, capsys):
+    # module_dim is the one sector rule; the others test it and keep their messages
+    sector = 0 <= d <= n and d % 2 == n % 2
+    assert (module_dim(n, d) > 0) == sector
+    assert (standard_dim(n, d) > 0) == sector
+    for build, message in ((enumerate_states, "incompatible with"), (spin_sector, "no spin sector")):
+        if sector:
+            build(n, d)
+        else:
+            with pytest.raises(ValueError, match=message):
+                build(n, d)
+    code = main(["enumerate", "--n", str(n), f"--d={d}"])
+    err = capsys.readouterr().err
+    assert (code == 0) == sector
+    assert sector or f"defect count {d} incompatible with {n} sites" in err
 
 
 class TestEnumeration:
@@ -34,7 +54,7 @@ class TestEnumeration:
         for k, w in enumerate(basis):
             code = sum(1 << (i - 1) for i, step in enumerate(w.walk_steps(), start=1) if step == 1)
             assert state_code(w) == code
-            assert table[code][0] == k and table[code][1] is w
+            assert table[code] == k
 
     def test_four_zero(self):
         states = enumerate_states(4, 0)

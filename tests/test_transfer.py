@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from eptl import linkrep, transfer
 from eptl.diagrams import act_on_link, compose, generator_diagram
-from eptl.linkrep import hamiltonian_link, omega_matrix
+from eptl.linkrep import hamiltonian_link, link_orbits, omega_matrix
 from eptl.states import LinkState, enumerate_states
 from eptl.transfer import (
     DEFECT_TOL,
@@ -124,6 +125,22 @@ class TestTransferProperties:
     @pytest.mark.parametrize("lam", [0.0, math.pi, -math.pi, 1e-7])
     def test_expansion_holds_where_sine_vanishes(self, lam):
         assert expansion_defect(4, 0, lam, 0.3) < DEFECT_TOL
+
+    @pytest.mark.parametrize("n,d,lam", [(4, 0, 1.2), (5, 1, 1.2), (6, 2, 1.2), (8, 0, 1.2)] + EXPANSION_POINTS)
+    def test_defects_read_the_translation_off_the_cached_orbits(self, n, d, lam, monkeypatch):
+        # Omega = c P comes from link_orbits, so once the orbits and H are
+        # cached no defect builds the translation's exact matrix again
+        link_orbits(n, d)
+        hamiltonian_link(n, d)
+        calls = []
+        for mod in (linkrep, transfer):
+            if hasattr(mod, "omega_matrix"):
+                build = getattr(mod, "omega_matrix")
+                monkeypatch.setattr(mod, "omega_matrix", lambda *a, build=build: calls.append(a) or build(*a))
+        for _ in range(3):
+            assert translation_invariance_defect(n, d, lam, 0.45, 0.27) <= 1e-12
+            assert expansion_defect(n, d, lam, 0.3) <= 1e-12
+        assert not calls
 
 
 class TestCoefficientMatrices:
