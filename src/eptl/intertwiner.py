@@ -77,11 +77,28 @@ def i_matrix_numeric(n: int, d: int, u: complex, v: complex, cols=None) -> np.nd
 def factorization_check(n: int, d: int):
     """Exact check that transpose(I(u, 1/v)) @ I(u, v) equals the Gram matrix.
 
-    Returns (ok, report) where the report lists any mismatching entries.
+    ``I`` commutes with the translation (:func:`i_matrix_orbits`), so the
+    product X does too: X[P a, P b] = X[a, b].  Once the Gram matrix G is
+    checked to commute as well, X = G holds exactly when the columns of
+    the orbit representatives agree, and only those are multiplied out.
+    When a covariance check fails or a representative's column differs,
+    the full product is formed.  Returns (ok, report) where the report
+    lists the mismatching entries (i, j) in row order.
     """
     imat = i_matrix(n, d)
-    product = imat.map(LaurentPoly.flip_v).transpose() @ imat
     gram = gram_matrix(n, d)
+    left = imat.map(LaurentPoly.flip_v).transpose()
+    try:
+        cols = i_matrix_orbits(n, d)[1]
+        check_covariant(gram, cols, cols)
+    except ValueError:
+        pass  # no translation (n = 0), or a matrix that does not commute with it
+    else:
+        reps = cols.reps.tolist()
+        at_reps = left @ RingMatrix([imat.columns[j] for j in reps], imat.row_labels, reps)
+        if all(x == gram.columns[j] for x, j in zip(at_reps.columns, reps)):
+            return True, {"n": n, "d": d, "size": gram.rows, "mismatches": []}
+    product = left @ imat
     mismatches = sorted(
         (i, j)
         for j, (p, g) in enumerate(zip(product.columns, gram.columns))
@@ -165,8 +182,8 @@ def gram_det_exact(n: int, d: int) -> LaurentPoly:
     """Exact determinant of the periodic Gram matrix.
 
     Once :func:`factorization_check` finds G = transpose(I(u, 1/v)) @
-    I(u, v) entry by entry, det G = flip_v(det I) * det I; a failed check
-    raises ValueError.
+    I(u, v) exactly, det G = flip_v(det I) * det I; a failed check raises
+    ValueError.
     """
     ok, report = factorization_check(n, d)
     if not ok:

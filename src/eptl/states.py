@@ -46,13 +46,12 @@ class LinkState:
     defects : iterable of unpaired site positions
     """
 
-    __slots__ = ("n_sites", "pairs", "defects", "_hash", "_arcs")
+    __slots__ = ("n_sites", "pairs", "defects", "_arcs")
 
     def __init__(self, n_sites, pairs, defects, validate=True):
         object.__setattr__(self, "n_sites", n_sites)
         object.__setattr__(self, "pairs", tuple(sorted(tuple(p) for p in pairs)))
         object.__setattr__(self, "defects", tuple(sorted(defects)))
-        object.__setattr__(self, "_hash", hash((n_sites, self.pairs, self.defects)))
         object.__setattr__(self, "_arcs", None)
         if validate:
             self._validate()
@@ -129,7 +128,7 @@ class LinkState:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n_sites, self.pairs, self.defects))
 
     def __repr__(self):
         arcs = ",".join(f"({i},{j})" for i, j in self.pairs)

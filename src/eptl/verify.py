@@ -182,9 +182,20 @@ def gram_factorization(n, d):
 
 
 def gram_symmetry(n, d):
+    """flip_v(G[j, i]) = G[i, j].  Once G[P i, P j] = G[i, j] is checked,
+    the columns j of the orbit representatives imply every other one."""
     g = gram_matrix(n, d)
-    if g.map(LaurentPoly.flip_v) != g.transpose():
-        return "twist-inversion transpose symmetry fails"
+    orbits = link_orbits(n, d)
+    try:
+        check_covariant(g, orbits, orbits)
+    except ValueError:
+        return "the Gram matrix does not commute with the translation"
+    reps = orbits.reps.tolist()
+    for i, col in enumerate(g.columns):
+        for j in reps:
+            e = col.get(j)
+            if (None if e is None else e.flip_v()) != g.columns[j].get(i):
+                return "twist-inversion transpose symmetry fails"
 
 
 def twist_vector_independence():

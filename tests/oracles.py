@@ -54,6 +54,12 @@ route, and is kept only as a reference for the tests:
   orbit-representative columns of ``linkrep.gram_matrix`` in 'tilde' mode;
   with ``loop_variables=True`` its entries are monomials in the loop
   counts, which ``loop_variables_to_uv`` substitutes back to (u, v);
+* ``factorization_mismatches_full``: the whole product
+  transpose(I(u, 1/v)) @ I(u, v) compared with a Gram matrix entry by
+  entry, against the representatives' columns of
+  ``intertwiner.factorization_check``;
+* ``gram_symmetric_full``: every entry of G(1/v) against the transpose,
+  against the representatives' rows of ``verify.gram_symmetry``;
 * ``gram_open_det_formula``: the closed-form sine-ratio product of the
   open Gram determinant, against ``det_exact`` of ``linkrep.gram_matrix``
   in 'open' mode;
@@ -78,7 +84,7 @@ from collections import Counter
 import numpy as np
 
 from eptl.diagrams import ActResult, AffineDiagram, act_on_link, compose, generator_diagram, identity_diagram
-from eptl.intertwiner import det_exact
+from eptl.intertwiner import det_exact, i_matrix
 from eptl.linkrep import RingMatrix, _label_str, hamiltonian_link, loop_weight, omega_matrix, state_diagram
 from eptl.projectors import _sine, wenzl_jones
 from eptl.ring import ONE, ZERO, GaussianInt, LaurentPoly, beta_poly, collect, mul_into, trig_sin
@@ -164,6 +170,20 @@ def loop_variables_to_uv(p: LaurentPoly, n: int, d: int) -> LaurentPoly:
         other = loop_weight(0, b, 0, n) if d == 0 else loop_weight(0, 0, b, n)
         mul_into(re, im, (LaurentPoly.const(c) * other).triples, loop_weight(a, 0, 0, n).triples)
     return collect(re, im)
+
+
+def factorization_mismatches_full(n: int, d: int, gram: RingMatrix) -> list:
+    """The entries (i, j), in row order, where the whole product
+    transpose(I(u, 1/v)) @ I(u, v) differs from ``gram``."""
+    imat = i_matrix(n, d)
+    product = imat.map(LaurentPoly.flip_v).transpose() @ imat
+    left, right = product.entries, gram.entries
+    return [(i, j) for i in range(gram.rows) for j in range(gram.cols) if left[i][j] != right[i][j]]
+
+
+def gram_symmetric_full(gram: RingMatrix) -> bool:
+    """Whether flip_v of every entry of ``gram`` gives its transpose."""
+    return gram.map(LaurentPoly.flip_v) == gram.transpose()
 
 
 def gram_open_det_formula(n: int, d: int) -> tuple:

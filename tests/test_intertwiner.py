@@ -25,19 +25,22 @@ from eptl.intertwiner import (
     nearest_bracket,
     t_tilde_apply,
 )
-from eptl.linkrep import RingMatrix, gram_matrix, loop_weight
+from eptl.linkrep import RingMatrix, gram_matrix, link_orbits, loop_weight
+from eptl.momentum import check_covariant
 from eptl.projectors import same_ratio
 from eptl.ring import GR_I, ONE, ZERO, LaurentPoly, beta_poly, quotient
 from eptl.spinrep import spin_sector, tau_matrix
 from eptl.states import LinkState, enumerate_states
-from eptl.verify import EXACT_DET_EXTRA
+from eptl.verify import EXACT_DET_EXTRA, gram_symmetry
 from oracles import (
     dense,
     det_bareiss_laurent,
     det_cofactor,
+    factorization_mismatches_full,
     gram_det_loop_variables,
     gram_matrix_full,
     gram_open_det_formula,
+    gram_symmetric_full,
     min_singular_scaled,
     submatrix,
     to_numeric_entrywise,
@@ -182,6 +185,78 @@ class TestFactorization:
         ok, report = factorization_check(4, 0)
         assert not ok
         assert report["mismatches"] == [(0, 5), (2, 2), (3, 0), (3, 1)]
+
+
+def orbit_tamper(gram, n, d, i, j, delta):
+    """``gram`` with ``delta`` added at (i, j) and at every (P^r i, P^r j),
+    a change that keeps G[P a, P b] = G[a, b], and the changed entries."""
+    where = sorted({(int(p[i]), int(p[j])) for p in link_orbits(n, d).powers})
+    entries = gram.entries
+    for a, b in where:
+        entries[a][b] = entries[a][b] + delta
+    return dense(entries, gram.row_labels, gram.col_labels), where
+
+
+class TestOrbitChecks:
+    """Both exact Gram checks read only the orbit representatives' columns
+    once the matrices are checked to commute with the translation."""
+
+    @pytest.mark.parametrize("n,d", sectors(6, 0))
+    def test_reports_match_the_full_product(self, n, d):
+        ok, report = factorization_check(n, d)
+        assert ok and report["mismatches"] == factorization_mismatches_full(n, d, gram_matrix(n, d)) == []
+
+    @pytest.mark.parametrize("n,d", sectors(7))
+    def test_symmetry_passes_with_the_full_flip(self, n, d):
+        assert gram_symmetry(n, d) is None and gram_symmetric_full(gram_matrix(n, d))
+
+    @pytest.mark.parametrize("n,d,i,j", [(4, 0, 3, 1), (5, 1, 0, 4), (6, 2, 2, 7), (6, 0, 5, 5)])
+    def test_covariant_tamper_fails_both_checks(self, n, d, i, j, monkeypatch):
+        import eptl.intertwiner as itw
+        import eptl.verify as vfy
+
+        changed, where = orbit_tamper(gram_matrix(n, d), n, d, i, j, LaurentPoly.v_pow(1))
+        orbits = link_orbits(n, d)
+        check_covariant(changed, orbits, orbits)  # so both checks take the representatives' path
+        monkeypatch.setattr(itw, "gram_matrix", lambda n, d: changed)
+        monkeypatch.setattr(vfy, "gram_matrix", lambda n, d: changed)
+        ok, report = factorization_check(n, d)
+        assert not ok
+        assert report["mismatches"] == factorization_mismatches_full(n, d, changed) == where
+        assert gram_symmetry(n, d) == "twist-inversion transpose symmetry fails"
+        assert not gram_symmetric_full(changed)
+
+    def test_non_covariant_tamper_returns_the_symmetry_witness(self, monkeypatch):
+        import eptl.verify as vfy
+
+        gram = gram_matrix(6, 0)
+        entries = gram.entries
+        entries[4][4] = entries[4][4] + ONE  # one point of its orbit; flip_v keeps it symmetric
+        changed = dense(entries, gram.row_labels, gram.col_labels)
+        orbits = link_orbits(6, 0)
+        with pytest.raises(ValueError, match="does not commute"):
+            check_covariant(changed, orbits, orbits)
+        assert gram_symmetric_full(changed)
+        monkeypatch.setattr(vfy, "gram_matrix", lambda n, d: changed)
+        assert gram_symmetry(6, 0) == "the Gram matrix does not commute with the translation"
+
+    def test_passing_factorization_multiplies_only_the_representatives(self, monkeypatch):
+        assert factorization_check(8, 0)[0]  # builds and caches I, G and the orbits
+        widths = []
+        matmul = RingMatrix.__matmul__
+        monkeypatch.setattr(RingMatrix, "__matmul__", lambda a, b: widths.append(b.cols) or matmul(a, b))
+        ok, report = factorization_check(8, 0)
+        assert ok and report["size"] == 70
+        assert len(link_orbits(8, 0).reps) == 10
+        assert widths == [10]
+
+    def test_symmetry_flips_one_row_per_representative(self, monkeypatch):
+        assert gram_symmetry(8, 0) is None
+        flips = []
+        flip = LaurentPoly.flip_v
+        monkeypatch.setattr(LaurentPoly, "flip_v", lambda p: flips.append(p) or flip(p))
+        assert gram_symmetry(8, 0) is None
+        assert len(flips) == 70 * len(link_orbits(8, 0).reps) == 700
 
 
 class TestDeterminants:
