@@ -27,7 +27,7 @@ from math import comb, inf, log, pi, sin
 import numpy as np
 
 from .linkrep import RingMatrix, gram_matrix, link_orbits
-from .momentum import blocks, by_shape, check_covariant
+from .momentum import blocks, by_shape, covariant_orbits
 from .ring import GR_I, KEY_RANGE, ONE, ZERO, LaurentPoly, bracket, collect, exponents, mul_into, quotient
 from .spinrep import act, spin_orbits, spin_sector
 from .states import LinkState, enumerate_states, module_dim
@@ -77,10 +77,10 @@ def i_matrix_numeric(n: int, d: int, u: complex, v: complex, cols=None) -> np.nd
 def factorization_check(n: int, d: int):
     """Exact check that transpose(I(u, 1/v)) @ I(u, v) equals the Gram matrix.
 
-    ``I`` commutes with the translation (:func:`i_matrix_orbits`), so the
-    product X does too: X[P a, P b] = X[a, b].  Once the Gram matrix G is
-    checked to commute as well, X = G holds exactly when the columns of
-    the orbit representatives agree, and only those are multiplied out.
+    Once :func:`eptl.momentum.covariant_orbits` finds that ``I`` and the
+    Gram matrix G commute with the translation, so does the product X:
+    X[P a, P b] = X[a, b], and X = G holds exactly when the columns of
+    the orbit representatives agree; only those are multiplied out.
     When a covariance check fails or a representative's column differs,
     the full product is formed.  Returns (ok, report) where the report
     lists the mismatching entries (i, j) in row order.
@@ -88,29 +88,25 @@ def factorization_check(n: int, d: int):
     imat = i_matrix(n, d)
     gram = gram_matrix(n, d)
     left = imat.map(LaurentPoly.flip_v).transpose()
+
+    def mismatches(cols):
+        product = left @ RingMatrix([imat.columns[j] for j in cols], imat.row_labels, cols)
+        return sorted(
+            (i, j)
+            for j, p in zip(cols, product.columns)
+            for i in p.keys() | gram.columns[j].keys()
+            if p.get(i) != gram.columns[j].get(i)
+        )
+
+    every = list(range(gram.cols))
     try:
-        cols = i_matrix_orbits(n, d)[1]
-        check_covariant(gram, cols, cols)
-    except ValueError:
-        pass  # no translation (n = 0), or a matrix that does not commute with it
+        covariant_orbits(i_matrix, spin_orbits, link_orbits, n, d)
+        reps = covariant_orbits(gram_matrix, link_orbits, link_orbits, n, d)[1].reps.tolist()
+    except ValueError:  # no translation (n = 0), or a matrix that does not commute with it
+        found = mismatches(every)
     else:
-        reps = cols.reps.tolist()
-        at_reps = left @ RingMatrix([imat.columns[j] for j in reps], imat.row_labels, reps)
-        if all(x == gram.columns[j] for x, j in zip(at_reps.columns, reps)):
-            return True, {"n": n, "d": d, "size": gram.rows, "mismatches": []}
-    product = left @ imat
-    mismatches = sorted(
-        (i, j)
-        for j, (p, g) in enumerate(zip(product.columns, gram.columns))
-        for i in p.keys() | g.keys()
-        if p.get(i) != g.get(i)
-    )
-    return not mismatches, {
-        "n": n,
-        "d": d,
-        "size": gram.rows,
-        "mismatches": mismatches,
-    }
+        found = mismatches(reps) and mismatches(every)
+    return not found, {"n": n, "d": d, "size": gram.rows, "mismatches": found}
 
 
 # ---------------------------------------------------------------------
@@ -177,7 +173,6 @@ def i_det_exact(n: int, d: int) -> LaurentPoly:
     return det_exact(i_matrix(n, d))
 
 
-@lru_cache(maxsize=None)
 def gram_det_exact(n: int, d: int) -> LaurentPoly:
     """Exact determinant of the periodic Gram matrix.
 
@@ -304,19 +299,11 @@ def nearest_bracket(n: int, d: int, lam: float, mu: float) -> tuple:
     return min(sizes, key=lambda ks: ks[1], default=(0, inf))
 
 
-@lru_cache(maxsize=None)
-def i_matrix_orbits(n: int, d: int):
-    """Orbit tables of the spin rows and the link columns of ``I``, once
-    ``I`` is checked to commute with the translation."""
-    rows, cols = spin_orbits(n, d), link_orbits(n, d)
-    check_covariant(i_matrix(n, d), rows, cols)
-    return rows, cols
-
-
 def min_singular_value(n: int, d: int, u: complex, v: complex) -> float:
     """Smallest singular value of I(u, v) scaled to unit max entry, the
-    least over its momentum blocks (see :mod:`eptl.momentum`)."""
-    rows, cols = i_matrix_orbits(n, d)
+    least over its momentum blocks (see :mod:`eptl.momentum`), once
+    ``I`` passes :func:`eptl.momentum.covariant_orbits`."""
+    rows, cols = covariant_orbits(i_matrix, spin_orbits, link_orbits, n, d)
     at_reps = i_matrix_numeric(n, d, u, v, cols.reps)
     scale = np.max(np.abs(at_reps))  # every column of I permutes a representative's
     if scale == 0:

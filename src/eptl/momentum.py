@@ -97,6 +97,18 @@ def check_covariant(x, rows: Orbits, cols: Orbits):
 
 
 @lru_cache(maxsize=None)
+def covariant_orbits(build, row_orbits, col_orbits, n: int, d: int):
+    """``(row_orbits(n, d), col_orbits(n, d))``, once the exact matrix
+    ``build(n, d)`` passes :func:`check_covariant` for them.  Cached per
+    builder and sector, so each matrix is checked once; a failure raises
+    ValueError on every call.  Callers pass the builder their own module
+    resolves, so a replaced builder is checked afresh."""
+    rows, cols = row_orbits(n, d), col_orbits(n, d)
+    check_covariant(build(n, d), rows, cols)
+    return rows, cols
+
+
+@lru_cache(maxsize=None)
 def _dft(L: int) -> np.ndarray:
     k = np.arange(L)
     return np.exp(2j * np.pi * np.outer(k, k) / L) / np.sqrt(L)
@@ -104,7 +116,7 @@ def _dft(L: int) -> np.ndarray:
 
 def blocks(at_reps: np.ndarray, rows: Orbits, cols: Orbits) -> list:
     """The n momentum blocks of a matrix X that passed
-    :func:`check_covariant` for these orbits, read off ``at_reps``, its
+    :func:`covariant_orbits` for these orbits, read off ``at_reps``, its
     numeric columns at ``cols.reps`` in that order (as
     ``X.to_numeric(u, v, cols.reps)`` evaluates them).
 

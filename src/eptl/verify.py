@@ -15,7 +15,7 @@ import cmath
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import intertwiner as itw
 from . import projectors as prj
 from . import transfer as trf
 from .linkrep import RingMatrix, gram_matrix, hamiltonian_link, link_orbits, omega_matrix
-from .momentum import blocks, by_shape, check_covariant
+from .momentum import blocks, by_shape, covariant_orbits
 from .ring import ONE, LaurentPoly, alpha_poly, beta_poly
 from .spinrep import hamiltonian, hamiltonian_numeric, spin_orbits, tau_matrix
 from .states import module_dim
@@ -184,13 +184,11 @@ def gram_factorization(n, d):
 def gram_symmetry(n, d):
     """flip_v(G[j, i]) = G[i, j].  Once G[P i, P j] = G[i, j] is checked,
     the columns j of the orbit representatives imply every other one."""
-    g = gram_matrix(n, d)
-    orbits = link_orbits(n, d)
     try:
-        check_covariant(g, orbits, orbits)
+        reps = covariant_orbits(gram_matrix, link_orbits, link_orbits, n, d)[1].reps.tolist()
     except ValueError:
         return "the Gram matrix does not commute with the translation"
-    reps = orbits.reps.tolist()
+    g = gram_matrix(n, d)
     for i, col in enumerate(g.columns):
         for j in reps:
             e = col.get(j)
@@ -370,16 +368,6 @@ def spectrum_cases(n_max: int, d_filter=None, seed: int = 0):
         yield f"spectrum/n{n}d{d}", partial(spectra_agree, n, d, lam, mu)
 
 
-@lru_cache(maxsize=None)
-def hamiltonian_orbits(n: int, d: int):
-    """Orbit tables of the link and the spin module, once both exact
-    Hamiltonians are checked to commute with the translation."""
-    link, spin = link_orbits(n, d), spin_orbits(n, d)
-    check_covariant(hamiltonian_link(n, d), link, link)
-    check_covariant(hamiltonian(n, d), spin, spin)
-    return link, spin
-
-
 def _eigvals(at_reps, orbits):
     return np.concatenate([np.linalg.eigvals(s).ravel() for s in by_shape(blocks(at_reps, orbits, orbits))])
 
@@ -387,9 +375,11 @@ def _eigvals(at_reps, orbits):
 def sorted_spectra(n: int, d: int, lam: float, mu: float):
     """Sorted eigenvalues of the link and the spin Hamiltonian at
     u = exp(i lam/2), v = exp(i mu), taken block by block over the
-    momentum sectors of the translation (see :mod:`eptl.momentum`)."""
+    momentum sectors of the translation (see :mod:`eptl.momentum`), once
+    both exact Hamiltonians pass :func:`eptl.momentum.covariant_orbits`."""
     u, v = cmath.exp(1j * lam / 2), cmath.exp(1j * mu)
-    link, spin = hamiltonian_orbits(n, d)
+    link = covariant_orbits(hamiltonian_link, link_orbits, link_orbits, n, d)[0]
+    spin = covariant_orbits(hamiltonian, spin_orbits, spin_orbits, n, d)[0]
     e1 = np.sort_complex(_eigvals(hamiltonian_link(n, d).to_numeric(u, v, link.reps), link))
     e2 = np.sort_complex(_eigvals(hamiltonian_numeric(n, d, u, v, spin.reps), spin))
     return e1, e2

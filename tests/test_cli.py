@@ -586,7 +586,6 @@ class TestVerify:
             return det_exact(m)
 
         monkeypatch.setattr(itw, "det_exact", counting)
-        itw.gram_det_exact.cache_clear()
         itw.i_det_exact.cache_clear()
         assert vfy.exact_determinants(5, 1) is None
         assert sizes == [10]
@@ -604,7 +603,6 @@ class TestVerify:
             return RingMatrix(columns, g.row_labels, g.col_labels)
 
         monkeypatch.setattr(itw, "gram_matrix", changed)
-        itw.gram_det_exact.cache_clear()  # a cached determinant would skip the check
         with pytest.raises(ValueError, match="n=4 d=0: 1 mismatched entries"):
             itw.gram_det_exact(4, 0)
         code, out = run_cli(capsys, "verify", "--suite", "determinants", "--n-max", "4")

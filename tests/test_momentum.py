@@ -1,14 +1,15 @@
 import cmath
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
 from eptl import intertwiner as itw
 from eptl import verify as vfy
-from eptl.linkrep import RingMatrix, link_orbits, omega_matrix
-from eptl.momentum import Orbits, blocks, check_covariant
+from eptl.linkrep import RingMatrix, gram_matrix, link_orbits, omega_matrix
+from eptl.momentum import Orbits, blocks, check_covariant, covariant_orbits
 from eptl.ring import ONE, LaurentPoly
 from eptl.spinrep import spin_orbits
 from oracles import min_singular_scaled, momentum_basis, sorted_spectra_dense
@@ -73,6 +74,71 @@ class TestCovariance:
         orbits = link_orbits(n, d)
         with pytest.raises(ValueError):
             check_covariant(omega_matrix([("e", 1)], n, d), orbits, orbits)
+
+
+def count_checks(monkeypatch) -> list:
+    """Record the matrix of every ``check_covariant`` call, wherever in
+    ``eptl`` the name is bound."""
+    seen = []
+
+    def counting(x, rows, cols):
+        seen.append(x)
+        return check_covariant(x, rows, cols)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "eptl" or name.startswith("eptl."):
+            for attr, value in list(vars(mod).items()):
+                if value is check_covariant:
+                    monkeypatch.setattr(mod, attr, counting)
+    return seen
+
+
+def e1(n, d):
+    return omega_matrix([("e", 1)], n, d)
+
+
+class TestCovariantOrbits:
+    def test_the_gram_suite_checks_the_gram_matrix_once(self, monkeypatch):
+        covariant_orbits.cache_clear()
+        seen = count_checks(monkeypatch)
+        cases = dict(vfy.gram_cases(6, [0]))
+        assert cases["gram/factorization/n6d0"]() is None
+        assert cases["gram/symmetry/n6d0"]() is None
+        assert sum(x is gram_matrix(6, 0) for x in seen) == 1
+        assert len(seen) == 2  # and I once
+
+    def test_a_failure_is_checked_again_on_every_call(self, monkeypatch):
+        seen = count_checks(monkeypatch)
+        cached = covariant_orbits.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="does not commute"):
+                covariant_orbits(e1, link_orbits, link_orbits, 5, 1)
+        assert len(seen) == 2
+        assert covariant_orbits.cache_info().currsize == cached
+
+    def test_a_scan_checks_i_once_and_then_hits_the_cache(self, monkeypatch):
+        covariant_orbits.cache_clear()
+        seen = count_checks(monkeypatch)
+        itw.critical_scan(6, 0, [0.3, 1.2, 2.8], [0.0, 0.4, 1.2])
+        assert seen == [itw.i_matrix(6, 0)]
+        info = covariant_orbits.cache_info()
+        assert (info.misses, info.hits) == (1, 8)
+        rows, cols = covariant_orbits(itw.i_matrix, spin_orbits, link_orbits, 6, 0)
+        assert rows is spin_orbits(6, 0) and cols is link_orbits(6, 0)
+
+    def test_spectra_check_each_hamiltonian_once(self, monkeypatch):
+        covariant_orbits.cache_clear()
+        seen = count_checks(monkeypatch)
+        for lam, mu in points(6, 2, 3):
+            vfy.sorted_spectra(6, 2, lam, mu)
+        assert seen == [vfy.hamiltonian_link(6, 2), vfy.hamiltonian(6, 2)]
+
+    def test_a_replaced_builder_is_checked_afresh(self, monkeypatch):
+        assert vfy.gram_symmetry(5, 1) is None
+        seen = count_checks(monkeypatch)
+        monkeypatch.setattr(vfy, "gram_matrix", e1)
+        assert vfy.gram_symmetry(5, 1) == "the Gram matrix does not commute with the translation"
+        assert len(seen) == 1
 
 
 class TestBlocks:
